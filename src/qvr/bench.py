@@ -29,6 +29,7 @@ from .model import (
 from .sampling import (
     AllocationPlan,
     RngStream,
+    SamplingError,
     StrataSpec,
     evaluate_full,
     sample_input,
@@ -187,7 +188,7 @@ def ground_truth_quantile(pair: ModelPair, alpha: float, sample_count: int,
 
 
 # ---------------------------------------------------------------------------
-# Single-replication estimator runners
+# Per-experiment preparation
 
 
 def _spec_for(pair: ModelPair, config: ExperimentConfig) -> StrataSpec:
@@ -221,6 +222,7 @@ class _Prepared:
     cis_family: importance.BiasedFamily | None = None
     cis_params: importance.BiasedParams | None = None
     cis_diag: importance.CisDiagnostics | None = None
+    cis_member: importance.JointGaussian | InputDistribution | None = None
     cis_mode: str = "tail"
 
 
@@ -260,51 +262,8 @@ def _prepare(config: ExperimentConfig) -> _Prepared:
             tail=config.params.get("tail", "upper"),
             selection=config.params.get("selection", "variance"),
         )
+        prep.cis_member = prep.cis_family.member(prep.cis_params)
     return prep
-
-
-def _run_one(config: ExperimentConfig, prep: _Prepared,
-             stream: RngStream) -> dict:
-    pair, est, alpha, n = prep.pair, config.estimator, config.alpha, config.n
-    if est == "ee":
-        x = sample_input(pair.input, stream, n)
-        return {"estimate": estimators.empirical_quantile(pair.eval_full(x), alpha)}
-    if est == "cv":
-        s = estimators.draw_paired_sample(pair, stream, n)
-        cdf = estimators.cv_cdf(s, prep.z_alpha, alpha)
-        return {"estimate": estimators.quantile_from_weighted_cdf(cdf, alpha),
-                "uniform_fallback": cdf.uniform_fallback}
-    if est == "ps":
-        s = estimators.draw_paired_sample(pair, stream, n)
-        strat = prep.spec.stratum_of(s.z)
-        ys, ws = [], []
-        for j in range(prep.spec.m):
-            yj = s.y[strat == j]
-            if len(yj) == 0:
-                raise estimators.EstimatorError(f"stratum {j} is empty")
-            ys.append(yj)
-            ws.append(np.full(len(yj), prep.spec.widths[j] / len(yj)))
-        cdf = estimators.weighted_cdf(np.concatenate(ys), np.concatenate(ws))
-        return {"estimate": estimators.quantile_from_weighted_cdf(cdf, alpha)}
-    if est == "cs":
-        sample, n_r = sample_strata(pair, prep.spec, prep.plan, stream)
-        sample = evaluate_full(pair, sample)
-        return {"estimate": strata.cs_quantile(sample, prep.spec, alpha),
-                "n_r": n_r}
-    if est == "acs":
-        res = strata.acs_quantile(pair, prep.acs_config, alpha, stream)
-        return {"estimate": res.estimate,
-                "beta_tilde": res.beta_tilde.tolist(),
-                "realized_fractions": res.realized_fractions.tolist(),
-                "n_r": res.draw_count,
-                "proportional_fallback": res.proportional_fallback}
-    if est == "cis":
-        res = importance.cis_quantile(pair, prep.cis_family, alpha, n, stream,
-                                      params=prep.cis_params,
-                                      diagnostics=prep.cis_diag,
-                                      mode=prep.cis_mode)
-        return {"estimate": res.estimate}
-    raise ConfigError(f"unknown estimator {est!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,36 +309,146 @@ class ReplicationReport:
         return d
 
 
+# Points per block of replications: a block of max(1, BLOCK_POINTS // n)
+# replications is drawn, evaluated and inverted together, which keeps the
+# stacked arrays (and a subprocess model's pending requests) near 1 MB.
+BLOCK_POINTS = 16384
+
+# Failures of an estimator on its own sample (the CLI's exit 3).  A
+# replication that raises one is recorded and skipped; any other exception,
+# a failing model above all, ends the run.
+NON_CONVERGENCE_ERRORS = (SamplingError, estimators.EstimatorError,
+                          strata.StrataError, importance.ImportanceError)
+
+
+def _ps_quantiles(y: np.ndarray, z: np.ndarray, spec: StrataSpec,
+                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise post-stratified quantiles and, per row, the first empty
+    stratum (-1 if none).  Each row is pooled in stratum order with weights
+    width_j / N_j, as the one-sample estimator pools it."""
+    strat = spec.stratum_of(z)
+    counts = (strat[:, :, None] == np.arange(spec.m)).sum(axis=1)
+    order = np.argsort(strat, axis=1, kind="stable")
+    s = np.take_along_axis(strat, order, axis=1)
+    w = spec.widths[s] / np.take_along_axis(counts, s, axis=1)
+    values = estimators.weighted_quantile_rows(
+        np.take_along_axis(y, order, axis=1), w, alpha)
+    empty = counts == 0
+    return values, np.where(empty.any(axis=1), empty.argmax(axis=1), -1)
+
+
+def _run_block(config: ExperimentConfig, prep: _Prepared, root: RngStream,
+               rs: range) -> tuple[list[dict], list[tuple[int, str]]]:
+    """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
+
+    The block's draws are stacked so that f (and f_r) run once and the
+    quantiles are inverted row-wise; only ACS, whose second phase depends on
+    its pilot, runs one replication at a time.  Returns the results of the
+    replications that succeeded, in order of r, and the (r, message) of
+    every one that failed.
+    """
+    pair, est, alpha, n = prep.pair, config.estimator, config.alpha, config.n
+    errors: list[tuple[int, str]] = []
+    if est == "acs":
+        results = []
+        for r in rs:
+            try:
+                res = strata.acs_quantile(pair, prep.acs_config, alpha,
+                                          root.child(r))
+            except NON_CONVERGENCE_ERRORS as e:
+                errors.append((r, str(e)))
+                continue
+            results.append({
+                "estimate": res.estimate,
+                "beta_tilde": res.beta_tilde.tolist(),
+                "realized_fractions": res.realized_fractions.tolist(),
+                "n_r": res.draw_count})
+        return results, errors
+    rows, extras = list(rs), [{} for _ in rs]
+    fails: list[str | None] = [None] * len(rows)
+    if est == "cs":
+        rows, extras, xs = [], [], []
+        for r in rs:
+            try:
+                sample, n_r = sample_strata(pair, prep.spec, prep.plan,
+                                            root.child(r))
+            except NON_CONVERGENCE_ERRORS as e:
+                errors.append((r, str(e)))
+                continue
+            rows.append(r)
+            extras.append({"n_r": n_r})
+            xs.append(np.concatenate(sample.x))
+        counts = np.asarray(prep.plan.counts)
+        if not counts.all():  # as cs_quantile refuses it
+            j = int(np.argmin(counts))
+            return [], errors + [
+                (r, f"stratum {j} has positive weight but no points")
+                for r in rows]
+        if not rows:
+            return [], errors
+        fails = [None] * len(rows)
+        # Every replication holds its quotas in stratum order.
+        y = pair.eval_full(np.concatenate(xs)).reshape(len(rows), n)
+        w = np.tile(np.repeat(prep.spec.widths / counts, counts), (len(rows), 1))
+        values = estimators.weighted_quantile_rows(y, w, alpha)
+    elif est == "cis":
+        member = prep.cis_member
+        x = np.concatenate([member.sample(root.child(r).child(1).generator(), n)
+                            for r in rs])
+        w = importance.likelihood_ratio(pair, member, x).reshape(len(rs), n)
+        y = pair.eval_full(x).reshape(len(rs), n)
+        if prep.cis_mode == "tail":
+            values = importance.tail_quantile_rows(y, w, alpha)
+        else:
+            values = estimators.weighted_quantile_rows(y, w, alpha)
+        fails = [importance.UNCOVERED_SUPPORT if bad else None
+                 for bad in (w <= 0).any(axis=1)]
+    else:  # ee, cv, ps: plain draws from the input distribution
+        x = np.concatenate([sample_input(pair.input, root.child(r), n)
+                            for r in rs])
+        y = pair.eval_full(x).reshape(len(rs), n)
+        if est == "ee":
+            values = estimators.empirical_quantile_rows(y, alpha)
+        else:
+            z = pair.eval_metamodel(x).reshape(len(rs), n)
+            if est == "cv":
+                w = estimators.cv_weight_rows(z, prep.z_alpha, alpha)
+                values = estimators.weighted_quantile_rows(y, w, alpha)
+            else:
+                values, empty = _ps_quantiles(y, z, prep.spec, alpha)
+                fails = [f"stratum {j} is empty" if j >= 0 else None
+                         for j in empty]
+    errors += [(r, msg) for r, msg in zip(rows, fails) if msg is not None]
+    return [{"estimate": float(v), **extra}
+            for v, extra, msg in zip(values, extras, fails)
+            if msg is None], errors
+
+
 def run_replications(config: ExperimentConfig) -> ReplicationReport:
     """R independent replications, each on the stream path [replication_id].
 
-    Per-replication estimator errors are recorded, not fatal, unless every
-    replication fails.
+    Replications run in blocks (see ``_run_block``); with ``workers`` > 1
+    the blocks are spread over a thread pool.  A replication that fails with
+    one of ``NON_CONVERGENCE_ERRORS`` is recorded, not fatal, unless every
+    replication fails; any other error, such as a ``ModelError`` from a
+    dead simulator, propagates.
     """
     prep = _prepare(config)
     root = RngStream(config.seed)
-    results: list[dict | None] = [None] * config.replications
-    errors: list[tuple[int, str]] = []
+    size = max(1, BLOCK_POINTS // config.n)
+    blocks = [range(start, min(start + size, config.replications))
+              for start in range(0, config.replications, size)]
 
-    def work(r: int):
-        return _run_one(config, prep, root.child(r))
+    def work(rs: range):
+        return _run_block(config, prep, root, rs)
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {r: pool.submit(work, r) for r in range(config.replications)}
-        for r, fut in futures.items():
-            try:
-                results[r] = fut.result()
-            except Exception as e:  # noqa: BLE001 - recorded per replication
-                errors.append((r, str(e)))
+            outcomes = list(pool.map(work, blocks))
     else:
-        for r in range(config.replications):
-            try:
-                results[r] = work(r)
-            except Exception as e:  # noqa: BLE001 - recorded per replication
-                errors.append((r, str(e)))
-    errors.sort()
-    ok = [res for res in results if res is not None]
+        outcomes = [work(rs) for rs in blocks]
+    ok = [res for results, _ in outcomes for res in results]
+    errors = sorted(e for _, errs in outcomes for e in errs)
     if not ok:
         raise ConfigError("every replication failed; first error: "
                           + (errors[0][1] if errors else "unknown"))

@@ -13,7 +13,7 @@ import sys
 import click
 import numpy as np
 
-from . import bench, estimators, importance, strata
+from . import bench, estimators, strata
 from .bench import ConfigError, ExperimentConfig
 from .model import ModelError, builtin_model
 from .sampling import AllocationPlan, RngStream, SamplingError
@@ -88,10 +88,7 @@ def estimate(config_path, resamples):
     config = _load_config(config_path)
     try:
         payload = bench.estimate_with_bootstrap(config, B=resamples)
-    except importance.CisNonConvergence as e:
-        _fail(EXIT_NON_CONVERGENCE, str(e))
-    except (SamplingError, estimators.EstimatorError, strata.StrataError,
-            importance.ImportanceError) as e:
+    except bench.NON_CONVERGENCE_ERRORS as e:
         _fail(EXIT_NON_CONVERGENCE, str(e))
     except ModelError as e:
         _fail(EXIT_MODEL, str(e))
@@ -115,7 +112,7 @@ def bench_cmd(preset, reps, seed, workers, out_path, fmt):
     try:
         reports = bench.run_preset(preset, replications=reps, seed=seed,
                                    workers=workers)
-    except importance.CisNonConvergence as e:
+    except bench.NON_CONVERGENCE_ERRORS as e:
         _fail(EXIT_NON_CONVERGENCE, str(e))
     except ModelError as e:
         _fail(EXIT_MODEL, str(e))

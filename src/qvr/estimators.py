@@ -1,9 +1,17 @@
 """Baseline and control-variate cdf/quantile estimators.
 
-All quantile inversions in this package use the strict convention
-``inf{y : F(y) > alpha}`` evaluated on the sample support.  With uniform
-weights this is the (floor(alpha n) + 1)-th order statistic; for
-non-integer alpha*n it coincides with the ceil(alpha n)-th order statistic.
+Quantile conventions (README "Quantile conventions"):
+
+* weighted cdfs are inverted with the generalized inverse, the smallest
+  support point whose cumulative weight is >= alpha; with uniform weights
+  this is the ceil(alpha n)-th order statistic (``quantile_from_weighted_cdf``);
+* the plain-sample baseline uses the (floor(alpha n) + 1)-th order
+  statistic, inf{y : F_n(y) > alpha} (``empirical_quantile``); the adaptive
+  pilot step uses the same strict form on its weighted cdf (``strict=True``).
+
+The two differ only when alpha*n is an integer.  The ``*_rows`` functions
+apply the one-sample functions to every row of a (replications, n) array
+at once and give the same bits on each row.
 """
 
 from __future__ import annotations
@@ -88,6 +96,25 @@ def quantile_from_weighted_cdf(cdf: WeightedCdf, alpha: float,
     return float(cdf.points[min(k, len(cum) - 1)])
 
 
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[i, idx[i]]`` for every row i, through one flat index."""
+    return a.ravel()[idx + a.shape[1] * np.arange(len(a)).reshape(-1, 1)]
+
+
+def weighted_quantile_rows(y: np.ndarray, w: np.ndarray,
+                           alpha: float) -> np.ndarray:
+    """``quantile_from_weighted_cdf(weighted_cdf(y[i], w[i]), alpha)`` for
+    every row of (B, n) arrays: stable sort by y, normalize by the row total
+    in the given order, take the generalized inverse."""
+    n = y.shape[1]
+    order = np.argsort(y, axis=1, kind="stable")
+    cum = np.cumsum(_take_rows(w, order) / w.sum(axis=1, keepdims=True),
+                    axis=1)
+    # searchsorted(cum, alpha - tol, "left") on nondecreasing rows.
+    k = (cum < alpha - 16 * n * np.finfo(float).eps).sum(axis=1)
+    return _take_rows(y, _take_rows(order, np.minimum(k, n - 1)[:, None]))[:, 0]
+
+
 def empirical_quantile(y_values, alpha: float) -> float:
     """Plain-sample quantile: the (floor(alpha*n) + 1)-th order statistic.
 
@@ -101,6 +128,14 @@ def empirical_quantile(y_values, alpha: float) -> float:
     if y.size == 0:
         raise EstimatorError("empirical quantile needs a nonempty sample")
     return float(y[min(int(math.floor(alpha * y.size)), y.size - 1)])
+
+
+def empirical_quantile_rows(y: np.ndarray, alpha: float) -> np.ndarray:
+    """``empirical_quantile`` of every row of a (B, n) array, by one
+    partition instead of a full sort."""
+    n = y.shape[1]
+    k = min(int(math.floor(alpha * n)), n - 1)
+    return np.partition(y, k, axis=1)[:, k]
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +177,18 @@ def cv_weights(z_values, z_alpha: float, alpha: float) -> tuple[np.ndarray, bool
     if n0 == 0 or n0 == n:
         return np.full(n, 1.0 / n), True
     return np.where(below, alpha / n0, (1 - alpha) / (n - n0)), False
+
+
+def cv_weight_rows(z: np.ndarray, z_alpha: float, alpha: float) -> np.ndarray:
+    """``cv_weights(z[i], z_alpha, alpha)[0]`` for every row of a (B, n)
+    array, uniform fallback included."""
+    n = z.shape[1]
+    below = z <= z_alpha
+    n0 = below.sum(axis=1, keepdims=True)
+    degenerate = (n0 == 0) | (n0 == n)
+    w_below = np.where(degenerate, 1.0 / n, alpha / np.maximum(n0, 1))
+    w_above = np.where(degenerate, 1.0 / n, (1 - alpha) / np.maximum(n - n0, 1))
+    return np.where(below, w_below, w_above)
 
 
 def cv_cdf(sample: PairedSample, z_alpha: float, alpha: float) -> WeightedCdf:

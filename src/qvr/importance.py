@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
-from .estimators import quantile_from_weighted_cdf, weighted_cdf
+from .estimators import _take_rows, quantile_from_weighted_cdf, weighted_cdf
 from .model import InputDistribution, Lognormal, ModelPair, Normal
 from .sampling import RngStream, metamodel_quantiles, sample_input
 
@@ -66,22 +66,31 @@ class BiasedParams:
 
 @dataclass(frozen=True)
 class JointGaussian:
-    """Multivariate normal member with density/sample like InputDistribution."""
+    """Multivariate normal member with density/sample like InputDistribution.
+
+    The Cholesky factor and the frozen scipy distribution (one eigen
+    decomposition of C) are built once per member, not once per call.
+    """
 
     lam: np.ndarray
     C: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _dist: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_chol", np.linalg.cholesky(self.C))
+        object.__setattr__(self, "_dist",
+                           multivariate_normal(mean=self.lam, cov=self.C))
 
     def density(self, x):
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        out = multivariate_normal.pdf(pts, mean=self.lam, cov=self.C)
-        return np.atleast_1d(out)
+        return np.atleast_1d(self._dist.pdf(pts))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         d = len(self.lam)
         if count == 0:
             return np.empty((0, d))
-        L = np.linalg.cholesky(self.C)
-        return self.lam + rng.standard_normal((count, d)) @ L.T
+        return self.lam + rng.standard_normal((count, d)) @ self._chol.T
 
 
 @dataclass(frozen=True)
@@ -258,6 +267,10 @@ def true_optimal_moments(pair: ModelPair, threshold: float, sample_count: int,
 # Reweighted estimators
 
 
+UNCOVERED_SUPPORT = ("nonpositive likelihood ratio: biased member does not "
+                     "cover the support of the original distribution")
+
+
 @dataclass(frozen=True)
 class WeightedSample:
     """Records (x, y, likelihood ratio w = q_ori/q) from a biased draw."""
@@ -271,10 +284,7 @@ class WeightedSample:
         if len(self.y) == 0 or len(self.y) != len(self.w):
             raise ValueError("weighted sample needs matching nonempty y and w")
         if np.any(np.asarray(self.w) <= 0):
-            raise ImportanceError(
-                "nonpositive likelihood ratio: biased member does not cover "
-                "the support of the original distribution"
-            )
+            raise ImportanceError(UNCOVERED_SUPPORT)
 
     @property
     def n(self) -> int:
@@ -286,8 +296,13 @@ def draw_weighted_sample(pair: ModelPair, family: BiasedFamily,
                          n: int) -> WeightedSample:
     member = family.member(params)
     x = member.sample(stream.generator(), n)
-    w = pair.input.density(x) / np.asarray(member.density(x), dtype=float)
+    w = likelihood_ratio(pair, member, x)
     return WeightedSample(x=x, y=pair.eval_full(x), w=w, params=params)
+
+
+def likelihood_ratio(pair: ModelPair, member, x) -> np.ndarray:
+    """q_ori / q at the points x drawn from the biased member."""
+    return pair.input.density(x) / np.asarray(member.density(x), dtype=float)
 
 
 def is_cdf(weighted: WeightedSample, y: float, mode: str = "raw") -> float:
@@ -397,6 +412,18 @@ def tail_quantile(weighted: WeightedSample, alpha: float) -> float:
     cdf_vals = 1.0 - (cw[-1] - cw) / n
     k = np.searchsorted(cdf_vals, alpha, side="right")
     return float(ys[min(k + 1, n - 1)])
+
+
+def tail_quantile_rows(y: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
+    """``tail_quantile`` of every row of (B, n) outputs and likelihood
+    ratios."""
+    n = y.shape[1]
+    order = np.argsort(y, axis=1, kind="stable")
+    cw = np.cumsum(_take_rows(w, order), axis=1)
+    cdf_vals = 1.0 - (cw[:, -1:] - cw) / n
+    # searchsorted(cdf_vals, alpha, "right") on nondecreasing rows.
+    k = (cdf_vals <= alpha).sum(axis=1)
+    return _take_rows(y, _take_rows(order, np.minimum(k + 1, n - 1)[:, None]))[:, 0]
 
 
 def cis_quantile(pair: ModelPair, family: BiasedFamily, alpha: float,

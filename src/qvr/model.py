@@ -108,8 +108,10 @@ class InputDistribution:
         """Draw ``count`` i.i.d. points, shape (count, d)."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        cols = [c.sample(rng, count) for c in self.components]
-        return np.column_stack(cols) if count else np.empty((0, self.dimension))
+        out = np.empty((count, self.dimension))
+        for j, c in enumerate(self.components):
+            out[:, j] = c.sample(rng, count)
+        return out
 
     def _check_dim(self, pts):
         if pts.shape[-1] != self.dimension:
@@ -325,13 +327,11 @@ class SubprocessModel:
 
     def _roundtrip(self, points) -> list[float]:
         proc = self._ensure_proc()
-        ids = []
-        lines = []
-        for p in points:
-            rid = self._next_id
-            self._next_id += 1
-            ids.append(rid)
-            lines.append(json.dumps({"id": rid, "x": [float(v) for v in p]}))
+        first = self._next_id
+        self._next_id += len(points)
+        ids = range(first, self._next_id)  # O(1) membership test per reply
+        lines = [json.dumps({"id": rid, "x": [float(v) for v in p]})
+                 for rid, p in zip(ids, points)]
         try:
             proc.stdin.write("\n".join(lines) + "\n")
             proc.stdin.flush()

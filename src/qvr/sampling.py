@@ -155,8 +155,13 @@ def metamodel_quantiles(pair: ModelPair, cutpoints: Sequence[float],
         if stream is None:
             raise ValueError("mc quantiles need a stream")
         x = sample_input(pair.input, stream, sample_count)
-        z = np.sort(pair.eval_metamodel(x))
+        z = pair.eval_metamodel(x)
+        del x
+        if not z.flags.owndata:
+            z = z.copy()
+        # Order statistics in place: no sorted copy of 10^6 outputs.
         idx = np.ceil(cp * sample_count).astype(int) - 1
+        z.partition(idx)
         out = z[idx]
     else:
         raise ValueError(f"unknown precision {precision!r}")
@@ -174,12 +179,27 @@ def strata_from_cutpoints(pair: ModelPair, cutpoints: Sequence[float],
     return StrataSpec(cutpoints=cp, z_values=(-np.inf,) + tuple(zq) + (np.inf,))
 
 
+def _batch_for(need: np.ndarray, widths: np.ndarray) -> int:
+    """Draws that fill every open quota with high probability: stratum j
+    needs about need_j / width_j draws, give or take sqrt(need_j) / width_j;
+    three of those spreads are added so one batch usually suffices."""
+    open_ = need > 0
+    return int(np.ceil(np.max((need[open_] + 3 * np.sqrt(need[open_]))
+                              / widths[open_])))
+
+
 def sample_strata(pair: ModelPair, spec: StrataSpec, plan: AllocationPlan,
                   stream: RngStream, max_draws: int | None = None,
-                  batch: int = 4096) -> tuple[StratifiedSample, int]:
+                  batch: int = 1 << 20) -> tuple[StratifiedSample, int]:
     """Pooled rejection: draw X ~ q_ori, route each draw to its stratum while
     that stratum's quota is unmet, discard otherwise.  Returns the sample
     (y unfilled) and the number of metamodel evaluations N_r.
+
+    Each batch is sized from the quotas still open (at most ``batch`` draws).
+    Draws past the one that completes the last quota are not counted, so
+    for one-dimensional inputs the sample and N_r do not depend on the batch
+    sizes; a multi-dimensional input fills its columns one after another, so
+    there they do.
     """
     if len(plan.counts) != spec.m:
         raise ValueError("plan length must match stratum count")
@@ -189,6 +209,7 @@ def sample_strata(pair: ModelPair, spec: StrataSpec, plan: AllocationPlan,
     if max_draws < total:
         raise ValueError("max_draws must be at least the total quota")
     need = np.asarray(plan.counts, dtype=int).copy()
+    widths = spec.widths
     xs: list[list[np.ndarray]] = [[] for _ in range(spec.m)]
     zs: list[list[np.ndarray]] = [[] for _ in range(spec.m)]
     rng = stream.generator()
@@ -198,31 +219,28 @@ def sample_strata(pair: ModelPair, spec: StrataSpec, plan: AllocationPlan,
             raise SamplingError(
                 f"stratum quotas unmet after {draws} draws; remaining {need.tolist()}"
             )
-        k = min(batch, max_draws - draws)
+        k = min(_batch_for(need, widths), batch, max_draws - draws)
         x = pair.input.sample(rng, k)
         z = pair.eval_metamodel(x)
         strat = spec.stratum_of(z)
-        # Trim the batch to the prefix that completes the last open quota, so
-        # N_r counts exactly the draws consumed.
-        done_at = 0
+        # Take the first need_j draws of each open stratum; once every quota
+        # is met, N_r stops at the draw that completed the last one.
+        picks = []
         complete = True
-        for j in range(spec.m):
-            if need[j] == 0:
-                continue
-            pos = np.flatnonzero(strat == j)
-            if len(pos) < need[j]:
+        done_at = 0
+        for j in np.flatnonzero(need):
+            idx = np.flatnonzero(strat == j)[: need[j]]
+            picks.append((j, idx))
+            if len(idx) < need[j]:
                 complete = False
-                break
-            done_at = max(done_at, pos[need[j] - 1] + 1)
-        k_used = done_at if complete else k
-        draws += int(k_used)
-        for j in np.unique(strat[:k_used]):
-            if need[j] == 0:
-                continue
-            idx = np.flatnonzero(strat[:k_used] == j)[: need[j]]
-            xs[j].append(x[idx])
-            zs[j].append(z[idx])
-            need[j] -= len(idx)
+            else:
+                done_at = max(done_at, int(idx[-1]) + 1)
+        draws += done_at if complete else k
+        for j, idx in picks:
+            if len(idx):
+                xs[j].append(x[idx])
+                zs[j].append(z[idx])
+                need[j] -= len(idx)
     d = pair.dimension
     sample = StratifiedSample(
         x=[np.concatenate(c) if c else np.empty((0, d)) for c in xs],
@@ -232,13 +250,16 @@ def sample_strata(pair: ModelPair, spec: StrataSpec, plan: AllocationPlan,
 
 
 def evaluate_full(pair: ModelPair, sample: StratifiedSample) -> StratifiedSample:
-    """Fill y = f(x) for every accepted triple; one f call per triple."""
-    y = []
+    """Fill y = f(x) for every accepted triple with one f call over all
+    strata; each triple is evaluated once."""
     for xj, zj in zip(sample.x, sample.z):
         if len(zj) != len(xj):
             raise ValueError("z must be filled before evaluating f")
-        y.append(pair.eval_full(xj) if len(xj) else np.empty(0))
-    return StratifiedSample(x=sample.x, z=sample.z, y=y)
+    counts = [len(xj) for xj in sample.x]
+    y = (pair.eval_full(np.concatenate(sample.x)) if sum(counts)
+         else np.empty(0))
+    return StratifiedSample(x=sample.x, z=sample.z,
+                            y=np.split(y, np.cumsum(counts)[:-1]))
 
 
 def expected_rejection_cost(spec: StrataSpec, plan: AllocationPlan) -> tuple[float, float]:

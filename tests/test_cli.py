@@ -4,7 +4,13 @@ import pytest
 from click.testing import CliRunner
 from scipy.stats import norm
 
+from qvr import bench
 from qvr.cli import main
+from qvr.estimators import EstimatorError
+from qvr.importance import ImportanceError
+from qvr.model import ModelError
+from qvr.sampling import SamplingError
+from qvr.strata import StrataError
 
 
 @pytest.fixture
@@ -122,6 +128,21 @@ class TestBench:
     def test_unknown_preset_rejected_by_click(self, runner):
         res = runner.invoke(main, ["bench", "--preset", "fig9"])
         assert res.exit_code != 0
+
+    @pytest.mark.parametrize("error, code", [
+        (SamplingError("quotas unmet"), 3),
+        (EstimatorError("stratum 2 is empty"), 3),
+        (StrataError("no allocation defined"), 3),
+        (ImportanceError("degenerate event covariance"), 3),
+        (ModelError("simulator closed its output stream"), 4),
+    ])
+    def test_failure_exit_codes(self, runner, monkeypatch, error, code):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(bench, "run_preset", fail)
+        res = runner.invoke(main, ["bench", "--preset", "fig1", "--reps", "2"])
+        assert res.exit_code == code
+        assert str(error) in res.output
 
     def test_worker_invariance(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
