@@ -100,7 +100,6 @@ from .strata import (
     ps_form_variance,
     strong_control_rho,
     two_strata_acs_factor,
-    variance_diagnostics,
 )
 
 __version__ = "0.1.0"

@@ -321,22 +321,6 @@ NON_CONVERGENCE_ERRORS = (SamplingError, estimators.EstimatorError,
                           strata.StrataError, importance.ImportanceError)
 
 
-def _ps_quantiles(y: np.ndarray, z: np.ndarray, spec: StrataSpec,
-                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise post-stratified quantiles and, per row, the first empty
-    stratum (-1 if none).  Each row is pooled in stratum order with weights
-    width_j / N_j, as the one-sample estimator pools it."""
-    strat = spec.stratum_of(z)
-    counts = (strat[:, :, None] == np.arange(spec.m)).sum(axis=1)
-    order = np.argsort(strat, axis=1, kind="stable")
-    s = np.take_along_axis(strat, order, axis=1)
-    w = spec.widths[s] / np.take_along_axis(counts, s, axis=1)
-    values = estimators.weighted_quantile_rows(
-        np.take_along_axis(y, order, axis=1), w, alpha)
-    empty = counts == 0
-    return values, np.where(empty.any(axis=1), empty.argmax(axis=1), -1)
-
-
 def _run_block(config: ExperimentConfig, prep: _Prepared, root: RngStream,
                rs: range) -> tuple[list[dict], list[tuple[int, str]]]:
     """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
@@ -415,7 +399,8 @@ def _run_block(config: ExperimentConfig, prep: _Prepared, root: RngStream,
                 w = estimators.cv_weight_rows(z, prep.z_alpha, alpha)
                 values = estimators.weighted_quantile_rows(y, w, alpha)
             else:
-                values, empty = _ps_quantiles(y, z, prep.spec, alpha)
+                values, empty = estimators.ps_quantile_rows(
+                    y, prep.spec.stratum_of(z), prep.spec.widths, alpha)
                 fails = [f"stratum {j} is empty" if j >= 0 else None
                          for j in empty]
     errors += [(r, msg) for r, msg in zip(rows, fails) if msg is not None]
@@ -534,96 +519,110 @@ _BOOTSTRAP_SCHEME = {"ee": "iid", "cv": "iid", "ps": "iid",
                      "cis": "weighted"}
 
 
+def _bootstrap(n: int, sizes: list[int], invert, B: int,
+               rng: np.random.Generator) -> tuple[float, float]:
+    """(estimate, bootstrap std) of a sample of n records.
+
+    Each group of ``sizes`` (the strata, or the whole sample) is resampled
+    within itself, with the draws of ``bootstrap_std``, in chunks of
+    ``BLOCK_POINTS`` points; ``invert`` maps a chunk's (c, n) record
+    indices, one resample per row, to c estimates.
+    """
+    if B < 100:
+        raise ValueError("bootstrap needs at least 100 resamples")
+    starts = np.cumsum(sizes) - sizes
+    vals = np.empty(B)
+    chunk = max(1, BLOCK_POINTS // n)
+    for start in range(0, B, chunk):
+        c = min(chunk, B - start)
+        if len(sizes) == 1:
+            rows = rng.integers(0, n, (c, n))  # = c draws of n each
+        else:
+            rows = np.array([np.concatenate([s + rng.integers(0, k, k)
+                                             for s, k in zip(starts, sizes)])
+                             for _ in range(c)])
+        vals[start:start + c] = invert(rows)
+    return float(invert(np.arange(n)[None])[0]), float(vals.std(ddof=1))
+
+
 def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     """One estimator run plus a design-respecting bootstrap standard error.
 
     The resampling scheme follows the sampling design: plain records for
     EE/CV/PS, within-stratum for CS/ACS, (y, w) pairs for the reweighted
-    estimator.
+    estimator.  Resamples, drawn as ``bootstrap_std`` draws them, are
+    inverted row-wise with the bits of the one-sample estimators, except
+    where tied outputs of different weights sum in another order (see
+    ``qvr.estimators``).
     """
     prep = _prepare(config)
     pair, est, alpha, n = prep.pair, config.estimator, config.alpha, config.n
     root = RngStream(config.seed)
     run_stream, boot_stream = root.child(0), root.child(1)
-    scheme = _BOOTSTRAP_SCHEME[est]
-    extras: dict = {}
+    sizes, extras, invert = [n], {}, None
     if est == "ee":
-        x = sample_input(pair.input, run_stream, n)
-        data = pair.eval_full(x)
-        fn = lambda y: estimators.empirical_quantile(y, alpha)
-    elif est == "cv":
+        y = pair.eval_full(sample_input(pair.input, run_stream, n))
+        invert = lambda rows: estimators.empirical_quantile_rows(y[rows], alpha)
+    elif est in ("cv", "ps"):
         s = estimators.draw_paired_sample(pair, run_stream, n)
-        data = (s.y, s.z)
-
-        def fn(pick):
-            y, z = pick
-            w, _ = estimators.cv_weights(z, prep.z_alpha, alpha)
-            cdf = estimators.weighted_cdf(y, w)
-            return estimators.quantile_from_weighted_cdf(cdf, alpha)
-    elif est == "ps":
-        s = estimators.draw_paired_sample(pair, run_stream, n)
-        data = (s.y, s.z)
-
-        def fn(pick):
-            y, z = pick
+        y, z = s.y, s.z
+        if est == "cv":
+            below = z <= prep.z_alpha
+            weights = lambda ids: estimators.cv_indicator_weight_rows(
+                below[ids], alpha)
+        else:
             strat = prep.spec.stratum_of(z)
-            ys, ws = [], []
-            for j in range(prep.spec.m):
-                yj = y[strat == j]
-                if len(yj) == 0:
-                    raise estimators.EstimatorError(f"stratum {j} is empty")
-                ys.append(yj)
-                ws.append(np.full(len(yj), prep.spec.widths[j] / len(yj)))
-            cdf = estimators.weighted_cdf(np.concatenate(ys), np.concatenate(ws))
-            return estimators.quantile_from_weighted_cdf(cdf, alpha)
+
+            def invert(rows):
+                srt = by_y(rows)
+                values, empty = estimators.ps_quantile_sorted_rows(
+                    y[srt], strat[srt], prep.spec.widths, alpha)
+                if empty.max() >= 0:
+                    raise estimators.EstimatorError(
+                        f"stratum {empty[empty >= 0][0]} is empty")
+                return values
     elif est in ("cs", "acs"):
         if est == "cs":
-            sample, n_r = sample_strata(pair, prep.spec, prep.plan, run_stream)
-            data = evaluate_full(pair, sample)
-            extras["n_r"] = n_r
+            sample, extras["n_r"] = sample_strata(pair, prep.spec, prep.plan,
+                                                  run_stream)
+            ys = evaluate_full(pair, sample).y
         else:
             res = strata.acs_quantile(pair, prep.acs_config, alpha, run_stream)
             extras.update(n_r=res.draw_count,
                           beta_tilde=res.beta_tilde.tolist(),
                           realized_fractions=res.realized_fractions.tolist())
-            data = res.sample
-        widths = prep.spec.widths
-
-        def fn(ylist):
-            ys, ws = [], []
-            for j, yj in enumerate(ylist):
-                if len(yj) == 0:
-                    continue
-                ys.append(yj)
-                ws.append(np.full(len(yj), widths[j] / len(yj)))
-            cdf = estimators.weighted_cdf(np.concatenate(ys), np.concatenate(ws))
-            return estimators.quantile_from_weighted_cdf(cdf, alpha)
+            ys = res.sample.y
+        # Empty strata drop out of the pool; the rest is renormalized.
+        counts = np.array([len(yj) for yj in ys])
+        y, sizes = np.concatenate(ys), counts[counts > 0].tolist()
+        w = np.repeat(prep.spec.widths / np.maximum(counts, 1), counts)
+        weights = lambda ids: w[ids]
     else:  # cis
         res = importance.cis_quantile(pair, prep.cis_family, alpha, n,
                                       run_stream, params=prep.cis_params,
                                       diagnostics=prep.cis_diag,
                                       mode=prep.cis_mode)
-        data = (res.sample.y, res.sample.w)
-        mode = prep.cis_mode
-
-        def fn(pick):
-            y, w = pick
-            dummy = importance.WeightedSample(x=np.zeros((len(y), 1)), y=y, w=w)
-            if mode == "tail":
-                return importance.tail_quantile(dummy, alpha)
-            cdf = estimators.weighted_cdf(y, w)
-            return estimators.quantile_from_weighted_cdf(cdf, alpha)
-    boot = bootstrap_std(data, fn, scheme, B, boot_stream)
-    return {
-        "estimator": est,
-        "alpha": alpha,
-        "n": n,
-        "estimate": boot.point_estimate,
-        "bootstrap_std": boot.std,
-        "resamples": boot.resamples,
-        "scheme": boot.scheme,
-        **extras,
-    }
+        y, w = res.sample.y, res.sample.w
+        weights = lambda ids: w[ids]
+        if prep.cis_mode == "tail":
+            def invert(rows):
+                srt = by_y(rows)
+                return importance.tail_quantile_sorted_rows(
+                    y[srt], weights(srt), alpha)
+    # y is sorted once; a resample then sorts its records' ranks, small ints.
+    order = np.argsort(y, kind="stable")
+    rank = np.argsort(order).astype(np.int32)
+    by_y = lambda rows: order[np.sort(rank[rows], axis=1)]
+    if invert is None:
+        def invert(rows):  # normalized by the total in resample order
+            srt = by_y(rows)
+            return estimators.weighted_quantile_sorted_rows(
+                y[srt], weights(srt), weights(rows).sum(axis=1, keepdims=True),
+                alpha)
+    point, std = _bootstrap(len(y), sizes, invert, B, boot_stream.generator())
+    return {"estimator": est, "alpha": alpha, "n": n, "estimate": point,
+            "bootstrap_std": std, "resamples": B,
+            "scheme": _BOOTSTRAP_SCHEME[est], **extras}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ Quantile conventions (README "Quantile conventions"):
 
 The two differ only when alpha*n is an integer.  The ``*_rows`` functions
 apply the one-sample functions to every row of a (replications, n) array
-at once and give the same bits on each row.
+at once and give the same bits on each row.  The weighted ones are a sort
+followed by a ``*_sorted_rows`` inversion, which callers that sort their
+rows another way (the bootstrap) share.  A row sorted another way holds
+the same values, but points with tied outputs and different weights may
+sit in another order; the cumulative weights then differ by rounding only,
+which can change a result only when one falls within the ``16 n eps``
+inversion tolerance of alpha.
 """
 
 from __future__ import annotations
@@ -101,18 +107,27 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a.ravel()[idx + a.shape[1] * np.arange(len(a)).reshape(-1, 1)]
 
 
+def weighted_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
+                                  total: np.ndarray, alpha: float) -> np.ndarray:
+    """Generalized inverse of every row of (B, n) outputs ``ys`` sorted
+    ascending, with their weights ``ws`` in the same order.  Each row is
+    normalized by its weight total ``total`` (shape (B, 1)), which
+    ``weighted_cdf`` takes in the sample's own order, not in sorted order."""
+    n = ys.shape[1]
+    cum = np.cumsum(ws / total, axis=1)
+    # searchsorted(cum, alpha - tol, "left") on nondecreasing rows.
+    k = (cum < alpha - 16 * n * np.finfo(float).eps).sum(axis=1)
+    return _take_rows(ys, np.minimum(k, n - 1)[:, None])[:, 0]
+
+
 def weighted_quantile_rows(y: np.ndarray, w: np.ndarray,
                            alpha: float) -> np.ndarray:
     """``quantile_from_weighted_cdf(weighted_cdf(y[i], w[i]), alpha)`` for
-    every row of (B, n) arrays: stable sort by y, normalize by the row total
-    in the given order, take the generalized inverse."""
-    n = y.shape[1]
+    every row of (B, n) arrays: stable sort by y, then invert."""
     order = np.argsort(y, axis=1, kind="stable")
-    cum = np.cumsum(_take_rows(w, order) / w.sum(axis=1, keepdims=True),
-                    axis=1)
-    # searchsorted(cum, alpha - tol, "left") on nondecreasing rows.
-    k = (cum < alpha - 16 * n * np.finfo(float).eps).sum(axis=1)
-    return _take_rows(y, _take_rows(order, np.minimum(k, n - 1)[:, None]))[:, 0]
+    return weighted_quantile_sorted_rows(
+        _take_rows(y, order), _take_rows(w, order),
+        w.sum(axis=1, keepdims=True), alpha)
 
 
 def empirical_quantile(y_values, alpha: float) -> float:
@@ -182,8 +197,12 @@ def cv_weights(z_values, z_alpha: float, alpha: float) -> tuple[np.ndarray, bool
 def cv_weight_rows(z: np.ndarray, z_alpha: float, alpha: float) -> np.ndarray:
     """``cv_weights(z[i], z_alpha, alpha)[0]`` for every row of a (B, n)
     array, uniform fallback included."""
-    n = z.shape[1]
-    below = z <= z_alpha
+    return cv_indicator_weight_rows(z <= z_alpha, alpha)
+
+
+def cv_indicator_weight_rows(below: np.ndarray, alpha: float) -> np.ndarray:
+    """``cv_weight_rows`` from the control indicators 1{Z <= z_alpha}."""
+    n = below.shape[1]
     n0 = below.sum(axis=1, keepdims=True)
     degenerate = (n0 == 0) | (n0 == n)
     w_below = np.where(degenerate, 1.0 / n, alpha / np.maximum(n0, 1))
@@ -247,6 +266,39 @@ def ps_cdf(sample: PairedSample, spec: StrataSpec, y: float) -> float:
             raise EstimatorError(f"stratum {j} holds no sample point")
         total += widths[j] * float((sample.y[mask] <= y).mean())
     return total
+
+
+def ps_quantile_sorted_rows(ys: np.ndarray, strat: np.ndarray,
+                            widths: np.ndarray, alpha: float
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Post-stratified quantile of every row of (B, n) outputs ``ys`` sorted
+    ascending, with their stratum labels ``strat`` in the same order, and
+    each row's first empty stratum (-1 if none; that row's quantile is
+    meaningless).
+
+    A point of stratum j weighs width_j / N_j, and each row is normalized
+    by its weight total summed in stratum order, as the one-sample
+    estimator pools its points stratum by stratum.
+    """
+    B, n = strat.shape
+    m = len(widths)
+    counts = np.bincount((strat + m * np.arange(B)[:, None]).ravel(),
+                         minlength=B * m).reshape(B, m)
+    w = widths / np.maximum(counts, 1)
+    pooled = np.repeat(np.tile(np.arange(m), B), counts.ravel()).reshape(B, n)
+    empty = counts == 0
+    values = weighted_quantile_sorted_rows(
+        ys, _take_rows(w, strat),
+        _take_rows(w, pooled).sum(axis=1, keepdims=True), alpha)
+    return values, np.where(empty.any(axis=1), empty.argmax(axis=1), -1)
+
+
+def ps_quantile_rows(y: np.ndarray, strat: np.ndarray, widths: np.ndarray,
+                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``ps_quantile_sorted_rows`` of unsorted (B, n) outputs and labels."""
+    order = np.argsort(y, axis=1, kind="stable")
+    return ps_quantile_sorted_rows(_take_rows(y, order),
+                                   _take_rows(strat, order), widths, alpha)
 
 
 def ps_variance_estimate(p_hat, spec: StrataSpec, n: int) -> float:

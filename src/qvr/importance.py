@@ -414,16 +414,24 @@ def tail_quantile(weighted: WeightedSample, alpha: float) -> float:
     return float(ys[min(k + 1, n - 1)])
 
 
-def tail_quantile_rows(y: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    """``tail_quantile`` of every row of (B, n) outputs and likelihood
-    ratios."""
-    n = y.shape[1]
-    order = np.argsort(y, axis=1, kind="stable")
-    cw = np.cumsum(_take_rows(w, order), axis=1)
+def tail_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
+                              alpha: float) -> np.ndarray:
+    """``tail_quantile`` of every row of (B, n) outputs ``ys`` sorted
+    ascending, with their likelihood ratios ``ws`` in the same order."""
+    n = ys.shape[1]
+    cw = np.cumsum(ws, axis=1)
     cdf_vals = 1.0 - (cw[:, -1:] - cw) / n
     # searchsorted(cdf_vals, alpha, "right") on nondecreasing rows.
     k = (cdf_vals <= alpha).sum(axis=1)
-    return _take_rows(y, _take_rows(order, np.minimum(k + 1, n - 1)[:, None]))[:, 0]
+    return _take_rows(ys, np.minimum(k + 1, n - 1)[:, None])[:, 0]
+
+
+def tail_quantile_rows(y: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
+    """``tail_quantile`` of every row of (B, n) outputs and likelihood
+    ratios."""
+    order = np.argsort(y, axis=1, kind="stable")
+    return tail_quantile_sorted_rows(_take_rows(y, order),
+                                     _take_rows(w, order), alpha)
 
 
 def cis_quantile(pair: ModelPair, family: BiasedFamily, alpha: float,

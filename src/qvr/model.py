@@ -7,6 +7,7 @@ evaluators are vectorized over a batch of points with shape ``(n, d)``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import subprocess
@@ -120,8 +121,13 @@ class InputDistribution:
             )
 
 
+@functools.lru_cache(maxsize=256)
 def _check_unit_mass(marginal, tol=1e-6):
-    """Numerically verify the marginal density integrates to 1."""
+    """Numerically verify the marginal density integrates to 1.
+
+    Marginals are frozen, so each distinct one is integrated once per
+    process; a failed check raises again on every call (exceptions are not
+    cached)."""
     if isinstance(marginal, Normal):
         lo = marginal.mean - 12 * marginal.stddev
         hi = marginal.mean + 12 * marginal.stddev
@@ -155,7 +161,6 @@ class ModelPair:
     f_r: Callable[[np.ndarray], np.ndarray]
     input: InputDistribution
     name: str = "custom"
-    cost_hint: tuple[float, float] | None = None
     closed_form_z_quantile: Callable[[float], float] | None = None
 
     @property

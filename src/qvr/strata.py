@@ -349,23 +349,3 @@ def strong_control_rho(alpha: float, F: float, branch: str) -> float:
     if branch == "z_at_or_above":
         return float(np.sqrt(1.0 / ratio))
     raise ValueError(f"unknown branch {branch!r}")
-
-
-@dataclass(frozen=True)
-class VarianceDiag:
-    """Closed-form variance summary for a (spec, conditional-probs) pair."""
-
-    sigma2_ps: float
-    sigma2_ocs: float
-    beta_star: np.ndarray
-    sigma2_cs: float | None = None
-
-
-def variance_diagnostics(p: ConditionalProbs, spec: StrataSpec,
-                         plan: AllocationPlan | None = None) -> VarianceDiag:
-    return VarianceDiag(
-        sigma2_ps=ps_form_variance(p, spec),
-        sigma2_ocs=ocs_variance(p, spec),
-        beta_star=optimal_allocation(p, spec),
-        sigma2_cs=None if plan is None else cs_variance(p, spec, plan),
-    )

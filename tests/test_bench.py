@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from qvr import bench, estimators, importance, strata
 from qvr.bench import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -16,8 +17,9 @@ from qvr.bench import (
     preset_configs,
     run_replications,
 )
+from qvr.estimators import EstimatorError
 from qvr.model import identity1d, toy1d
-from qvr.sampling import RngStream
+from qvr.sampling import RngStream, evaluate_full, sample_input, sample_strata
 
 
 def make_config(**over):
@@ -228,3 +230,183 @@ class TestPresets:
                                          seed=13).items():
             rep = run_replications(cfg)
             assert abs(rep.mean - truth) < 0.4, label
+
+
+def reference_bootstrap(config, B, seen=None):
+    """``estimate_with_bootstrap`` as ``bootstrap_std`` over the one-sample
+    estimators: one closure per design, one resample at a time.  ``seen``,
+    when given, collects the design's fallback flags."""
+    prep = bench._prepare(config)
+    pair, est, alpha, n = prep.pair, config.estimator, config.alpha, config.n
+    root = RngStream(config.seed)
+    run_stream, boot_stream = root.child(0), root.child(1)
+    seen = {} if seen is None else seen
+    extras = {}
+
+    def pooled_quantile(ylist):
+        ys, ws = [], []
+        for j, yj in enumerate(ylist):
+            if len(yj):
+                ys.append(yj)
+                ws.append(np.full(len(yj), prep.spec.widths[j] / len(yj)))
+        cdf = estimators.weighted_cdf(np.concatenate(ys), np.concatenate(ws))
+        return estimators.quantile_from_weighted_cdf(cdf, alpha)
+
+    if est == "ee":
+        data = pair.eval_full(sample_input(pair.input, run_stream, n))
+        fn = lambda y: estimators.empirical_quantile(y, alpha)
+    elif est == "cv":
+        s = estimators.draw_paired_sample(pair, run_stream, n)
+        data = (s.y, s.z)
+
+        def fn(pick):
+            w, degenerate = estimators.cv_weights(pick[1], prep.z_alpha, alpha)
+            seen["uniform_fallbacks"] = seen.get("uniform_fallbacks", 0) + degenerate
+            cdf = estimators.weighted_cdf(pick[0], w)
+            return estimators.quantile_from_weighted_cdf(cdf, alpha)
+    elif est == "ps":
+        s = estimators.draw_paired_sample(pair, run_stream, n)
+        data = (s.y, s.z)
+
+        def fn(pick):
+            strat = prep.spec.stratum_of(pick[1])
+            ys = [pick[0][strat == j] for j in range(prep.spec.m)]
+            for j, yj in enumerate(ys):
+                if len(yj) == 0:
+                    raise estimators.EstimatorError(f"stratum {j} is empty")
+            return pooled_quantile(ys)
+    elif est == "cs":
+        sample, extras["n_r"] = sample_strata(pair, prep.spec, prep.plan,
+                                              run_stream)
+        data = evaluate_full(pair, sample)
+        seen["empty_strata"] = int((data.counts == 0).sum())
+        fn = pooled_quantile
+    elif est == "acs":
+        res = strata.acs_quantile(pair, prep.acs_config, alpha, run_stream)
+        extras.update(n_r=res.draw_count, beta_tilde=res.beta_tilde.tolist(),
+                      realized_fractions=res.realized_fractions.tolist())
+        seen["floored_strata"] = res.floored_strata
+        data = res.sample
+        fn = pooled_quantile
+    else:
+        res = importance.cis_quantile(pair, prep.cis_family, alpha, n,
+                                      run_stream, params=prep.cis_params,
+                                      diagnostics=prep.cis_diag,
+                                      mode=prep.cis_mode)
+        data = (res.sample.y, res.sample.w)
+
+        def fn(pick):
+            if prep.cis_mode == "tail":
+                return importance.tail_quantile(importance.WeightedSample(
+                    x=np.zeros((len(pick[0]), 1)), y=pick[0], w=pick[1]), alpha)
+            cdf = estimators.weighted_cdf(*pick)
+            return estimators.quantile_from_weighted_cdf(cdf, alpha)
+    scheme = bench._BOOTSTRAP_SCHEME[est]
+    boot = bootstrap_std(data, fn, scheme, B, boot_stream)
+    return {"estimator": est, "alpha": alpha, "n": n,
+            "estimate": boot.point_estimate, "bootstrap_std": boot.std,
+            "resamples": B, "scheme": scheme, **extras}
+
+
+EQUIVALENCE_CASES = {
+    "ee": dict(model="toy1d", estimator="ee"),
+    "cv": dict(model="toy1d", estimator="cv"),
+    "ps": dict(model="toy1d", estimator="ps"),
+    "cs": dict(model="toy1d", estimator="cs"),
+    "acs": dict(model="toy1d", estimator="acs",
+                params={"cutpoints": [0.0, 0.85, 0.95, 1.0]}),
+    "cis-tail": dict(model="toy2d", estimator="cis",
+                     params={"pilot_count": 20_000}),
+    "cis-self-normalized": dict(model="toy2d", estimator="cis",
+                                params={"pilot_count": 20_000,
+                                        "mode": "self_normalized"}),
+}
+
+
+class TestBootstrapEquivalence:
+    """``estimate_with_bootstrap`` (resamples sorted and inverted row-wise)
+    against ``reference_bootstrap`` (one closure call per resample)."""
+
+    @pytest.mark.parametrize("label", list(EQUIVALENCE_CASES))
+    @pytest.mark.parametrize("n", [200, 301])  # alpha*n = 190; n odd
+    def test_same_dict_as_reference(self, label, n):
+        for seed in (0, 1, 2):
+            config = make_config(n=n, seed=seed, **EQUIVALENCE_CASES[label])
+            assert estimate_with_bootstrap(config, B=150) == \
+                reference_bootstrap(config, 150), seed
+
+    def test_integer_alpha_n_in_small_samples(self):
+        for label in ("ee", "cv", "cis-self-normalized"):
+            config = make_config(n=20, alpha=0.5, **EQUIVALENCE_CASES[label])
+            assert estimate_with_bootstrap(config, B=200) == \
+                reference_bootstrap(config, 200), label
+
+    def test_cs_plan_with_an_empty_stratum(self):
+        for seed in (0, 1):
+            config = make_config(estimator="cs", n=100, seed=seed,
+                                 params={"allocation": [40, 0, 30, 30]})
+            seen = {}
+            expected = reference_bootstrap(config, 200, seen)
+            assert seen["empty_strata"] == 1
+            assert estimate_with_bootstrap(config, B=200) == expected
+
+    def test_acs_with_floored_strata(self):
+        config = make_config(estimator="acs", n=60,
+                             params={"cutpoints": [0.0, 0.3, 0.95, 1.0],
+                                     "pilot_per_stratum": 2,
+                                     "min_per_stratum": 2})
+        seen = {}
+        expected = reference_bootstrap(config, 200, seen)
+        assert seen["floored_strata"]
+        assert estimate_with_bootstrap(config, B=200) == expected
+
+    def test_cv_uniform_fallback_in_resamples(self):
+        fallbacks = []
+        for seed in (0, 1, 2):
+            config = make_config(estimator="cv", n=12, seed=seed)
+            seen = {}
+            expected = reference_bootstrap(config, 200, seen)
+            fallbacks.append(seen["uniform_fallbacks"])
+            assert estimate_with_bootstrap(config, B=200) == expected, seed
+        # Some resamples of one sample fall back, others do not (seed 0);
+        # every resample of another falls back (seed 1).
+        assert 0 < fallbacks[0] < 201 and fallbacks[1] == 201
+
+    @pytest.mark.parametrize("label", ["cv", "ps", "cs", "cis-tail"])
+    def test_chunk_size_does_not_matter(self, label, monkeypatch):
+        config = make_config(n=200, **EQUIVALENCE_CASES[label])
+        expected = estimate_with_bootstrap(config, B=130)
+        for points in (1, 3 * 200 + 1, 10**6):
+            monkeypatch.setattr(bench, "BLOCK_POINTS", points)
+            assert estimate_with_bootstrap(config, B=130) == expected, points
+
+    def test_ps_empty_resample_raises_as_reference(self):
+        # Small samples: the first resample that loses a stratum raises.
+        messages, full_samples = set(), 0
+        for seed in range(12):
+            config = make_config(estimator="ps", n=14, seed=seed)
+            prep = bench._prepare(config)
+            s = estimators.draw_paired_sample(
+                prep.pair, RngStream(seed).child(0), config.n)
+            full_samples += len(set(prep.spec.stratum_of(s.z))) == prep.spec.m
+            with pytest.raises(EstimatorError) as expected:
+                reference_bootstrap(config, 200)
+            with pytest.raises(EstimatorError) as got:
+                estimate_with_bootstrap(config, B=200)
+            assert str(got.value) == str(expected.value), seed
+            messages.add(str(expected.value))
+        assert len(messages) > 1 and full_samples > 0
+
+    def test_minimum_resamples(self):
+        with pytest.raises(ValueError):
+            estimate_with_bootstrap(make_config(), B=99)
+
+    @pytest.mark.parametrize("n", [7, 100, 1999, 2000])
+    def test_one_draw_of_rows_equals_row_by_row_draws(self, n):
+        # The iid and weighted schemes draw a chunk of resamples at once.
+        a = RngStream(9, (1,)).generator()
+        b = RngStream(9, (1,)).generator()
+        rows = a.integers(0, n, (5, n))
+        for row in rows:
+            assert np.array_equal(row, b.integers(0, n, n))
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)

@@ -91,6 +91,15 @@ class TestEstimate:
                                    "--bootstrap", "100"])
         assert res.exit_code == 3
 
+    def test_ps_resample_with_an_empty_stratum_exit_code(self, runner,
+                                                         tmp_path):
+        # Every stratum holds a point of this sample; a resample loses one.
+        cfg = write_config(tmp_path, estimator="ps", n=14, seed=0)
+        res = runner.invoke(main, ["estimate", "--config", cfg,
+                                   "--bootstrap", "200"])
+        assert res.exit_code == 3
+        assert "stratum 1 is empty" in res.output
+
     def test_cis_converges_on_suitable_model(self, runner, tmp_path):
         cfg = write_config(tmp_path, model="toy2d", estimator="cis")
         res = runner.invoke(main, ["estimate", "--config", cfg,

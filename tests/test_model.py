@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import qvr.model
 from qvr.model import (
     InputDistribution,
     Lognormal,
@@ -40,6 +42,27 @@ class TestInputDistribution:
     def test_needs_components(self):
         with pytest.raises(ValueError):
             InputDistribution(())
+
+    def test_unit_mass_integrated_once_per_marginal(self, monkeypatch):
+        qvr.model._check_unit_mass.cache_clear()
+        calls = []
+        quad = qvr.model.integrate.quad
+        monkeypatch.setattr(qvr.model.integrate, "quad",
+                            lambda *a, **k: calls.append(1) or quad(*a, **k))
+        marginal = Lognormal(0.123, 0.456)
+        InputDistribution((marginal, marginal))
+        InputDistribution((Lognormal(0.123, 0.456),))
+        assert len(calls) == 1
+
+    def test_bad_marginal_raises_every_time(self):
+        @dataclasses.dataclass(frozen=True)
+        class DoubledNormal(Normal):
+            def density(self, x):
+                return 2 * super().density(x)
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match="mass"):
+                InputDistribution((DoubledNormal(0.0, 1.0),))
 
     def test_joint_density_two_dims(self):
         d = standard_normal_input(2)
