@@ -3,7 +3,11 @@
 Turns the estimator modules into reproducible experiments: a JSON-validated
 config selects a model and an estimator, replications run on per-replication
 random streams (deterministic for a fixed master seed regardless of worker
-count), and reports serialize byte-stably to JSON or CSV.
+count), and reports serialize byte-stably to JSON or CSV.  Both the
+replications and the bootstrap run each estimator's draw and inversion from
+``qvr.designs``: a block of replications inverts its draw one row per
+replication, and the bootstrap draws replication 0 and inverts it and its
+resamples.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import jsonschema
 import numpy as np
 
 from . import estimators, importance, strata
+from .designs import DESIGNS, NON_CONVERGENCE_ERRORS
 from .model import (
     InputDistribution,
     Lognormal,
@@ -29,11 +34,8 @@ from .model import (
 from .sampling import (
     AllocationPlan,
     RngStream,
-    SamplingError,
     StrataSpec,
-    evaluate_full,
     sample_input,
-    sample_strata,
     strata_from_cutpoints,
 )
 
@@ -210,37 +212,48 @@ def _z_alpha_for(pair: ModelPair, config: ExperimentConfig) -> float:
         stream=RngStream(config.seed, (2**32, 1)))[0])
 
 
+def _cs_plan(spec: StrataSpec, config: ExperimentConfig) -> AllocationPlan:
+    """The configured ``allocation``, by default the stratum widths times n
+    rounded by largest remainder: one count per stratum, summing to n."""
+    alloc = config.params.get(
+        "allocation", strata.largest_remainder(spec.widths * config.n))
+    if len(alloc) != spec.m:
+        raise ConfigError(f"allocation needs one count per stratum ({spec.m})")
+    if sum(alloc) != config.n:
+        raise ConfigError("allocation must sum to n")
+    return AllocationPlan(tuple(int(a) for a in alloc))
+
+
 @dataclass
 class _Prepared:
     """Model-independent per-experiment state shared by all replications."""
 
     pair: ModelPair
+    alpha: float
+    n: int
     spec: StrataSpec | None = None
     plan: AllocationPlan | None = None
     acs_config: strata.AcsConfig | None = None
     z_alpha: float | None = None
     cis_family: importance.BiasedFamily | None = None
     cis_params: importance.BiasedParams | None = None
-    cis_diag: importance.CisDiagnostics | None = None
     cis_member: importance.JointGaussian | InputDistribution | None = None
     cis_mode: str = "tail"
 
 
 def _prepare(config: ExperimentConfig) -> _Prepared:
     pair = config.build_pair()
-    prep = _Prepared(pair=pair)
+    prep = _Prepared(pair=pair, alpha=config.alpha, n=config.n)
     est = config.estimator
     if est in ("cv", "cis"):
         prep.z_alpha = _z_alpha_for(pair, config)
     if est in ("ps", "cs", "acs"):
         prep.spec = _spec_for(pair, config)
     if est == "cs":
-        alloc = config.params.get("allocation")
-        if alloc is None:
-            alloc = strata.largest_remainder(prep.spec.widths * config.n)
-        if sum(alloc) != config.n:
-            raise ConfigError("allocation must sum to n")
-        prep.plan = AllocationPlan(tuple(int(a) for a in alloc))
+        prep.plan = _cs_plan(prep.spec, config)
+        if 0 in prep.plan.counts:  # as cs_quantile refuses it
+            raise ConfigError(f"stratum {prep.plan.counts.index(0)} has "
+                              "positive weight but no points")
     if est == "acs":
         prep.acs_config = strata.AcsConfig(
             spec=prep.spec,
@@ -254,7 +267,7 @@ def _prepare(config: ExperimentConfig) -> _Prepared:
         base = pair.input if tag == "componentwise_matched" else None
         prep.cis_family = importance.BiasedFamily(tag=tag, base=base)
         prep.cis_mode = config.params.get("mode", "tail")
-        prep.cis_params, prep.cis_diag = importance.fit_biased_member(
+        prep.cis_params, _ = importance.fit_biased_member(
             pair, prep.cis_family, config.alpha,
             RngStream(config.seed, (2**32, 2)),
             z_alpha=prep.z_alpha,
@@ -314,99 +327,36 @@ class ReplicationReport:
 # stacked arrays (and a subprocess model's pending requests) near 1 MB.
 BLOCK_POINTS = 16384
 
-# Failures of an estimator on its own sample (the CLI's exit 3).  A
-# replication that raises one is recorded and skipped; any other exception,
-# a failing model above all, ends the run.
-NON_CONVERGENCE_ERRORS = (SamplingError, estimators.EstimatorError,
-                          strata.StrataError, importance.ImportanceError)
-
 
 def _run_block(config: ExperimentConfig, prep: _Prepared, root: RngStream,
                rs: range) -> tuple[list[dict], list[tuple[int, str]]]:
     """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
 
-    The block's draws are stacked so that f (and f_r) run once and the
-    quantiles are inverted row-wise; only ACS, whose second phase depends on
-    its pilot, runs one replication at a time.  Returns the results of the
+    The design draws the block at once, so that f (and f_r) run once per
+    block (acs: per phase and replication), and inverts one row per
+    replication, sorted by a stable argsort.  Returns the results of the
     replications that succeeded, in order of r, and the (r, message) of
     every one that failed.
     """
-    pair, est, alpha, n = prep.pair, config.estimator, config.alpha, config.n
-    errors: list[tuple[int, str]] = []
-    if est == "acs":
-        results = []
-        for r in rs:
-            try:
-                res = strata.acs_quantile(pair, prep.acs_config, alpha,
-                                          root.child(r))
-            except NON_CONVERGENCE_ERRORS as e:
-                errors.append((r, str(e)))
-                continue
-            results.append({
-                "estimate": res.estimate,
-                "beta_tilde": res.beta_tilde.tolist(),
-                "realized_fractions": res.realized_fractions.tolist(),
-                "n_r": res.draw_count})
-        return results, errors
-    rows, extras = list(rs), [{} for _ in rs]
-    fails: list[str | None] = [None] * len(rows)
-    if est == "cs":
-        rows, extras, xs = [], [], []
-        for r in rs:
-            try:
-                sample, n_r = sample_strata(pair, prep.spec, prep.plan,
-                                            root.child(r))
-            except NON_CONVERGENCE_ERRORS as e:
-                errors.append((r, str(e)))
-                continue
-            rows.append(r)
-            extras.append({"n_r": n_r})
-            xs.append(np.concatenate(sample.x))
-        counts = np.asarray(prep.plan.counts)
-        if not counts.all():  # as cs_quantile refuses it
-            j = int(np.argmin(counts))
-            return [], errors + [
-                (r, f"stratum {j} has positive weight but no points")
-                for r in rows]
-        if not rows:
-            return [], errors
-        fails = [None] * len(rows)
-        # Every replication holds its quotas in stratum order.
-        y = pair.eval_full(np.concatenate(xs)).reshape(len(rows), n)
-        w = np.tile(np.repeat(prep.spec.widths / counts, counts), (len(rows), 1))
-        values = estimators.weighted_quantile_rows(y, w, alpha)
-    elif est == "cis":
-        member = prep.cis_member
-        x = np.concatenate([member.sample(root.child(r).child(1).generator(), n)
-                            for r in rs])
-        w = importance.likelihood_ratio(pair, member, x).reshape(len(rs), n)
-        y = pair.eval_full(x).reshape(len(rs), n)
-        if prep.cis_mode == "tail":
-            values = importance.tail_quantile_rows(y, w, alpha)
-        else:
-            values = estimators.weighted_quantile_rows(y, w, alpha)
-        fails = [importance.UNCOVERED_SUPPORT if bad else None
-                 for bad in (w <= 0).any(axis=1)]
-    else:  # ee, cv, ps: plain draws from the input distribution
-        x = np.concatenate([sample_input(pair.input, root.child(r), n)
-                            for r in rs])
-        y = pair.eval_full(x).reshape(len(rs), n)
-        if est == "ee":
-            values = estimators.empirical_quantile_rows(y, alpha)
-        else:
-            z = pair.eval_metamodel(x).reshape(len(rs), n)
-            if est == "cv":
-                w = estimators.cv_weight_rows(z, prep.z_alpha, alpha)
-                values = estimators.weighted_quantile_rows(y, w, alpha)
-            else:
-                values, empty = estimators.ps_quantile_rows(
-                    y, prep.spec.stratum_of(z), prep.spec.widths, alpha)
-                fails = [f"stratum {j} is empty" if j >= 0 else None
-                         for j in empty]
-    errors += [(r, msg) for r, msg in zip(rows, fails) if msg is not None]
-    return [{"estimate": float(v), **extra}
-            for v, extra, msg in zip(values, extras, fails)
-            if msg is None], errors
+    design = DESIGNS[config.estimator]
+    y, aux, runs = design.draw(prep, [root.child(r) for r in rs])
+    errors = [(r, str(run)) for r, run in zip(rs, runs)
+              if isinstance(run, Exception)]
+    drawn = [(r, run[1]) for r, run in zip(rs, runs)
+             if not isinstance(run, Exception)]
+    values, fails = design.invert(
+        prep, y, aux, np.arange(len(y)).reshape(len(drawn), config.n),
+        lambda rows: estimators._take_rows(
+            rows, np.argsort(y[rows], axis=1, kind="stable")))
+    errors += [(drawn[i][0], str(e)) for i, e in fails.items()]
+    return [{"estimate": float(v), **extras}
+            for i, (v, (_, extras)) in enumerate(zip(values, drawn))
+            if i not in fails], errors
+
+
+def _std(a: np.ndarray) -> np.ndarray:
+    """Sample std along the first axis, 0 for one row (JSON has no NaN)."""
+    return a.std(axis=0, ddof=1) if len(a) > 1 else np.zeros(a.shape[1:])
 
 
 def run_replications(config: ExperimentConfig) -> ReplicationReport:
@@ -438,21 +388,22 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
         raise ConfigError("every replication failed; first error: "
                           + (errors[0][1] if errors else "unknown"))
     est = np.array([res["estimate"] for res in ok])
+    std = float(_std(est))
     report = ReplicationReport(
         config=config,
         estimates=est,
         mean=float(est.mean()),
-        std=float(est.std(ddof=1)) if len(est) > 1 else 0.0,
-        sem=float(est.std(ddof=1) / np.sqrt(len(est))) if len(est) > 1 else 0.0,
+        std=std,
+        sem=float(std / np.sqrt(len(est))),
         errors=errors,
     )
     if "beta_tilde" in ok[0]:
         bt = np.array([res["beta_tilde"] for res in ok])
         rf = np.array([res["realized_fractions"] for res in ok])
         report.beta_tilde_mean = [float(v) for v in bt.mean(axis=0)]
-        report.beta_tilde_std = [float(v) for v in bt.std(axis=0, ddof=1)]
+        report.beta_tilde_std = [float(v) for v in _std(bt)]
         report.realized_mean = [float(v) for v in rf.mean(axis=0)]
-        report.realized_std = [float(v) for v in rf.std(axis=0, ddof=1)]
+        report.realized_std = [float(v) for v in _std(rf)]
     if "n_r" in ok[0]:
         report.n_r_mean = float(np.mean([res["n_r"] for res in ok]))
     edges = np.histogram_bin_edges(est, bins="fd")
@@ -514,22 +465,37 @@ def bootstrap_std(data, estimate_fn, scheme: str, B: int,
                            resamples=B, scheme=scheme)
 
 
-_BOOTSTRAP_SCHEME = {"ee": "iid", "cv": "iid", "ps": "iid",
-                     "cs": "within_strata", "acs": "within_strata",
-                     "cis": "weighted"}
+def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
+    """Replication 0 of ``run_replications`` plus a bootstrap standard error.
 
-
-def _bootstrap(n: int, sizes: list[int], invert, B: int,
-               rng: np.random.Generator) -> tuple[float, float]:
-    """(estimate, bootstrap std) of a sample of n records.
-
-    Each group of ``sizes`` (the strata, or the whole sample) is resampled
-    within itself, with the draws of ``bootstrap_std``, in chunks of
-    ``BLOCK_POINTS`` points; ``invert`` maps a chunk's (c, n) record
-    indices, one resample per row, to c estimates.
+    Resamples follow the design's ``scheme`` (see ``bootstrap_std``) with
+    its draws, in chunks of ``BLOCK_POINTS`` points; each is put in order by
+    sorting its records' ranks and inverted by the design, with the bits of
+    the one-sample estimators except where tied outputs of different
+    weights sum in another order (see ``qvr.estimators``).  The first
+    resample (or else the run) that defeats its estimator raises its error.
     """
+    prep = _prepare(config)
+    design = DESIGNS[config.estimator]
+    root = RngStream(config.seed)
+    y, aux, (run,) = design.draw(prep, [root.child(0)])
+    if isinstance(run, Exception):
+        raise run
+    sizes, extras = run
     if B < 100:
         raise ValueError("bootstrap needs at least 100 resamples")
+    # y is sorted once; a resample then sorts its records' ranks, small ints.
+    order = np.argsort(y, kind="stable")
+    rank = np.argsort(order).astype(np.int32)
+
+    def invert(rows):
+        values, fails = design.invert(
+            prep, y, aux, rows, lambda rows: order[np.sort(rank[rows], axis=1)])
+        if fails:
+            raise fails[min(fails)]
+        return values
+
+    n, rng = len(y), root.child(1).generator()
     starts = np.cumsum(sizes) - sizes
     vals = np.empty(B)
     chunk = max(1, BLOCK_POINTS // n)
@@ -542,87 +508,10 @@ def _bootstrap(n: int, sizes: list[int], invert, B: int,
                                              for s, k in zip(starts, sizes)])
                              for _ in range(c)])
         vals[start:start + c] = invert(rows)
-    return float(invert(np.arange(n)[None])[0]), float(vals.std(ddof=1))
-
-
-def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
-    """One estimator run plus a design-respecting bootstrap standard error.
-
-    The resampling scheme follows the sampling design: plain records for
-    EE/CV/PS, within-stratum for CS/ACS, (y, w) pairs for the reweighted
-    estimator.  Resamples, drawn as ``bootstrap_std`` draws them, are
-    inverted row-wise with the bits of the one-sample estimators, except
-    where tied outputs of different weights sum in another order (see
-    ``qvr.estimators``).
-    """
-    prep = _prepare(config)
-    pair, est, alpha, n = prep.pair, config.estimator, config.alpha, config.n
-    root = RngStream(config.seed)
-    run_stream, boot_stream = root.child(0), root.child(1)
-    sizes, extras, invert = [n], {}, None
-    if est == "ee":
-        y = pair.eval_full(sample_input(pair.input, run_stream, n))
-        invert = lambda rows: estimators.empirical_quantile_rows(y[rows], alpha)
-    elif est in ("cv", "ps"):
-        s = estimators.draw_paired_sample(pair, run_stream, n)
-        y, z = s.y, s.z
-        if est == "cv":
-            below = z <= prep.z_alpha
-            weights = lambda ids: estimators.cv_indicator_weight_rows(
-                below[ids], alpha)
-        else:
-            strat = prep.spec.stratum_of(z)
-
-            def invert(rows):
-                srt = by_y(rows)
-                values, empty = estimators.ps_quantile_sorted_rows(
-                    y[srt], strat[srt], prep.spec.widths, alpha)
-                if empty.max() >= 0:
-                    raise estimators.EstimatorError(
-                        f"stratum {empty[empty >= 0][0]} is empty")
-                return values
-    elif est in ("cs", "acs"):
-        if est == "cs":
-            sample, extras["n_r"] = sample_strata(pair, prep.spec, prep.plan,
-                                                  run_stream)
-            ys = evaluate_full(pair, sample).y
-        else:
-            res = strata.acs_quantile(pair, prep.acs_config, alpha, run_stream)
-            extras.update(n_r=res.draw_count,
-                          beta_tilde=res.beta_tilde.tolist(),
-                          realized_fractions=res.realized_fractions.tolist())
-            ys = res.sample.y
-        # Empty strata drop out of the pool; the rest is renormalized.
-        counts = np.array([len(yj) for yj in ys])
-        y, sizes = np.concatenate(ys), counts[counts > 0].tolist()
-        w = np.repeat(prep.spec.widths / np.maximum(counts, 1), counts)
-        weights = lambda ids: w[ids]
-    else:  # cis
-        res = importance.cis_quantile(pair, prep.cis_family, alpha, n,
-                                      run_stream, params=prep.cis_params,
-                                      diagnostics=prep.cis_diag,
-                                      mode=prep.cis_mode)
-        y, w = res.sample.y, res.sample.w
-        weights = lambda ids: w[ids]
-        if prep.cis_mode == "tail":
-            def invert(rows):
-                srt = by_y(rows)
-                return importance.tail_quantile_sorted_rows(
-                    y[srt], weights(srt), alpha)
-    # y is sorted once; a resample then sorts its records' ranks, small ints.
-    order = np.argsort(y, kind="stable")
-    rank = np.argsort(order).astype(np.int32)
-    by_y = lambda rows: order[np.sort(rank[rows], axis=1)]
-    if invert is None:
-        def invert(rows):  # normalized by the total in resample order
-            srt = by_y(rows)
-            return estimators.weighted_quantile_sorted_rows(
-                y[srt], weights(srt), weights(rows).sum(axis=1, keepdims=True),
-                alpha)
-    point, std = _bootstrap(len(y), sizes, invert, B, boot_stream.generator())
-    return {"estimator": est, "alpha": alpha, "n": n, "estimate": point,
-            "bootstrap_std": std, "resamples": B,
-            "scheme": _BOOTSTRAP_SCHEME[est], **extras}
+    return {"estimator": config.estimator, "alpha": config.alpha,
+            "n": config.n, "estimate": float(invert(np.arange(n)[None])[0]),
+            "bootstrap_std": float(vals.std(ddof=1)), "resamples": B,
+            "scheme": design.scheme, **extras}
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import bench, estimators, strata
 from .bench import ConfigError, ExperimentConfig
 from .model import ModelError, builtin_model
-from .sampling import AllocationPlan, RngStream, SamplingError
+from .sampling import (RngStream, SamplingError, StratifiedSample,
+                       expected_rejection_cost)
 
 EXIT_CONFIG = 2
 EXIT_NON_CONVERGENCE = 3
@@ -135,60 +135,48 @@ def diag(topic, config_path, samples):
     try:
         pair = config.build_pair()
         spec = bench._spec_for(pair, config)
+        plan = bench._cs_plan(spec, config)
         stream = RngStream(config.seed, (2**32, 9))
         s = estimators.draw_paired_sample(pair, stream, samples)
         y_alpha = estimators.empirical_quantile(s.y, config.alpha)
-        strat = spec.stratum_of(s.z)
-        p_hat, counts = [], []
-        for j in range(spec.m):
-            yj = s.y[strat == j]
-            p_hat.append(float((yj <= y_alpha).mean()) if len(yj) else 0.0)
-            counts.append(len(yj))
-        p = strata.ConditionalProbs(p_hat=np.array(p_hat),
-                                    counts=np.array(counts))
-        alloc = config.params.get("allocation")
-        plan = (AllocationPlan(tuple(alloc))
-                if alloc is not None else
-                AllocationPlan(tuple(int(c) for c in
-                                     strata.largest_remainder(
-                                         spec.widths * config.n))))
+        by = [spec.stratum_of(s.z) == j for j in range(spec.m)]
+        p = strata.conditional_probs(StratifiedSample(
+            x=[s.x[b] for b in by], z=[s.z[b] for b in by],
+            y=[s.y[b] for b in by]), spec, y_alpha)
+        payload: dict = {
+            "model": config.model, "alpha": config.alpha, "n": config.n,
+            "cutpoints": [float(c) for c in spec.cutpoints],
+            "p_hat": [float(v) for v in p.p_hat],
+        }
+        if topic == "variance":
+            z_alpha = bench._z_alpha_for(pair, config)
+            rho_i = estimators.indicator_correlation(s, y_alpha, z_alpha)
+            F = float((s.y <= y_alpha).mean())
+            payload.update({
+                "sigma2_ps": strata.ps_form_variance(p, spec) / config.n,
+                "sigma2_cs": strata.cs_variance(p, spec, plan),
+                "sigma2_ocs": strata.ocs_variance(p, spec) / config.n,
+                "rho_indicator": rho_i,
+            })
+            try:
+                K, ratio = strata.two_strata_acs_factor(config.alpha, F, rho_i)
+                payload.update({"two_strata_K": K, "two_strata_ratio": ratio})
+            except strata.StrataError as e:
+                payload["two_strata_K_error"] = str(e)
+        elif topic == "allocation":
+            beta = strata.optimal_allocation(p, spec)
+            payload["beta_star"] = [float(b) for b in beta]
+        else:
+            expected, bound = expected_rejection_cost(spec, plan)
+            payload.update({"expected_draws_naive": expected,
+                            "uniform_bound": bound,
+                            "allocation": list(plan.counts)})
     except ModelError as e:
         _fail(EXIT_MODEL, str(e))
     except (ConfigError, ValueError, SamplingError) as e:
         _fail(EXIT_CONFIG, str(e))
-
-    payload: dict = {
-        "model": config.model, "alpha": config.alpha, "n": config.n,
-        "cutpoints": [float(c) for c in spec.cutpoints],
-        "p_hat": [float(v) for v in p.p_hat],
-    }
-    if topic == "variance":
-        z_alpha = bench._z_alpha_for(pair, config)
-        rho_i = estimators.indicator_correlation(s, y_alpha, z_alpha)
-        F = float((s.y <= y_alpha).mean())
-        payload.update({
-            "sigma2_ps": strata.ps_form_variance(p, spec) / config.n,
-            "sigma2_cs": strata.cs_variance(p, spec, plan),
-            "sigma2_ocs": strata.ocs_variance(p, spec) / config.n,
-            "rho_indicator": rho_i,
-        })
-        try:
-            K, ratio = strata.two_strata_acs_factor(config.alpha, F, rho_i)
-            payload.update({"two_strata_K": K, "two_strata_ratio": ratio})
-        except strata.StrataError as e:
-            payload["two_strata_K_error"] = str(e)
-    elif topic == "allocation":
-        try:
-            beta = strata.optimal_allocation(p, spec)
-        except strata.StrataError as e:
-            _fail(EXIT_NON_CONVERGENCE, str(e))
-        payload["beta_star"] = [float(b) for b in beta]
-    else:
-        from .sampling import expected_rejection_cost
-        expected, bound = expected_rejection_cost(spec, plan)
-        payload.update({"expected_draws_naive": expected,
-                        "uniform_bound": bound,
-                        "allocation": list(plan.counts)})
+    except (strata.StrataError, estimators.EstimatorError) as e:
+        _fail(EXIT_NON_CONVERGENCE, str(e))
     _emit(payload, config.output)
 
 

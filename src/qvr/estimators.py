@@ -11,13 +11,13 @@ Quantile conventions (README "Quantile conventions"):
 
 The two differ only when alpha*n is an integer.  The ``*_rows`` functions
 apply the one-sample functions to every row of a (replications, n) array
-at once and give the same bits on each row.  The weighted ones are a sort
-followed by a ``*_sorted_rows`` inversion, which callers that sort their
-rows another way (the bootstrap) share.  A row sorted another way holds
-the same values, but points with tied outputs and different weights may
-sit in another order; the cumulative weights then differ by rounding only,
-which can change a result only when one falls within the ``16 n eps``
-inversion tolerance of alpha.
+at once and give the same bits on each row; the ``*_sorted_rows`` ones take
+rows already sorted by output, stably, as the one-sample functions sort.
+A row sorted another way (the bootstrap sorts ranks) holds the same
+values, but points with tied outputs and different weights may sit in
+another order; the cumulative weights then differ by rounding only, which
+can change a result only when one falls within the ``16 n eps`` inversion
+tolerance of alpha.
 """
 
 from __future__ import annotations
@@ -120,16 +120,6 @@ def weighted_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
     return _take_rows(ys, np.minimum(k, n - 1)[:, None])[:, 0]
 
 
-def weighted_quantile_rows(y: np.ndarray, w: np.ndarray,
-                           alpha: float) -> np.ndarray:
-    """``quantile_from_weighted_cdf(weighted_cdf(y[i], w[i]), alpha)`` for
-    every row of (B, n) arrays: stable sort by y, then invert."""
-    order = np.argsort(y, axis=1, kind="stable")
-    return weighted_quantile_sorted_rows(
-        _take_rows(y, order), _take_rows(w, order),
-        w.sum(axis=1, keepdims=True), alpha)
-
-
 def empirical_quantile(y_values, alpha: float) -> float:
     """Plain-sample quantile: the (floor(alpha*n) + 1)-th order statistic.
 
@@ -194,14 +184,10 @@ def cv_weights(z_values, z_alpha: float, alpha: float) -> tuple[np.ndarray, bool
     return np.where(below, alpha / n0, (1 - alpha) / (n - n0)), False
 
 
-def cv_weight_rows(z: np.ndarray, z_alpha: float, alpha: float) -> np.ndarray:
-    """``cv_weights(z[i], z_alpha, alpha)[0]`` for every row of a (B, n)
-    array, uniform fallback included."""
-    return cv_indicator_weight_rows(z <= z_alpha, alpha)
-
-
 def cv_indicator_weight_rows(below: np.ndarray, alpha: float) -> np.ndarray:
-    """``cv_weight_rows`` from the control indicators 1{Z <= z_alpha}."""
+    """``cv_weights(z[i], z_alpha, alpha)[0]`` for every row of a (B, n)
+    array, uniform fallback included, from the control indicators
+    ``below`` = 1{z <= z_alpha}."""
     n = below.shape[1]
     n0 = below.sum(axis=1, keepdims=True)
     degenerate = (n0 == 0) | (n0 == n)
@@ -268,6 +254,14 @@ def ps_cdf(sample: PairedSample, spec: StrataSpec, y: float) -> float:
     return total
 
 
+def stratum_weights(widths: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Weight width_j / N_j of one point of stratum j, for stratum counts
+    ``counts`` (shape (..., m)): pooled with these weights, the points'
+    weighted cdf is the stratified cdf.  An empty stratum, which has no
+    point to weigh, gets width_j."""
+    return widths / np.maximum(counts, 1)
+
+
 def ps_quantile_sorted_rows(ys: np.ndarray, strat: np.ndarray,
                             widths: np.ndarray, alpha: float
                             ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,29 +270,21 @@ def ps_quantile_sorted_rows(ys: np.ndarray, strat: np.ndarray,
     each row's first empty stratum (-1 if none; that row's quantile is
     meaningless).
 
-    A point of stratum j weighs width_j / N_j, and each row is normalized
-    by its weight total summed in stratum order, as the one-sample
-    estimator pools its points stratum by stratum.
+    Points weigh ``stratum_weights``, and each row is normalized by its
+    weight total summed in stratum order, as the one-sample estimator pools
+    its points stratum by stratum.
     """
     B, n = strat.shape
     m = len(widths)
     counts = np.bincount((strat + m * np.arange(B)[:, None]).ravel(),
                          minlength=B * m).reshape(B, m)
-    w = widths / np.maximum(counts, 1)
+    w = stratum_weights(widths, counts)
     pooled = np.repeat(np.tile(np.arange(m), B), counts.ravel()).reshape(B, n)
     empty = counts == 0
     values = weighted_quantile_sorted_rows(
         ys, _take_rows(w, strat),
         _take_rows(w, pooled).sum(axis=1, keepdims=True), alpha)
     return values, np.where(empty.any(axis=1), empty.argmax(axis=1), -1)
-
-
-def ps_quantile_rows(y: np.ndarray, strat: np.ndarray, widths: np.ndarray,
-                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """``ps_quantile_sorted_rows`` of unsorted (B, n) outputs and labels."""
-    order = np.argsort(y, axis=1, kind="stable")
-    return ps_quantile_sorted_rows(_take_rows(y, order),
-                                   _take_rows(strat, order), widths, alpha)
 
 
 def ps_variance_estimate(p_hat, spec: StrataSpec, n: int) -> float:

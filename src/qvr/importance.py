@@ -426,14 +426,6 @@ def tail_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
     return _take_rows(ys, np.minimum(k + 1, n - 1)[:, None])[:, 0]
 
 
-def tail_quantile_rows(y: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    """``tail_quantile`` of every row of (B, n) outputs and likelihood
-    ratios."""
-    order = np.argsort(y, axis=1, kind="stable")
-    return tail_quantile_sorted_rows(_take_rows(y, order),
-                                     _take_rows(w, order), alpha)
-
-
 def cis_quantile(pair: ModelPair, family: BiasedFamily, alpha: float,
                  n: int, stream: RngStream,
                  params: BiasedParams | None = None,

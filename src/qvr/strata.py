@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import quantile_from_weighted_cdf, weighted_cdf
+from .estimators import quantile_from_weighted_cdf, stratum_weights, weighted_cdf
 from .model import ModelPair
 from .sampling import (
     AllocationPlan,
@@ -76,13 +76,9 @@ def cs_quantile(sample: StratifiedSample, spec: StrataSpec, alpha: float,
     adaptive pilot step.
     """
     _require_filled(sample, spec)
-    ys, ws = [], []
-    for j, yj in enumerate(sample.y):
-        if len(yj) == 0:
-            continue
-        ys.append(yj)
-        ws.append(np.full(len(yj), spec.widths[j] / len(yj)))
-    cdf = weighted_cdf(np.concatenate(ys), np.concatenate(ws))
+    counts = np.array([len(yj) for yj in sample.y])
+    cdf = weighted_cdf(np.concatenate(sample.y),
+                       np.repeat(stratum_weights(spec.widths, counts), counts))
     return quantile_from_weighted_cdf(cdf, alpha, strict=strict)
 
 
@@ -131,27 +127,17 @@ def ps_form_variance(p: ConditionalProbs, spec: StrataSpec) -> float:
 class AcsConfig:
     """Two-phase adaptive stratification setup.
 
-    ``pilot_per_stratum`` defaults to n/10 points in every stratum;
-    ``pilot_exponent`` instead sizes the whole pilot as n**gamma split by
-    ``pilot_beta`` (default proportional to stratum widths).
+    ``pilot_per_stratum`` defaults to n/10 points in every stratum.
     """
 
     spec: StrataSpec
     n: int
     pilot_per_stratum: int | None = None
-    pilot_exponent: float | None = None
-    pilot_beta: tuple[float, ...] | None = None
     min_per_stratum: int = 1
 
     def __post_init__(self):
         if self.n < 2 * self.spec.m:
             raise ValueError("budget too small for a pilot phase")
-        if self.pilot_exponent is not None and not 0 < self.pilot_exponent < 1:
-            raise ValueError("pilot exponent must lie in (0, 1)")
-        if self.pilot_beta is not None:
-            b = np.asarray(self.pilot_beta, dtype=float)
-            if len(b) != self.spec.m or np.any(b <= 0) or abs(b.sum() - 1) > 1e-9:
-                raise ValueError("pilot_beta must be positive and sum to 1")
         if self.min_per_stratum < 1:
             raise ValueError("min_per_stratum must be >= 1")
 
@@ -159,11 +145,6 @@ class AcsConfig:
         m = self.spec.m
         if self.pilot_per_stratum is not None:
             counts = np.full(m, int(self.pilot_per_stratum))
-        elif self.pilot_exponent is not None:
-            pilot_total = int(round(self.n**self.pilot_exponent))
-            beta = (np.asarray(self.pilot_beta, dtype=float)
-                    if self.pilot_beta is not None else self.spec.widths)
-            counts = largest_remainder(beta * pilot_total)
         else:
             counts = np.full(m, max(self.n // 10, 1))
         counts = np.maximum(counts, self.min_per_stratum)
@@ -283,9 +264,13 @@ def acs_cdf(pair: ModelPair, config: AcsConfig, y: float,
     )
 
 
-def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
-                 stream: RngStream) -> AcsResult:
-    """Adaptive stratified quantile: allocation tuned at the pilot quantile."""
+def acs_sample(pair: ModelPair, config: AcsConfig, alpha: float,
+               stream: RngStream) -> tuple[StratifiedSample, float, np.ndarray,
+                                           int, bool, tuple[int, ...]]:
+    """The adaptive stratified sample for the alpha-quantile: a pilot, the
+    allocation tuned at the pilot quantile, then phase two.  Returns the
+    merged sample, the pilot quantile, beta_tilde, the draw count, the
+    proportional-fallback flag and the floored strata."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     pilot_sample, pilot, d1 = _pilot_phase(pair, config, stream)
@@ -294,10 +279,20 @@ def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
     # pilot mass hits alpha exactly (routine when a cutpoint equals alpha).
     y_tilde = cs_quantile(pilot_sample, config.spec, alpha, strict=True)
     beta_tilde, fallback = _beta_from_pilot(pilot_sample, config.spec, y_tilde)
-    merged, counts, d2, floored = _phase_two(pair, config, pilot_sample, pilot,
-                                             beta_tilde, stream)
+    merged, _, d2, floored = _phase_two(pair, config, pilot_sample, pilot,
+                                        beta_tilde, stream)
+    return merged, y_tilde, beta_tilde, d1 + d2, fallback, floored
+
+
+def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
+                 stream: RngStream) -> AcsResult:
+    """Adaptive stratified quantile: the stratified quantile of
+    ``acs_sample``."""
+    merged, y_tilde, beta_tilde, draws, fallback, floored = acs_sample(
+        pair, config, alpha, stream)
     estimate = cs_quantile(merged, config.spec, alpha)
     _, p = cs_cdf(merged, config.spec, estimate)
+    counts = merged.counts
     return AcsResult(
         estimate=estimate,
         beta_tilde=beta_tilde,
@@ -305,7 +300,7 @@ def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
         realized_fractions=counts / counts.sum(),
         pilot_quantile=y_tilde,
         conditional=p,
-        draw_count=d1 + d2,
+        draw_count=draws,
         proportional_fallback=fallback,
         floored_strata=floored,
         sample=merged,

@@ -130,6 +130,18 @@ class TestRunReplications:
         assert (emit_report(run_replications(cfg), "csv")
                 == emit_report(run_replications(cfg), "csv"))
 
+    def test_one_acs_replication_gives_strict_json(self):
+        rep = run_replications(make_config(
+            estimator="acs", n=400, replications=1,
+            params={"cutpoints": [0.0, 0.95, 1.0]}))
+
+        def refuse(name):
+            raise ValueError(f"non-finite number {name} in the report")
+        data = json.loads(emit_report(rep, "json"), parse_constant=refuse)
+        assert data["acs"]["beta_tilde_std"] == [0.0, 0.0]
+        assert data["acs"]["realized_std"] == [0.0, 0.0]
+        assert data["acs"]["std"] == data["acs"]["sem"] == 0.0
+
     def test_different_seeds_differ(self):
         a = run_replications(make_config(replications=20, seed=1))
         b = run_replications(make_config(replications=20, seed=2))
@@ -291,7 +303,6 @@ def reference_bootstrap(config, B, seen=None):
     else:
         res = importance.cis_quantile(pair, prep.cis_family, alpha, n,
                                       run_stream, params=prep.cis_params,
-                                      diagnostics=prep.cis_diag,
                                       mode=prep.cis_mode)
         data = (res.sample.y, res.sample.w)
 
@@ -301,7 +312,7 @@ def reference_bootstrap(config, B, seen=None):
                     x=np.zeros((len(pick[0]), 1)), y=pick[0], w=pick[1]), alpha)
             cdf = estimators.weighted_cdf(*pick)
             return estimators.quantile_from_weighted_cdf(cdf, alpha)
-    scheme = bench._BOOTSTRAP_SCHEME[est]
+    scheme = bench.DESIGNS[est].scheme
     boot = bootstrap_std(data, fn, scheme, B, boot_stream)
     return {"estimator": est, "alpha": alpha, "n": n,
             "estimate": boot.point_estimate, "bootstrap_std": boot.std,
@@ -342,13 +353,15 @@ class TestBootstrapEquivalence:
                 reference_bootstrap(config, 200), label
 
     def test_cs_plan_with_an_empty_stratum(self):
+        # A zero quota leaves a stratum of positive weight without points:
+        # both paths refuse it, as cs_quantile does.
         for seed in (0, 1):
             config = make_config(estimator="cs", n=100, seed=seed,
                                  params={"allocation": [40, 0, 30, 30]})
-            seen = {}
-            expected = reference_bootstrap(config, 200, seen)
-            assert seen["empty_strata"] == 1
-            assert estimate_with_bootstrap(config, B=200) == expected
+            for run in (estimate_with_bootstrap, run_replications):
+                with pytest.raises(ConfigError, match="^stratum 1 has "
+                                   "positive weight but no points$"):
+                    run(config)
 
     def test_acs_with_floored_strata(self):
         config = make_config(estimator="acs", n=60,
@@ -400,6 +413,16 @@ class TestBootstrapEquivalence:
     def test_minimum_resamples(self):
         with pytest.raises(ValueError):
             estimate_with_bootstrap(make_config(), B=99)
+
+    @pytest.mark.parametrize("label", list(EQUIVALENCE_CASES))
+    @pytest.mark.parametrize("n", [200, 301])
+    def test_estimate_is_replication_zero(self, label, n):
+        # The bootstrap's run is replication 0: the same draw and inversion.
+        for seed in (0, 1, 2):
+            config = make_config(n=n, seed=seed, replications=1,
+                                 **EQUIVALENCE_CASES[label])
+            assert estimate_with_bootstrap(config, B=100)["estimate"] == \
+                run_replications(config).estimates[0], seed
 
     @pytest.mark.parametrize("n", [7, 100, 1999, 2000])
     def test_one_draw_of_rows_equals_row_by_row_draws(self, n):

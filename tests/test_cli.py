@@ -100,6 +100,14 @@ class TestEstimate:
         assert res.exit_code == 3
         assert "stratum 1 is empty" in res.output
 
+    def test_cs_zero_quota_is_config_error(self, runner, tmp_path):
+        cfg = write_config(tmp_path, estimator="cs", n=100,
+                           params={"allocation": [40, 0, 30, 30]})
+        res = runner.invoke(main, ["estimate", "--config", cfg,
+                                   "--bootstrap", "100"])
+        assert res.exit_code == 2
+        assert "stratum 1 has positive weight but no points" in res.output
+
     def test_cis_converges_on_suitable_model(self, runner, tmp_path):
         cfg = write_config(tmp_path, model="toy2d", estimator="cis")
         res = runner.invoke(main, ["estimate", "--config", cfg,
@@ -195,6 +203,29 @@ class TestDiag:
         out = json.loads(res.output)
         assert out["expected_draws_naive"] >= 200
         assert out["uniform_bound"] >= out["expected_draws_naive"]
+
+    @pytest.mark.parametrize("topic", ["variance", "cost"])
+    @pytest.mark.parametrize("allocation, message", [
+        ([50, 50, 50], "one count per stratum"),
+        ([100, 100], "one count per stratum"),
+        ([10, 10, 10, 10], "must sum to n"),
+    ])
+    def test_bad_allocation_is_config_error(self, runner, tmp_path, topic,
+                                            allocation, message):
+        cfg = write_config(tmp_path, estimator="cs",
+                           params={"allocation": allocation})
+        res = runner.invoke(main, ["diag", topic, "--config", cfg,
+                                   "--samples", "20000"])
+        assert res.exit_code == 2
+        assert message in res.output
+
+    def test_zero_quota_variance_is_non_convergence(self, runner, tmp_path):
+        cfg = write_config(tmp_path, estimator="cs",
+                           params={"allocation": [100, 0, 50, 50]})
+        res = runner.invoke(main, ["diag", "variance", "--config", cfg,
+                                   "--samples", "20000"])
+        assert res.exit_code == 3
+        assert "zero allocation" in res.output
 
     def test_bad_topic(self, runner, tmp_path):
         cfg = write_config(tmp_path)
