@@ -32,6 +32,7 @@ from .model import (
     subprocess_pair,
 )
 from .sampling import (
+    BLOCK_POINTS,
     AllocationPlan,
     RngStream,
     StrataSpec,
@@ -214,9 +215,18 @@ def _z_alpha_for(pair: ModelPair, config: ExperimentConfig) -> float:
 
 def _cs_plan(spec: StrataSpec, config: ExperimentConfig) -> AllocationPlan:
     """The configured ``allocation``, by default the stratum widths times n
-    rounded by largest remainder: one count per stratum, summing to n."""
-    alloc = config.params.get(
-        "allocation", strata.largest_remainder(spec.widths * config.n))
+    rounded by largest remainder, with at least one point per stratum (each
+    taken from the largest count, the first on ties): one count per
+    stratum, summing to n."""
+    alloc = config.params.get("allocation")
+    if alloc is None:
+        if config.n < spec.m:
+            raise ConfigError(f"n = {config.n} cannot give each of the "
+                              f"{spec.m} strata a point")
+        alloc = strata.largest_remainder(spec.widths * config.n)
+        for j in np.flatnonzero(alloc == 0):
+            alloc[np.argmax(alloc)] -= 1
+            alloc[j] = 1
     if len(alloc) != spec.m:
         raise ConfigError(f"allocation needs one count per stratum ({spec.m})")
     if sum(alloc) != config.n:
@@ -322,18 +332,12 @@ class ReplicationReport:
         return d
 
 
-# Points per block of replications: a block of max(1, BLOCK_POINTS // n)
-# replications is drawn, evaluated and inverted together, which keeps the
-# stacked arrays (and a subprocess model's pending requests) near 1 MB.
-BLOCK_POINTS = 16384
-
-
 def _run_block(config: ExperimentConfig, prep: _Prepared, root: RngStream,
                rs: range) -> tuple[list[dict], list[tuple[int, str]]]:
     """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
 
-    The design draws the block at once, so that f (and f_r) run once per
-    block (acs: per phase and replication), and inverts one row per
+    The design draws the block at once, so that f runs once per block (acs:
+    once per phase) and f_r once per rejection pass, and inverts one row per
     replication, sorted by a stable argsort.  Returns the results of the
     replications that succeeded, in order of r, and the (r, message) of
     every one that failed.

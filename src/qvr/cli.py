@@ -135,7 +135,8 @@ def diag(topic, config_path, samples):
     try:
         pair = config.build_pair()
         spec = bench._spec_for(pair, config)
-        plan = bench._cs_plan(spec, config)
+        # beta_star does not depend on the allocation
+        plan = bench._cs_plan(spec, config) if topic != "allocation" else None
         stream = RngStream(config.seed, (2**32, 9))
         s = estimators.draw_paired_sample(pair, stream, samples)
         y_alpha = estimators.empirical_quantile(s.y, config.alpha)

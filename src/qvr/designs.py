@@ -9,7 +9,9 @@ that stopped its draw, or its (bootstrap groups, reported extras).
 ``invert(prep, y, aux, rows, by_y)`` maps (c, n) record indices, one sample
 per row, to c estimates and the {row: error} of rows that defeat the
 estimator; ``by_y(rows)`` sorts each row by y, stably, as the caller sorts
-best.  ``prep`` is ``qvr.bench._prepare``'s per-experiment state.
+best.  ``prep`` is ``qvr.bench._prepare``'s per-experiment state.  A draw
+calls f once (acs: once per phase); cs and acs route all their streams'
+rejection draws together (``sampling.sample_strata_rows``).
 """
 
 from __future__ import annotations
@@ -55,39 +57,32 @@ def _draw_cis(prep, streams):
     return prep.pair.eval_full(x), w, [([prep.n], {})] * len(streams)
 
 
-def _draw_pooled(prep, streams, one, evaluate=False):
-    """``one(prep, stream)`` gives a stream's records in stratum order (its
-    inputs when ``evaluate``, which then go through f together), stratum
-    counts and extras; ``aux`` is the weight width_j / N_j of a record."""
-    runs, parts = [], []
-    for stream in streams:
-        try:
-            records, counts, extras = one(prep, stream)
-        except NON_CONVERGENCE_ERRORS as e:
-            runs.append(e)
-            continue
-        runs.append((counts, extras))
-        parts.append((records, np.repeat(
-            estimators.stratum_weights(prep.spec.widths, counts), counts)))
-    if not parts:
-        return np.empty(0), np.empty(0), runs
-    y, w = (np.concatenate(a) for a in zip(*parts))
-    return prep.pair.eval_full(y) if evaluate else y, w, runs
+def _pooled(prep, counts, y, errors, extras):
+    """The draw of a stratified design: ``counts[i]`` (stratum counts) and
+    ``extras[i]`` belong to the i-th stream without an error; ``aux`` is
+    the weight width_j / N_j of a record."""
+    w = estimators.stratum_weights(prep.spec.widths, counts)
+    ok = iter(zip(counts.tolist(), extras))
+    return y, np.repeat(w.ravel(), counts.ravel()), [
+        e if e is not None else next(ok) for e in errors]
 
 
-def _cs_one(prep, stream):
-    sample, n_r = sampling.sample_strata(prep.pair, prep.spec, prep.plan,
-                                         stream)
-    return np.concatenate(sample.x), list(prep.plan.counts), {"n_r": n_r}
+def _draw_cs(prep, streams):
+    need = np.tile(prep.plan.counts, (len(streams), 1))
+    x, _, draws, errors = sampling.sample_strata_rows(prep.pair, prep.spec,
+                                                      need, streams)
+    ok = [e is None for e in errors]
+    y = prep.pair.eval_full(x) if len(x) else np.empty(0)
+    return _pooled(prep, need[ok], y, errors,
+                   [{"n_r": int(d)} for d, o in zip(draws, ok) if o])
 
 
-def _acs_one(prep, stream):
-    sample, _, beta_tilde, draws, _, _ = strata.acs_sample(
-        prep.pair, prep.acs_config, prep.alpha, stream)
-    counts = sample.counts
-    return np.concatenate(sample.y), counts.tolist(), {
-        "n_r": draws, "beta_tilde": beta_tilde.tolist(),
-        "realized_fractions": (counts / counts.sum()).tolist()}
+def _draw_acs(prep, streams):
+    rows = strata.acs_rows(prep.pair, prep.acs_config, streams, prep.alpha)
+    return _pooled(prep, rows.counts, rows.y, rows.errors, [
+        {"n_r": int(d), "beta_tilde": b.tolist(),
+         "realized_fractions": (c / c.sum()).tolist()}
+        for d, b, c in zip(rows.draws, rows.beta_tilde, rows.counts)])
 
 
 def _invert_weighted(prep, y, aux, rows, by_y, weigh=None):
@@ -141,9 +136,7 @@ DESIGNS = {
     "ps": Design(partial(_draw_input,
                          control=lambda prep, z: prep.spec.stratum_of(z)),
                  _invert_ps, "iid"),
-    "cs": Design(partial(_draw_pooled, one=_cs_one, evaluate=True),
-                 _invert_weighted, "within_strata"),
-    "acs": Design(partial(_draw_pooled, one=_acs_one), _invert_weighted,
-                  "within_strata"),
+    "cs": Design(_draw_cs, _invert_weighted, "within_strata"),
+    "acs": Design(_draw_acs, _invert_weighted, "within_strata"),
     "cis": Design(_draw_cis, _invert_cis, "weighted"),
 }

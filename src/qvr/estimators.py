@@ -7,7 +7,8 @@ Quantile conventions (README "Quantile conventions"):
   this is the ceil(alpha n)-th order statistic (``quantile_from_weighted_cdf``);
 * the plain-sample baseline uses the (floor(alpha n) + 1)-th order
   statistic, inf{y : F_n(y) > alpha} (``empirical_quantile``); the adaptive
-  pilot step uses the same strict form on its weighted cdf (``strict=True``).
+  pilot step uses the same strict form on its weighted cdf
+  (``weighted_quantile_sorted_rows(..., strict=True)``).
 
 The two differ only when alpha*n is an integer.  The ``*_rows`` functions
 apply the one-sample functions to every row of a (replications, n) array
@@ -108,15 +109,18 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def weighted_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
-                                  total: np.ndarray, alpha: float) -> np.ndarray:
-    """Generalized inverse of every row of (B, n) outputs ``ys`` sorted
-    ascending, with their weights ``ws`` in the same order.  Each row is
-    normalized by its weight total ``total`` (shape (B, 1)), which
+                                  total: np.ndarray, alpha: float,
+                                  strict: bool = False) -> np.ndarray:
+    """``quantile_from_weighted_cdf`` of every row of (B, n) outputs ``ys``
+    sorted ascending, with their weights ``ws`` in the same order.  Each row
+    is normalized by its weight total ``total`` (shape (B, 1)), which
     ``weighted_cdf`` takes in the sample's own order, not in sorted order."""
     n = ys.shape[1]
     cum = np.cumsum(ws / total, axis=1)
-    # searchsorted(cum, alpha - tol, "left") on nondecreasing rows.
-    k = (cum < alpha - 16 * n * np.finfo(float).eps).sum(axis=1)
+    tol = 16 * n * np.finfo(float).eps
+    # searchsorted(cum, alpha + tol, "right") if strict, else (alpha - tol,
+    # "left"), on nondecreasing rows.
+    k = ((cum <= alpha + tol) if strict else (cum < alpha - tol)).sum(axis=1)
     return _take_rows(ys, np.minimum(k, n - 1)[:, None])[:, 0]
 
 

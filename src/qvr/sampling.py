@@ -74,8 +74,17 @@ class StrataSpec:
         return np.diff(np.asarray(self.cutpoints))
 
     def stratum_of(self, z) -> np.ndarray:
-        """0-based stratum index of each metamodel output."""
-        return np.searchsorted(np.asarray(self.z_values)[1:-1], z, side="left")
+        """0-based stratum index of each metamodel output: the number of
+        interior cut values it exceeds (NaN exceeds them all), which is
+        ``searchsorted(cuts, z, "left")``.  One comparison pass per cut:
+        the cost grows linearly with the cut count, ahead of the binary
+        search up to about 200 cuts and behind it beyond."""
+        cuts = self.z_values[1:-1]
+        z = np.asarray(z)
+        out = np.zeros(z.shape, dtype=np.min_scalar_type(len(cuts)))
+        for c in cuts:
+            out += ~(z <= c)
+        return out.astype(np.intp)[()]
 
 
 @dataclass(frozen=True)
@@ -89,10 +98,6 @@ class AllocationPlan:
     @property
     def total(self) -> int:
         return int(sum(self.counts))
-
-    @property
-    def fractions(self) -> np.ndarray:
-        return np.asarray(self.counts) / max(self.total, 1)
 
 
 @dataclass
@@ -114,20 +119,6 @@ class StratifiedSample:
     @property
     def counts(self) -> np.ndarray:
         return np.array([len(z) for z in self.z])
-
-    def merged(self, other: "StratifiedSample") -> "StratifiedSample":
-        """Concatenate per-stratum arrays of two samples (pilot + phase two)."""
-        if other.m != self.m:
-            raise ValueError("stratum count mismatch")
-        x = [np.concatenate([a, b]) for a, b in zip(self.x, other.x)]
-        z = [np.concatenate([a, b]) for a, b in zip(self.z, other.z)]
-        y = []
-        for a, b in zip(self.y, other.y):
-            if a is None or b is None:
-                y.append(None)
-            else:
-                y.append(np.concatenate([a, b]))
-        return StratifiedSample(x=x, z=z, y=y)
 
 
 def metamodel_quantiles(pair: ModelPair, cutpoints: Sequence[float],
@@ -179,13 +170,101 @@ def strata_from_cutpoints(pair: ModelPair, cutpoints: Sequence[float],
     return StrataSpec(cutpoints=cp, z_values=(-np.inf,) + tuple(zq) + (np.inf,))
 
 
-def _batch_for(need: np.ndarray, widths: np.ndarray) -> int:
-    """Draws that fill every open quota with high probability: stratum j
-    needs about need_j / width_j draws, give or take sqrt(need_j) / width_j;
-    three of those spreads are added so one batch usually suffices."""
-    open_ = need > 0
-    return int(np.ceil(np.max((need[open_] + 3 * np.sqrt(need[open_]))
-                              / widths[open_])))
+# The engine runs max(1, BLOCK_POINTS // n) replications per block and a
+# rejection pass routes at most BLOCK_POINTS draws (or one row's batch),
+# so stacked arrays (and a subprocess model's pending requests) stay ~1 MB.
+BLOCK_POINTS = 16384
+
+
+def _batch_for(need: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Draws per row of quotas ``need`` (shape (R, m)) that fill every open
+    quota with high probability: stratum j needs about need_j / width_j
+    draws, give or take sqrt(need_j) / width_j; three of those spreads are
+    added so one batch usually suffices."""
+    return np.ceil(((need + 3 * np.sqrt(need)) / widths).max(axis=1)).astype(int)
+
+
+def _positions(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """first[i] + k for the k-th of counts[i] records, for every i."""
+    c = counts.ravel()
+    return np.repeat(first.ravel() - (np.cumsum(c) - c), c) + np.arange(c.sum())
+
+
+def sample_strata_rows(pair: ModelPair, spec: StrataSpec, need, streams,
+                       max_draws=None, batch: int = 1 << 20
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Pooled rejection for R streams: row r draws X ~ q_ori from
+    ``streams[r]`` and keeps each draw whose stratum quota ``need[r, j]`` is
+    unmet.  Returns (x, z, N, errors): the records of the rows that met
+    their quotas, row after row, each row's in stratum order; every row's
+    metamodel evaluations N_r; and per row None or the ``SamplingError`` of
+    a row that reached ``max_draws`` (default 1000 times its quota).
+
+    Each row draws from its own generator in batches sized from its open
+    quotas (at most ``batch`` draws), as if drawn alone; a pass stacks the
+    next open rows' batches, up to ``BLOCK_POINTS`` draws, and evaluates
+    f_r once.  Draws past the one that completes a row's last quota are not
+    counted, so for one-dimensional inputs a row's sample and N_r do not
+    depend on the batch sizes; a multi-dimensional input fills its columns
+    one after another, so there they do.
+    """
+    need = np.array(need, dtype=int)
+    if need.ndim != 2 or need.shape[1] != spec.m:
+        raise ValueError("plan length must match stratum count")
+    R, widths = len(need), spec.widths
+    total = need.sum(axis=1)
+    limit = (1000 * np.maximum(total, 1) if max_draws is None
+             else np.broadcast_to(max_draws, R))
+    if np.any(limit < total):
+        raise ValueError("max_draws must be at least the total quota")
+    # Row r's records fill [sum(total[:r]), sum(total[:r + 1])) in stratum
+    # order; slot[r, j] is the next free record of stratum j.
+    slot = (np.cumsum(need) - need.ravel()).reshape(need.shape)
+    x_out = np.empty((int(total.sum()), pair.dimension))
+    z_out = np.empty(len(x_out))
+    rngs = [s.generator() for s in streams]
+    draws = np.zeros(R, dtype=int)
+    errors: list = [None] * R
+    live = total > 0
+    while live.any():
+        rows = np.flatnonzero(live)
+        k = np.minimum(np.minimum(_batch_for(need[rows], widths), batch),
+                       limit[rows] - draws[rows])
+        g = max(1, int(np.searchsorted(np.cumsum(k), BLOCK_POINTS, "right")))
+        rows, k = rows[:g], k[:g]
+        parts = [pair.input.sample(rngs[r], int(kr)) for r, kr in zip(rows, k)]
+        x = parts[0] if g == 1 else np.concatenate(parts)
+        z = pair.eval_metamodel(x)
+        strat = spec.stratum_of(z)
+        start = np.cumsum(k) - k
+        # Row i takes the first need_ij draws of stratum j among its own;
+        # once every quota is met, N_r stops at the draw that completed the
+        # last one.
+        done_at = np.zeros(g, dtype=int)
+        for j in np.flatnonzero(need[rows].any(axis=0)):
+            pos = np.flatnonzero(strat == j)
+            first = np.searchsorted(pos, start)
+            got = np.minimum(need[rows, j], np.diff(first, append=len(pos)))
+            took = got > 0
+            done_at[took] = np.maximum(done_at[took], pos[
+                first[took] + got[took] - 1] - start[took] + 1)
+            src = pos[_positions(first, got)]
+            dest = _positions(slot[rows, j], got)
+            x_out[dest] = x[src]
+            z_out[dest] = z[src]
+            slot[rows, j] += got
+            need[rows, j] -= got
+        open_ = need[rows].any(axis=1)
+        draws[rows] += np.where(open_, k, done_at)
+        live[rows] = open_ & (draws[rows] < limit[rows])
+        for r in rows[open_ & ~live[rows]]:
+            errors[r] = SamplingError(
+                f"stratum quotas unmet after {draws[r]} draws; "
+                f"remaining {need[r].tolist()}")
+    if any(errors):
+        keep = np.repeat([e is None for e in errors], total)
+        x_out, z_out = x_out[keep], z_out[keep]
+    return x_out, z_out, draws, errors
 
 
 def sample_strata(pair: ModelPair, spec: StrataSpec, plan: AllocationPlan,
@@ -193,60 +272,15 @@ def sample_strata(pair: ModelPair, spec: StrataSpec, plan: AllocationPlan,
                   batch: int = 1 << 20) -> tuple[StratifiedSample, int]:
     """Pooled rejection: draw X ~ q_ori, route each draw to its stratum while
     that stratum's quota is unmet, discard otherwise.  Returns the sample
-    (y unfilled) and the number of metamodel evaluations N_r.
-
-    Each batch is sized from the quotas still open (at most ``batch`` draws).
-    Draws past the one that completes the last quota are not counted, so
-    for one-dimensional inputs the sample and N_r do not depend on the batch
-    sizes; a multi-dimensional input fills its columns one after another, so
-    there they do.
-    """
-    if len(plan.counts) != spec.m:
-        raise ValueError("plan length must match stratum count")
-    total = plan.total
-    if max_draws is None:
-        max_draws = 1000 * max(total, 1)
-    if max_draws < total:
-        raise ValueError("max_draws must be at least the total quota")
-    need = np.asarray(plan.counts, dtype=int).copy()
-    widths = spec.widths
-    xs: list[list[np.ndarray]] = [[] for _ in range(spec.m)]
-    zs: list[list[np.ndarray]] = [[] for _ in range(spec.m)]
-    rng = stream.generator()
-    draws = 0
-    while need.sum() > 0:
-        if draws >= max_draws:
-            raise SamplingError(
-                f"stratum quotas unmet after {draws} draws; remaining {need.tolist()}"
-            )
-        k = min(_batch_for(need, widths), batch, max_draws - draws)
-        x = pair.input.sample(rng, k)
-        z = pair.eval_metamodel(x)
-        strat = spec.stratum_of(z)
-        # Take the first need_j draws of each open stratum; once every quota
-        # is met, N_r stops at the draw that completed the last one.
-        picks = []
-        complete = True
-        done_at = 0
-        for j in np.flatnonzero(need):
-            idx = np.flatnonzero(strat == j)[: need[j]]
-            picks.append((j, idx))
-            if len(idx) < need[j]:
-                complete = False
-            else:
-                done_at = max(done_at, int(idx[-1]) + 1)
-        draws += done_at if complete else k
-        for j, idx in picks:
-            if len(idx):
-                xs[j].append(x[idx])
-                zs[j].append(z[idx])
-                need[j] -= len(idx)
-    d = pair.dimension
-    sample = StratifiedSample(
-        x=[np.concatenate(c) if c else np.empty((0, d)) for c in xs],
-        z=[np.concatenate(c) if c else np.empty(0) for c in zs],
-    )
-    return sample, draws
+    (y unfilled) and the number of metamodel evaluations N_r; one row of
+    ``sample_strata_rows``, which raises its ``SamplingError``."""
+    x, z, draws, (error,) = sample_strata_rows(
+        pair, spec, [plan.counts], [stream], max_draws, batch)
+    if error is not None:
+        raise error
+    cuts = np.cumsum(plan.counts)[:-1]
+    sample = StratifiedSample(x=np.split(x, cuts), z=np.split(z, cuts))
+    return sample, int(draws[0])
 
 
 def evaluate_full(pair: ModelPair, sample: StratifiedSample) -> StratifiedSample:

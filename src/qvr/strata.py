@@ -3,11 +3,13 @@ two-phase adaptive pipelines for cdf and quantile estimation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import quantile_from_weighted_cdf, stratum_weights, weighted_cdf
+from .estimators import (quantile_from_weighted_cdf, stratum_weights,
+                         weighted_cdf, weighted_quantile_sorted_rows)
 from .model import ModelPair
 from .sampling import (
     AllocationPlan,
@@ -15,8 +17,8 @@ from .sampling import (
     SamplingError,
     StrataSpec,
     StratifiedSample,
-    evaluate_full,
-    sample_strata,
+    _positions,
+    sample_strata_rows,
 )
 
 
@@ -95,18 +97,26 @@ def cs_variance(p: ConditionalProbs, spec: StrataSpec, plan: AllocationPlan) -> 
     return float(terms.sum())
 
 
-def optimal_allocation(p: ConditionalProbs, spec: StrataSpec) -> np.ndarray:
-    """Allocation fractions minimizing the stratified variance.
+def optimal_allocation_rows(p_hat: np.ndarray, widths: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Allocation fractions minimizing the stratified variance for every row
+    of conditional probabilities ``p_hat`` (shape (..., m)): beta*_j is
+    proportional to width_j * sqrt(P_j (1 - P_j)).  A row in which no
+    indicator varies gets ``widths`` instead and its fallback flag set."""
+    root_q = widths * np.sqrt(p_hat - p_hat**2)
+    total = root_q.sum(axis=-1, keepdims=True)
+    fallback = total == 0.0
+    beta = np.where(fallback, widths, root_q / np.where(fallback, 1.0, total))
+    return beta, fallback[..., 0]
 
-    beta*_j is proportional to width_j * sqrt(P_j (1 - P_j)); strata whose
-    within-stratum indicator has zero variance get zero allocation.
-    """
-    root_q = spec.widths * np.sqrt(p.p_hat - p.p_hat**2)
-    total = root_q.sum()
-    if total == 0.0:
+
+def optimal_allocation(p: ConditionalProbs, spec: StrataSpec) -> np.ndarray:
+    """``optimal_allocation_rows`` of one sample, which has no fallback."""
+    beta, fallback = optimal_allocation_rows(p.p_hat, spec.widths)
+    if fallback:
         raise StrataError("all strata have zero indicator variance; "
                           "no allocation defined")
-    return root_q / total
+    return beta
 
 
 def ocs_variance(p: ConditionalProbs, spec: StrataSpec) -> float:
@@ -212,99 +222,126 @@ def phase_two_counts(beta_tilde: np.ndarray, pilot: np.ndarray, n: int,
     return extra.astype(int), tuple(floored)
 
 
-def _pilot_phase(pair: ModelPair, config: AcsConfig, stream: RngStream
-                 ) -> tuple[StratifiedSample, np.ndarray, int]:
+class AcsRows(NamedTuple):
+    """``errors`` holds each stream's ``SamplingError`` or None; the other
+    fields cover the rows without one: their records row after row (each in
+    stratum order, a stratum's pilot records first), one entry per row."""
+
+    x: np.ndarray
+    z: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+    y_tilde: np.ndarray
+    beta_tilde: np.ndarray
+    draws: np.ndarray
+    fallback: np.ndarray
+    floored: list
+    errors: list
+
+
+def acs_rows(pair: ModelPair, config: AcsConfig, streams, alpha=None,
+             tune_at=None) -> AcsRows:
+    """Two-phase adaptive stratified samples, one row per stream: a pilot on
+    ``stream.child(0)``; the optimal allocation at the pilot's conditional
+    probabilities at ``tune_at``, or else at the strict inverse of the
+    pilot's alpha-quantile (proportional when no indicator varies); phase
+    two on ``stream.child(1)``, which keeps the pilot points.  Each phase
+    draws its rows with one ``sample_strata_rows`` call and one f call."""
+    if tune_at is None and not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    spec, widths, n = config.spec, config.spec.widths, config.n
     pilot = config.pilot_counts()
-    sample, draws = sample_strata(pair, config.spec,
-                                  AllocationPlan(tuple(int(c) for c in pilot)),
-                                  stream.child(0))
-    return evaluate_full(pair, sample), pilot, draws
+    P = int(pilot.sum())
+    x1, z1, d1, errors = sample_strata_rows(
+        pair, spec, np.tile(pilot, (len(streams), 1)),
+        [s.child(0) for s in streams])
+    ok = [r for r, e in enumerate(errors) if e is None]
+    y1 = (pair.eval_full(x1) if ok else np.empty(0)).reshape(len(ok), P)
+    if tune_at is None:
+        # cs_quantile(strict=True) by rows.  The strict inverse sits one
+        # support point above the generalized inverse whenever the pilot
+        # mass hits alpha exactly (routine when a cutpoint equals alpha).
+        w = np.repeat(stratum_weights(widths, pilot), pilot)
+        order = np.argsort(y1, axis=1, kind="stable")
+        at = weighted_quantile_sorted_rows(
+            np.take_along_axis(y1, order, axis=1), w[order], w.sum(), alpha,
+            strict=True)
+    else:
+        at = np.full(len(ok), float(tune_at))
+    # conditional_probs(pilot, at) by rows.
+    p = np.add.reduceat(y1 <= at[:, None], np.cumsum(pilot) - pilot, axis=1,
+                        dtype=int) / pilot
+    beta, fallback = optimal_allocation_rows(p, widths)
+    two = [phase_two_counts(b, pilot, n, config.min_per_stratum, widths)
+           for b in beta]
+    extra = np.array([e for e, _ in two], dtype=int).reshape(len(ok), spec.m)
+    x2, z2, d2, errors2 = sample_strata_rows(
+        pair, spec, extra, [streams[r].child(1) for r in ok])
+    y2 = pair.eval_full(x2) if len(x2) else np.empty(0)
+    done = np.array([e is None for e in errors2], dtype=bool)
+    for r, e in zip(ok, errors2):
+        errors[r] = e
+    extra = extra[done]
+    counts = pilot + extra
+    first = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    to_pilot = _positions(first, np.broadcast_to(pilot, counts.shape))
+    to_two = _positions(first + pilot, extra)
+    keep = np.repeat(done, P)
+    merged = []
+    for a1, a2 in ((x1, x2), (z1, z2), (y1.ravel(), y2)):
+        out = np.empty((n * len(counts),) + a1.shape[1:])
+        out[to_pilot] = a1[keep]
+        out[to_two] = a2
+        merged.append(out)
+    return AcsRows(*merged, counts, at[done], beta[done],
+                   d1[ok][done] + d2[done], fallback[done],
+                   [f for (_, f), d in zip(two, done) if d], errors)
 
 
-def _beta_from_pilot(sample: StratifiedSample, spec: StrataSpec,
-                     y: float) -> tuple[np.ndarray, bool]:
-    p = conditional_probs(sample, spec, y)
-    try:
-        return optimal_allocation(p, spec), False
-    except StrataError:
-        return spec.widths.copy(), True
+def _one_row(pair, config, stream, alpha=None, tune_at=None):
+    rows = acs_rows(pair, config, [stream], alpha, tune_at)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    cuts = np.cumsum(rows.counts[0])[:-1]
+    merged = StratifiedSample(*(np.split(a, cuts) for a in rows[:3]))
+    return (merged, float(rows.y_tilde[0]), rows.beta_tilde[0],
+            int(rows.draws[0]), bool(rows.fallback[0]), rows.floored[0])
 
 
-def _phase_two(pair: ModelPair, config: AcsConfig, pilot_sample: StratifiedSample,
-               pilot: np.ndarray, beta_tilde: np.ndarray, stream: RngStream
-               ) -> tuple[StratifiedSample, np.ndarray, int, tuple[int, ...]]:
-    extra, floored = phase_two_counts(beta_tilde, pilot, config.n,
-                                      config.min_per_stratum, config.spec.widths)
-    second, draws = sample_strata(pair, config.spec,
-                                  AllocationPlan(tuple(int(c) for c in extra)),
-                                  stream.child(1))
-    merged = pilot_sample.merged(evaluate_full(pair, second))
-    return merged, merged.counts, draws, floored
+def _result(drawn, estimate, p, pilot_quantile) -> AcsResult:
+    merged, _, beta_tilde, draws, fallback, floored = drawn
+    counts = merged.counts
+    return AcsResult(estimate, beta_tilde, counts, counts / counts.sum(),
+                     pilot_quantile, p, draws, fallback, floored, merged)
 
 
 def acs_cdf(pair: ModelPair, config: AcsConfig, y: float,
             stream: RngStream) -> AcsResult:
-    """Adaptive stratified estimate of F(y): pilot, re-allocate, pool."""
-    pilot_sample, pilot, d1 = _pilot_phase(pair, config, stream)
-    beta_tilde, fallback = _beta_from_pilot(pilot_sample, config.spec, y)
-    merged, counts, d2, floored = _phase_two(pair, config, pilot_sample, pilot,
-                                             beta_tilde, stream)
-    estimate, p = cs_cdf(merged, config.spec, y)
-    return AcsResult(
-        estimate=estimate,
-        beta_tilde=beta_tilde,
-        final_counts=counts,
-        realized_fractions=counts / counts.sum(),
-        pilot_quantile=None,
-        conditional=p,
-        draw_count=d1 + d2,
-        proportional_fallback=fallback,
-        floored_strata=floored,
-        sample=merged,
-    )
+    """Adaptive stratified estimate of F(y): pilot, re-allocate at y, pool
+    (one row of ``acs_rows``)."""
+    drawn = _one_row(pair, config, stream, tune_at=y)
+    estimate, p = cs_cdf(drawn[0], config.spec, y)
+    return _result(drawn, estimate, p, None)
 
 
 def acs_sample(pair: ModelPair, config: AcsConfig, alpha: float,
                stream: RngStream) -> tuple[StratifiedSample, float, np.ndarray,
                                            int, bool, tuple[int, ...]]:
-    """The adaptive stratified sample for the alpha-quantile: a pilot, the
-    allocation tuned at the pilot quantile, then phase two.  Returns the
-    merged sample, the pilot quantile, beta_tilde, the draw count, the
+    """The adaptive stratified sample for the alpha-quantile: one row of
+    ``acs_rows``, which raises its ``SamplingError``.  Returns the merged
+    sample, the pilot quantile, beta_tilde, the draw count, the
     proportional-fallback flag and the floored strata."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    pilot_sample, pilot, d1 = _pilot_phase(pair, config, stream)
-    # The pilot allocation is tuned at the strict inverse of the pilot cdf,
-    # which sits one support point above the generalized inverse whenever the
-    # pilot mass hits alpha exactly (routine when a cutpoint equals alpha).
-    y_tilde = cs_quantile(pilot_sample, config.spec, alpha, strict=True)
-    beta_tilde, fallback = _beta_from_pilot(pilot_sample, config.spec, y_tilde)
-    merged, _, d2, floored = _phase_two(pair, config, pilot_sample, pilot,
-                                        beta_tilde, stream)
-    return merged, y_tilde, beta_tilde, d1 + d2, fallback, floored
+    return _one_row(pair, config, stream, alpha)
 
 
 def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
                  stream: RngStream) -> AcsResult:
     """Adaptive stratified quantile: the stratified quantile of
     ``acs_sample``."""
-    merged, y_tilde, beta_tilde, draws, fallback, floored = acs_sample(
-        pair, config, alpha, stream)
-    estimate = cs_quantile(merged, config.spec, alpha)
-    _, p = cs_cdf(merged, config.spec, estimate)
-    counts = merged.counts
-    return AcsResult(
-        estimate=estimate,
-        beta_tilde=beta_tilde,
-        final_counts=counts,
-        realized_fractions=counts / counts.sum(),
-        pilot_quantile=y_tilde,
-        conditional=p,
-        draw_count=draws,
-        proportional_fallback=fallback,
-        floored_strata=floored,
-        sample=merged,
-    )
+    drawn = acs_sample(pair, config, alpha, stream)
+    estimate = cs_quantile(drawn[0], config.spec, alpha)
+    return _result(drawn, estimate, cs_cdf(drawn[0], config.spec, estimate)[1],
+                   drawn[1])
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,17 @@ class TestRunReplications:
         assert data["acs"]["realized_std"] == [0.0, 0.0]
         assert data["acs"]["std"] == data["acs"]["sem"] == 0.0
 
+    def test_default_cs_plan_gives_every_stratum_a_point(self):
+        # widths 0.5, 0.4, 0.05, 0.05: n = 7 rounds to [4, 3, 0, 0].
+        config = make_config(estimator="cs", n=7, replications=30)
+        assert bench._prepare(config).plan.counts == (2, 3, 1, 1)
+        rep = run_replications(config)
+        assert len(rep.estimates) == 30 and not rep.errors
+        payload = estimate_with_bootstrap(config, B=100)
+        assert payload["estimate"] == rep.estimates[0]
+        with pytest.raises(ConfigError, match="4 strata"):
+            run_replications(make_config(estimator="cs", n=3))
+
     def test_different_seeds_differ(self):
         a = run_replications(make_config(replications=20, seed=1))
         b = run_replications(make_config(replications=20, seed=2))

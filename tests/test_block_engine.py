@@ -3,7 +3,10 @@
 ``reference_estimate`` computes replication r with the one-sample public
 functions, the way each replication was run before replications were
 blocked; the engine must give the same bits, whatever block a replication
-falls in.
+falls in.  The cs and acs draws of the reference are this file's copies of
+the per-stream rejection sampler and adaptive pipeline
+(``reference_sample_strata``, ``reference_acs_sample``), which the
+row-wise sampler must reproduce bit for bit.
 """
 
 import sys
@@ -18,9 +21,13 @@ from qvr.model import BUILTIN_MODELS, ModelError, ModelPair, toy1d
 from qvr.sampling import (
     AllocationPlan,
     RngStream,
+    SamplingError,
+    StrataSpec,
+    StratifiedSample,
     evaluate_full,
     sample_input,
     sample_strata,
+    sample_strata_rows,
     strata_from_cutpoints,
 )
 
@@ -49,6 +56,80 @@ def make(label, replications, **over):
     return ExperimentConfig.from_dict(raw)
 
 
+def reference_sample_strata(pair, spec, plan, stream, max_draws=None,
+                            batch=1 << 20):
+    """One stream's pooled rejection, one batch at a time."""
+    total = plan.total
+    if max_draws is None:
+        max_draws = 1000 * max(total, 1)
+    need = np.asarray(plan.counts, dtype=int).copy()
+    widths = spec.widths
+    xs = [[] for _ in range(spec.m)]
+    zs = [[] for _ in range(spec.m)]
+    rng = stream.generator()
+    draws = 0
+    while need.sum() > 0:
+        if draws >= max_draws:
+            raise SamplingError(f"stratum quotas unmet after {draws} draws; "
+                                f"remaining {need.tolist()}")
+        open_ = need > 0
+        k = min(int(np.ceil(np.max((need[open_] + 3 * np.sqrt(need[open_]))
+                                   / widths[open_]))),
+                batch, max_draws - draws)
+        x = pair.input.sample(rng, k)
+        z = pair.eval_metamodel(x)
+        strat = np.searchsorted(np.asarray(spec.z_values)[1:-1], z)
+        picks, complete, done_at = [], True, 0
+        for j in np.flatnonzero(need):
+            idx = np.flatnonzero(strat == j)[: need[j]]
+            picks.append((j, idx))
+            if len(idx) < need[j]:
+                complete = False
+            else:
+                done_at = max(done_at, int(idx[-1]) + 1)
+        draws += done_at if complete else k
+        for j, idx in picks:
+            if len(idx):
+                xs[j].append(x[idx])
+                zs[j].append(z[idx])
+                need[j] -= len(idx)
+    d = pair.dimension
+    return StratifiedSample(
+        x=[np.concatenate(c) if c else np.empty((0, d)) for c in xs],
+        z=[np.concatenate(c) if c else np.empty(0) for c in zs]), draws
+
+
+def reference_acs_sample(pair, config, alpha, stream, tune_at=None):
+    """One stream's adaptive sample: pilot, allocation tuned at the strict
+    pilot quantile (or at ``tune_at``), phase two; as ``acs_sample``
+    returns it."""
+    spec = config.spec
+    pilot = config.pilot_counts()
+    first, d1 = reference_sample_strata(
+        pair, spec, AllocationPlan(tuple(int(c) for c in pilot)),
+        stream.child(0))
+    first = evaluate_full(pair, first)
+    y_tilde = (strata.cs_quantile(first, spec, alpha, strict=True)
+               if tune_at is None else tune_at)
+    p = strata.conditional_probs(first, spec, y_tilde)
+    try:
+        beta, fallback = strata.optimal_allocation(p, spec), False
+    except strata.StrataError:
+        beta, fallback = spec.widths.copy(), True
+    extra, floored = strata.phase_two_counts(beta, pilot, config.n,
+                                             config.min_per_stratum,
+                                             spec.widths)
+    second, d2 = reference_sample_strata(
+        pair, spec, AllocationPlan(tuple(int(c) for c in extra)),
+        stream.child(1))
+    second = evaluate_full(pair, second)
+    merged = StratifiedSample(*([np.concatenate(ab) for ab in zip(a, b)]
+                                for a, b in ((first.x, second.x),
+                                             (first.z, second.z),
+                                             (first.y, second.y))))
+    return merged, y_tilde, beta, d1 + d2, fallback, floored
+
+
 def reference_estimate(config, prep, r):
     pair, alpha, n = prep.pair, config.alpha, config.n
     stream = RngStream(config.seed).child(r)
@@ -71,12 +152,12 @@ def reference_estimate(config, prep, r):
         cdf = estimators.weighted_cdf(np.concatenate(ys), np.concatenate(ws))
         return estimators.quantile_from_weighted_cdf(cdf, alpha)
     if est == "cs":
-        sample, _ = sample_strata(pair, prep.spec, prep.plan, stream)
+        sample, _ = reference_sample_strata(pair, prep.spec, prep.plan, stream)
         return strata.cs_quantile(evaluate_full(pair, sample), prep.spec,
                                   alpha)
     if est == "acs":
-        return strata.acs_quantile(pair, prep.acs_config, alpha,
-                                   stream).estimate
+        merged = reference_acs_sample(pair, prep.acs_config, alpha, stream)[0]
+        return strata.cs_quantile(merged, prep.spec, alpha)
     return importance.cis_quantile(pair, prep.cis_family, alpha, n, stream,
                                    params=prep.cis_params,
                                    mode=prep.cis_mode).estimate
@@ -133,6 +214,7 @@ def _counting_factory(name, counts, fail_after=None):
 
         def f(x):
             counts["f"] += len(x)
+            counts["calls"] = counts.get("calls", 0) + 1
             if fail_after is not None and counts["f"] > fail_after:
                 raise ModelError("simulator died")
             return pair.f(x)
@@ -150,6 +232,8 @@ def test_f_receives_n_points_per_replication(label, monkeypatch):
     report = run_replications(make(label, BLOCK + 3))
     assert len(report.estimates) == BLOCK + 3
     assert counts["f"] == N * (BLOCK + 3)
+    if label == "acs":  # a pilot and a phase two per block of replications
+        assert counts["calls"] == 2 * 2
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))
@@ -202,3 +286,144 @@ def test_dead_simulator_is_fatal(tmp_path):
     })
     with pytest.raises(ModelError):
         run_replications(config)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise rejection and adaptive pipeline against the per-stream copies
+
+
+def assert_rows_match_reference(pair, spec, plans, streams, max_draws=None,
+                                batch=1 << 20):
+    x, z, draws, errors = sample_strata_rows(pair, spec, plans, streams,
+                                             max_draws, batch)
+    at, failed = 0, 0
+    for r, (plan, stream) in enumerate(zip(plans, streams)):
+        limit = max_draws if np.ndim(max_draws) == 0 else max_draws[r]
+        try:
+            ref, ref_draws = reference_sample_strata(
+                pair, spec, AllocationPlan(tuple(plan)), stream, limit, batch)
+        except SamplingError as e:
+            assert str(errors[r]) == str(e), r
+            failed += 1
+            continue
+        assert errors[r] is None, r
+        assert draws[r] == ref_draws, r
+        k = sum(plan)
+        assert np.array_equal(x[at:at + k], np.concatenate(ref.x)), r
+        assert np.array_equal(z[at:at + k], np.concatenate(ref.z)), r
+        at += k
+    assert at == len(x) == len(z)
+    return failed
+
+
+PLANS = [(50, 50, 50, 50), (0, 0, 0, 0), (10, 0, 3, 7), (0, 0, 0, 40),
+         (120, 60, 9, 1), (1, 1, 1, 1)] * 3
+
+
+@pytest.mark.parametrize("model", ["toy1d", "toy2d"])
+@pytest.mark.parametrize("batch", [1, 37, 700, 4096, 1 << 20])
+def test_sample_strata_rows_matches_per_stream_draws(model, batch):
+    pair = BUILTIN_MODELS[model]()
+    spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0],
+                                 precision="mc", sample_count=10**4,
+                                 stream=RngStream(3))
+    streams = [RngStream(8, (r,)) for r in range(len(PLANS))]
+    assert assert_rows_match_reference(pair, spec, PLANS, streams,
+                                       batch=batch) == 0
+
+
+@pytest.mark.parametrize("points", [1, 5000])
+def test_rows_need_more_passes_when_a_pass_is_small(points, monkeypatch):
+    # One row per pass, or a few; rows short of a quota draw again later.
+    from qvr import sampling
+    monkeypatch.setattr(sampling, "BLOCK_POINTS", points)
+    pair = toy1d()
+    spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0])
+    streams = [RngStream(9, (r,)) for r in range(len(PLANS))]
+    assert assert_rows_match_reference(pair, spec, PLANS, streams,
+                                       batch=300) == 0
+
+
+def test_rows_that_reach_max_draws_fail_alone():
+    pair = toy1d()
+    spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0])
+    plans = [(5, 5, 5, 5)] * 12
+    limit = np.array([20, 4000, 150, 20000] * 3)
+    streams = [RngStream(10, (r,)) for r in range(12)]
+    failed = assert_rows_match_reference(pair, spec, plans, streams, limit,
+                                         batch=64)
+    assert 0 < failed < 12
+    assert assert_rows_match_reference(pair, spec, plans, streams, 130,
+                                       batch=37) > 0
+    with pytest.raises(ValueError):
+        sample_strata_rows(pair, spec, plans, streams, 19)
+
+
+def assert_acs_matches_reference(pair, config, alpha, streams, tune_at=None):
+    rows = strata.acs_rows(pair, config, streams, alpha, tune_at)
+    i = at = 0
+    outcome = {"ok": 0, "failed": 0, "fallback": 0, "floored": 0}
+    for r, stream in enumerate(streams):
+        try:
+            merged, y_tilde, beta, draws, fallback, floored = (
+                reference_acs_sample(pair, config, alpha, stream, tune_at))
+        except SamplingError as e:
+            assert str(rows.errors[r]) == str(e), r
+            outcome["failed"] += 1
+            continue
+        assert rows.errors[r] is None, r
+        n = config.n
+        for got, ref in ((rows.x, merged.x), (rows.z, merged.z),
+                         (rows.y, merged.y)):
+            assert np.array_equal(got[at:at + n], np.concatenate(ref)), r
+        assert rows.counts[i].tolist() == merged.counts.tolist(), r
+        assert rows.y_tilde[i] == y_tilde, r
+        assert rows.beta_tilde[i].tolist() == beta.tolist(), r
+        assert (rows.draws[i], rows.fallback[i], rows.floored[i]) == (
+            draws, fallback, floored), r
+        outcome["ok"] += 1
+        outcome["fallback"] += fallback
+        outcome["floored"] += bool(floored)
+        i, at = i + 1, at + n
+    assert i == len(rows.counts) and at == len(rows.y)
+    return outcome
+
+
+def test_acs_rows_match_per_stream_pipeline():
+    pair = toy1d()
+    streams = [RngStream(11, (r,)) for r in range(40)]
+    # Floored strata in every row (the table2 acs3 setting).
+    spec = strata_from_cutpoints(pair, [0.0, 0.85, 0.95, 1.0])
+    config = strata.AcsConfig(spec=spec, n=200, pilot_per_stratum=20)
+    out = assert_acs_matches_reference(pair, config, 0.95, streams)
+    assert out["floored"] == out["ok"] == 40
+    # Some rows fall back to the proportional allocation, others do not.
+    spec = strata_from_cutpoints(pair, [0.0, 0.94, 1.0])
+    config = strata.AcsConfig(spec=spec, n=40, pilot_per_stratum=5)
+    out = assert_acs_matches_reference(pair, config, 0.95, streams)
+    assert 0 < out["fallback"] < out["ok"] == 40
+    # Tuned at a fixed y, as acs_cdf tunes.
+    out = assert_acs_matches_reference(pair, config, None, streams,
+                                       tune_at=3.66)
+    assert out["ok"] == 40
+    # f = f_r: the pilot mass below the cutpoint is exactly alpha, where
+    # the strict inverse and the generalized inverse differ.
+    pair = BUILTIN_MODELS["identity1d"]()
+    spec = strata_from_cutpoints(pair, [0.0, 0.95, 1.0])
+    config = strata.AcsConfig(spec=spec, n=200, pilot_per_stratum=20)
+    assert assert_acs_matches_reference(pair, config, 0.95, streams)["ok"] == 40
+
+
+def test_acs_rows_keep_the_rows_whose_phases_succeed():
+    # Stratum 2 holds P(Z > 3.3) ~ 5e-4 of the draws, not its nominal half:
+    # some pilots fail, some phase twos fail, the other rows succeed.
+    pair = BUILTIN_MODELS["identity1d"]()
+    spec = StrataSpec((0.0, 0.5, 1.0), (-np.inf, 3.3, np.inf))
+    config = strata.AcsConfig(spec=spec, n=40, pilot_per_stratum=1)
+    streams = [RngStream(6, (r,)) for r in range(30)]
+    rows = strata.acs_rows(pair, config, streams, 0.95)
+    messages = [str(e) for e in rows.errors if e is not None]
+    pilot_failures = sum("after 2000 draws" in m for m in messages)
+    assert 0 < pilot_failures < len(messages) < len(streams)
+    out = assert_acs_matches_reference(pair, config, 0.95, streams)
+    assert out["failed"] == len(messages)

@@ -227,6 +227,19 @@ class TestDiag:
         assert res.exit_code == 3
         assert "zero allocation" in res.output
 
+    @pytest.mark.parametrize("topic, code", [
+        ("allocation", 0), ("variance", 2), ("cost", 2)])
+    def test_default_plan_below_stratum_count(self, runner, tmp_path, topic,
+                                              code):
+        # n = 3 cannot give each of the 4 default strata a point; only the
+        # topics that read the cs plan refuse it
+        cfg = write_config(tmp_path, estimator="ps", n=3)
+        res = runner.invoke(main, ["diag", topic, "--config", cfg,
+                                   "--samples", "20000"])
+        assert res.exit_code == code
+        if code:
+            assert "4 strata" in res.output
+
     def test_bad_topic(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         res = runner.invoke(main, ["diag", "entropy", "--config", cfg])

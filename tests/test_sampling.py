@@ -54,6 +54,27 @@ class TestStrataSpec:
         # stratum j is the half-open interval (z_{j-1}, z_j]
         assert list(s.stratum_of(np.array([0.5, 1.0, 1.5]))) == [0, 0, 1]
 
+    def test_stratum_of_matches_searchsorted(self):
+        cuts = (-1.5, 0.0, 0.25, 3.0)
+        edges = np.array(cuts + (-np.inf, np.inf, np.nan, -0.0, 1e300, -1e300)
+                         + tuple(np.nextafter(cuts, np.inf))
+                         + tuple(np.nextafter(cuts, -np.inf)))
+        # 300 cuts: labels past 255 need a wider count than one byte
+        for inner in (cuts, tuple(np.linspace(-4, 4, 12)),
+                      tuple(np.linspace(-4, 4, 300))):
+            spec = StrataSpec(tuple(np.linspace(0, 1, len(inner) + 2)),
+                              (-np.inf,) + inner + (np.inf,))
+            z = np.concatenate([edges, np.asarray(inner),
+                                np.random.default_rng(0).normal(0, 3, 1000)])
+            got = spec.stratum_of(z)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.searchsorted(inner, z, side="left"))
+            for v in edges:
+                one = spec.stratum_of(float(v))
+                assert np.ndim(one) == 0
+                assert one == np.searchsorted(inner, v, side="left"), v
+            assert spec.stratum_of(np.nan) == len(inner)
+
 
 class TestMetamodelQuantiles:
     def test_toy1d_closed_form(self):
