@@ -45,7 +45,6 @@ from .importance import (
     CisResult,
     ImportanceError,
     WeightedSample,
-    biased_density,
     cis_quantile,
     draw_weighted_sample,
     fit_biased_member,
@@ -53,7 +52,6 @@ from .importance import (
     is_variance_estimate,
     lognormal_params_from_moments,
     moment_match,
-    true_optimal_moments,
     variance_optimal_params,
 )
 from .model import (

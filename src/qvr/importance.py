@@ -18,7 +18,7 @@ from scipy.stats import multivariate_normal
 
 from .estimators import _take_rows, quantile_from_weighted_cdf, weighted_cdf
 from .model import InputDistribution, Lognormal, ModelPair, Normal
-from .sampling import RngStream, metamodel_quantiles, sample_input
+from .sampling import RngStream, metamodel_quantiles
 
 
 class ImportanceError(Exception):
@@ -136,11 +136,6 @@ def lognormal_params_from_moments(mean: float, variance: float) -> tuple[float, 
     return math.log(mean) - 0.5 * sigma2, math.sqrt(sigma2)
 
 
-def biased_density(family: BiasedFamily, params: BiasedParams, x):
-    """Density of the selected member at x (0 outside its support)."""
-    return family.member(params).density(x)
-
-
 # ---------------------------------------------------------------------------
 # Member selection from a metamodel-only pilot
 
@@ -153,6 +148,22 @@ def _event_mask(z: np.ndarray, threshold: float, tail: str) -> np.ndarray:
     raise ValueError(f"unknown tail {tail!r}")
 
 
+def _event_pilot(pair: ModelPair, threshold: float, q0, pilot_count: int,
+                 stream: RngStream, tail: str):
+    """Pilot points drawn from q0 (default: the original input distribution)
+    that fall in the metamodel event, with q_ori and q0 at those points."""
+    if pilot_count < 10**3:
+        raise ValueError("pilot_count must be at least 1e3")
+    if q0 is None:
+        q0 = pair.input
+    x = q0.sample(stream.generator(), pilot_count)
+    mask = _event_mask(pair.eval_metamodel(x), threshold, tail)
+    if not mask.any():
+        raise ImportanceError("no pilot point falls in the conditioning event")
+    xe = x[mask]
+    return xe, pair.input.density(xe), np.asarray(q0.density(xe), dtype=float)
+
+
 def moment_match(pair: ModelPair, threshold: float, q0, pilot_count: int,
                  stream: RngStream, tail: str = "lower") -> BiasedParams:
     """Weighted conditional moments of X given the metamodel event.
@@ -163,17 +174,13 @@ def moment_match(pair: ModelPair, threshold: float, q0, pilot_count: int,
     weighted mean and covariance with weights q_ori/q0.  The covariance is
     regularized by eps*I with eps = 1e-8 * trace(C)/d.
     """
-    if pilot_count < 10**3:
-        raise ValueError("pilot_count must be at least 1e3")
-    if q0 is None:
-        q0 = pair.input
-    rng = stream.generator()
-    x = q0.sample(rng, pilot_count)
-    mask = _event_mask(pair.eval_metamodel(x), threshold, tail)
-    if not mask.any():
-        raise ImportanceError("no pilot point falls in the conditioning event")
-    xe = x[mask]
-    w = pair.input.density(xe) / np.asarray(q0.density(xe), dtype=float)
+    return _matched_moments(
+        *_event_pilot(pair, threshold, q0, pilot_count, stream, tail))
+
+
+def _matched_moments(xe: np.ndarray, p: np.ndarray,
+                     p0: np.ndarray) -> BiasedParams:
+    w = p / p0
     w = w / w.sum()
     lam = w @ xe
     dev = xe - lam
@@ -206,6 +213,28 @@ def _unpack(t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, L
 
 
+def _log_second_moment(t: np.ndarray, xt: np.ndarray, base: np.ndarray,
+                       log_norm: float) -> float:
+    """log sum_k exp(base_k - log q(x_k)) over the columns x_k of ``xt``
+    (d, N), q the Gaussian member packed in ``t``, ``log_norm`` d/2 log 2pi.
+    Forward substitution with the multipliers L_ij (1/L_jj) and the
+    reciprocal diagonal, rounded as an unpivoted LU solve rounds them."""
+    d = len(xt)
+    lam, L = _unpack(t, d)
+    inv = 1.0 / np.diag(L)
+    sol = np.empty_like(xt)
+    for i in range(d):
+        row = np.subtract(xt[i], lam[i], out=sol[i])
+        for j in range(i):
+            row -= (L[i, j] * inv[j]) * sol[j]
+    sol *= inv[:, None]
+    log_q = (-0.5 * (sol**2).sum(axis=0)
+             - np.log(np.diag(L)).sum() - log_norm)
+    r = base - log_q
+    mx = r.max()
+    return mx + math.log(np.exp(r - mx).sum())
+
+
 def variance_optimal_params(pair: ModelPair, threshold: float, q0,
                             pilot_count: int, stream: RngStream,
                             tail: str = "upper") -> BiasedParams:
@@ -214,53 +243,24 @@ def variance_optimal_params(pair: ModelPair, threshold: float, q0,
     The asymptotic variance of the reweighted tail estimator is driven by
     E[1_event * q_ori/q]; this minimizes its pilot estimate over all
     Gaussian members (Nelder-Mead on the mean and the log-Cholesky of the
-    covariance), starting from the moment-matched member.
+    covariance), starting from the moment-matched member of the same
+    pilot, which is drawn once.  The objective uses forward substitution,
+    not LAPACK, so the fit does not depend on the BLAS build; should an
+    evaluation differ from a LAPACK solve in the last ulp and flip a
+    Nelder-Mead comparison, the optimum moves by less than ``xatol``.
     """
-    if q0 is None:
-        q0 = pair.input
-    rng = stream.generator()
-    x = q0.sample(rng, pilot_count)
-    mask = _event_mask(pair.eval_metamodel(x), threshold, tail)
-    if not mask.any():
-        raise ImportanceError("no pilot point falls in the conditioning event")
-    xe = x[mask]
+    xe, p, p0 = _event_pilot(pair, threshold, q0, pilot_count, stream, tail)
+    start = _matched_moments(xe, p, p0)
+    log_p = np.log(p)
+    base = (log_p - np.log(p0)) + log_p
     d = xe.shape[1]
-    log_w0 = np.log(pair.input.density(xe)) - np.log(
-        np.asarray(q0.density(xe), dtype=float))
-    log_qori = np.log(pair.input.density(xe))
-    start = moment_match(pair, threshold, q0, pilot_count, stream, tail)
-
-    def objective(t):
-        lam, L = _unpack(t, d)
-        sol = np.linalg.solve(L, (xe - lam).T)
-        log_q = (-0.5 * (sol**2).sum(axis=0)
-                 - np.log(np.diag(L)).sum() - 0.5 * d * math.log(2 * math.pi))
-        r = log_w0 + log_qori - log_q
-        mx = r.max()
-        return mx + math.log(np.exp(r - mx).sum())
-
-    res = minimize(objective, _pack(start.lam, start.C), method="Nelder-Mead",
+    res = minimize(_log_second_moment, _pack(start.lam, start.C),
+                   args=(np.ascontiguousarray(xe.T), base,
+                         0.5 * d * math.log(2 * math.pi)),
+                   method="Nelder-Mead",
                    options=dict(maxiter=4000, xatol=1e-6, fatol=1e-9))
     lam, L = _unpack(res.x, d)
     return BiasedParams(lam=lam, C=L @ L.T)
-
-
-def true_optimal_moments(pair: ModelPair, threshold: float, sample_count: int,
-                         stream: RngStream, tail: str = "lower",
-                         use_full_model: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Plain-MC conditional moments of X given the full-model (or metamodel)
-    event; reference oracle for moment_match."""
-    if sample_count < 10**6:
-        raise ValueError("sample_count must be at least 1e6")
-    x = sample_input(pair.input, stream, sample_count)
-    out = pair.eval_full(x) if use_full_model else pair.eval_metamodel(x)
-    mask = _event_mask(out, threshold, tail)
-    if not mask.any():
-        raise ImportanceError("no sample point falls in the conditioning event")
-    xe = x[mask]
-    lam = xe.mean(axis=0)
-    dev = xe - lam
-    return lam, dev.T @ dev / len(xe)
 
 
 # ---------------------------------------------------------------------------

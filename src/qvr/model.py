@@ -337,15 +337,17 @@ class SubprocessModel:
         ids = range(first, self._next_id)  # O(1) membership test per reply
         lines = [json.dumps({"id": rid, "x": [float(v) for v in p]})
                  for rid, p in zip(ids, points)]
-        try:
-            proc.stdin.write("\n".join(lines) + "\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError) as e:
-            raise ModelError(f"subprocess model pipe failure: {e}") from e
         got: dict[int, float] = {}
+        # Armed before the write: a child that stops reading blocks it.
         timer = threading.Timer(self.timeout, proc.kill)
         timer.start()
         try:
+            try:
+                proc.stdin.write("\n".join(lines) + "\n")
+                proc.stdin.flush()
+            except (BrokenPipeError, OSError) as e:
+                raise ModelError("subprocess model pipe failure (exit code "
+                                 f"{proc.poll()}) or timed out: {e}") from e
             while len(got) < len(ids):
                 line = proc.stdout.readline()
                 if not line:

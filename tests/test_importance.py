@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.stats import norm
 
 from qvr.estimators import empirical_cdf, quantile_from_weighted_cdf
@@ -11,7 +12,7 @@ from qvr.importance import (
     CisNonConvergence,
     ImportanceError,
     WeightedSample,
-    biased_density,
+    _log_second_moment,
     cis_quantile,
     draw_weighted_sample,
     fit_biased_member,
@@ -20,20 +21,43 @@ from qvr.importance import (
     lognormal_params_from_moments,
     moment_match,
     tail_quantile,
-    true_optimal_moments,
     variance_optimal_params,
 )
+from qvr.bench import ExperimentConfig, _prepare
 from qvr.model import (
     InputDistribution,
     Lognormal,
+    ModelPair,
     identity1d,
+    standard_normal_input,
     toy1d,
     toy2d,
 )
-from qvr.sampling import RngStream
+from qvr.sampling import RngStream, sample_input
 
 TRUNC_MEAN = -norm.pdf(0) / norm.cdf(0)          # E[X | X <= 0], X ~ N(0,1)
 TRUNC_VAR = 1 - (norm.pdf(0) / norm.cdf(0)) ** 2
+
+
+def _event(z, threshold, tail):
+    return z <= threshold if tail == "lower" else z > threshold
+
+
+def true_optimal_moments(pair, threshold, sample_count, stream, tail="lower",
+                         use_full_model=True):
+    """Plain-MC conditional moments of X given the full-model (or
+    metamodel) event; reference oracle for moment_match."""
+    if sample_count < 10**6:
+        raise ValueError("sample_count must be at least 1e6")
+    x = sample_input(pair.input, stream, sample_count)
+    out = pair.eval_full(x) if use_full_model else pair.eval_metamodel(x)
+    mask = _event(out, threshold, tail)
+    if not mask.any():
+        raise ImportanceError("no sample point falls in the conditioning event")
+    xe = x[mask]
+    lam = xe.mean(axis=0)
+    dev = xe - lam
+    return lam, dev.T @ dev / len(xe)
 
 
 class TestBiasedParams:
@@ -52,14 +76,14 @@ class TestBiasedDensity:
     def test_standard_bivariate_gaussian(self):
         fam = BiasedFamily("joint_gaussian")
         p = BiasedParams(lam=[0.0, 0.0], C=np.eye(2))
-        val = biased_density(fam, p, np.array([0.0, 0.0]))
+        val = fam.member(p).density(np.array([0.0, 0.0]))
         assert float(val[0]) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
     def test_componentwise_normal(self):
         base = identity1d().input
         fam = BiasedFamily("componentwise_matched", base=base)
         p = BiasedParams(lam=[1.0], C=[[1.0]])
-        val = biased_density(fam, p, np.array([[1.0]]))
+        val = fam.member(p).density(np.array([[1.0]]))
         assert float(val[0]) == pytest.approx(0.39894228, abs=1e-7)
 
     def test_lognormal_moment_round_trip(self):
@@ -310,3 +334,121 @@ class TestVarianceOptimalParams:
                                     tail="upper")
         # chi-square-optimal member recenters into the tail event
         assert pair.eval_metamodel(p.lam.reshape(1, -1))[0] > 1.0
+
+
+# Reference: the chi-square fit with a LAPACK solve per objective evaluation
+# and the moment-matched start from a second draw of the same pilot.
+
+
+def _ref_pilot(pair, threshold, pilot_count, stream, tail):
+    x = pair.input.sample(stream.generator(), pilot_count)
+    xe = x[_event(pair.eval_metamodel(x), threshold, tail)]
+    p = pair.input.density(xe)
+    return xe, p, p  # q0 is the input distribution
+
+
+def _ref_moment_match(pair, threshold, pilot_count, stream, tail):
+    xe, p, p0 = _ref_pilot(pair, threshold, pilot_count, stream, tail)
+    w = p / p0
+    w = w / w.sum()
+    lam = w @ xe
+    dev = xe - lam
+    C = (dev * w[:, None]).T @ dev
+    d = C.shape[0]
+    return lam, C + np.eye(d) * (1e-8 * np.trace(C) / d)
+
+
+def _ref_pack(lam, C):
+    L = np.linalg.cholesky(C)
+    tril = [math.log(L[i, j]) if i == j else L[i, j]
+            for i in range(len(lam)) for j in range(i + 1)]
+    return np.concatenate([lam, tril])
+
+
+def _ref_unpack(t, d):
+    L = np.zeros((d, d))
+    idx = d
+    for i in range(d):
+        for j in range(i + 1):
+            L[i, j] = math.exp(t[idx]) if i == j else t[idx]
+            idx += 1
+    return t[:d], L
+
+
+def _ref_objective(t, xe, log_w0, log_qori):
+    d = xe.shape[1]
+    lam, L = _ref_unpack(t, d)
+    sol = np.linalg.solve(L, (xe - lam).T)
+    log_q = (-0.5 * (sol**2).sum(axis=0)
+             - np.log(np.diag(L)).sum() - 0.5 * d * math.log(2 * math.pi))
+    r = log_w0 + log_qori - log_q
+    mx = r.max()
+    return mx + math.log(np.exp(r - mx).sum())
+
+
+def _ref_variance_optimal(pair, threshold, pilot_count, stream, tail):
+    xe, p, p0 = _ref_pilot(pair, threshold, pilot_count, stream, tail)
+    log_w0 = np.log(p) - np.log(p0)
+    log_qori = np.log(p)
+    start = _ref_moment_match(pair, threshold, pilot_count, stream, tail)
+    res = minimize(_ref_objective, _ref_pack(*start),
+                   args=(xe, log_w0, log_qori), method="Nelder-Mead",
+                   options=dict(maxiter=4000, xatol=1e-6, fatol=1e-9))
+    lam, L = _ref_unpack(res.x, xe.shape[1])
+    return lam, L @ L.T
+
+
+def _sum3_pair():
+    def f(x):
+        return x.sum(axis=1) + 0.1 * np.sin(x[:, 0])
+
+    return ModelPair(f=f, f_r=lambda x: x.sum(axis=1),
+                     input=standard_normal_input(3), name="sum3")
+
+
+class TestChiSquareFit:
+    @pytest.mark.parametrize("make_pair, threshold", [
+        (identity1d, 1.6), (toy2d, 2.6), (_sum3_pair, 2.8)])
+    def test_objective_matches_lapack_solve(self, make_pair, threshold):
+        pair = make_pair()
+        stream = RngStream(31)
+        xe, p, p0 = _ref_pilot(pair, threshold, 20_000, stream, "upper")
+        d = xe.shape[1]
+        lam, C = _ref_moment_match(pair, threshold, 20_000, stream, "upper")
+        t0 = _ref_pack(lam, C)
+        log_w0, log_qori = np.log(p) - np.log(p0), np.log(p)
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            t = t0 + 0.3 * rng.standard_normal(len(t0))
+            want = _ref_objective(t, xe, log_w0, log_qori)
+            got = _log_second_moment(t, np.ascontiguousarray(xe.T),
+                                     log_w0 + log_qori,
+                                     0.5 * d * math.log(2 * math.pi))
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gate_fit_bit_identical_to_lapack_reference(self, seed):
+        # The fits behind the cis byte gates: `qvr estimate` on toy2d at
+        # seeds 0-4, with _prepare's fit stream and metamodel quantile.
+        prep = _prepare(ExperimentConfig(model="toy2d", estimator="cis",
+                                         alpha=0.95, n=2000, replications=1,
+                                         seed=seed))
+        lam, C = _ref_variance_optimal(
+            prep.pair, prep.z_alpha, 200_000,
+            RngStream(seed, (2**32, 2)).child(0), "upper")
+        assert np.array_equal(prep.cis_params.lam, lam)
+        assert np.array_equal(prep.cis_params.C, C)
+
+    def test_fit_evaluates_the_pilot_once(self):
+        base = toy2d()
+        points = []
+
+        def f_r(x):
+            points.append(len(x))
+            return base.f_r(x)
+
+        pair = ModelPair(f=base.f, f_r=f_r, input=base.input)
+        fit_biased_member(pair, BiasedFamily("joint_gaussian"), 0.95,
+                          RngStream(33), z_alpha=2.6, pilot_count=20_000,
+                          check_count=5_000)
+        assert sum(points) == 20_000 + 5_000 + 1

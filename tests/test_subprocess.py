@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qvr
 from qvr.model import ModelError, SubprocessModel
 
 ECHO_CHILD = textwrap.dedent("""
@@ -98,3 +102,36 @@ def test_dead_child_reports_model_error(tmp_path):
 def test_batch_size_validation():
     with pytest.raises(ValueError):
         SubprocessModel(["true"], batch_size=0)
+
+
+BLOCKED_WRITE = textwrap.dedent("""
+    import sys, time
+    import numpy as np
+    from qvr.model import ModelError, SubprocessModel
+    x = np.random.default_rng(0).standard_normal((20000, 8))
+    start = time.perf_counter()
+    try:
+        with SubprocessModel([sys.executable, sys.argv[1]], batch_size=20000,
+                             timeout=2.0) as m:
+            m(x)
+    except ModelError:
+        print("ModelError", time.perf_counter() - start)
+""")
+
+
+def test_write_blocked_on_full_pipes_times_out(tmp_path):
+    # One 20000-point batch fills both pipes: the child blocks on its
+    # replies and stops reading while the parent is still writing.  The
+    # timeout must fire during that write.  A child interpreter keeps a
+    # regression from hanging the suite.
+    script = tmp_path / "blocked.py"
+    script.write_text(BLOCKED_WRITE)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qvr.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, str(script), child(tmp_path, ECHO_CHILD, "echo.py")[1]],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    kind, elapsed = done.stdout.split()
+    assert kind == "ModelError"
+    assert float(elapsed) < 2.0 + 5.0

@@ -1,0 +1,98 @@
+"""Print the sha256 digest of every qvr byte gate, or check them.
+
+The gates are the outputs that a change to qvr's speed or structure must
+leave byte-identical:
+
+- ``qvr bench --preset P --reps 200 --seed 0`` stdout, for the presets
+  fig1, table1, table2 and fig2;
+- ``qvr estimate --bootstrap 500`` stdout, stderr and exit code for ee, cv,
+  ps, cs, acs and cis on toy1d and toy2d at seeds 0-4 (n=2000, alpha 0.95,
+  default params, one config file each).
+
+Every command runs in this process through click's test runner, with qvr
+imported from ``src/`` next to this directory.  Run from anywhere:
+
+    python tools/gate_digests.py                 # print "<gate> <sha256>"
+    python tools/gate_digests.py --check tools/gate_digests.txt
+
+``--check`` exits 1 when any digest differs from the file, or a gate is
+missing from either side.  The digests in ``tools/gate_digests.txt`` were
+taken on one host (x86-64 with AVX-512, Python 3.11.7, numpy 2.4.6,
+scipy 1.17.1, OpenBLAS); another CPU or BLAS build can move last bits, so
+compare two commits on the same host.  Takes about 15 s.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from click.testing import CliRunner  # noqa: E402
+
+from qvr.cli import main as qvr  # noqa: E402
+
+PRESETS = ("fig1", "table1", "table2", "fig2")
+ESTIMATORS = ("ee", "cv", "ps", "cs", "acs", "cis")
+MODELS = ("toy1d", "toy2d")
+SEEDS = range(5)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    runner = CliRunner()
+    out = {}
+    for preset in PRESETS:
+        res = runner.invoke(qvr, ["bench", "--preset", preset,
+                                   "--reps", "200", "--seed", "0"])
+        if res.exit_code != 0:
+            raise RuntimeError(f"bench {preset} exited {res.exit_code}: "
+                               f"{res.stderr}")
+        out[f"bench/{preset}"] = _sha(res.stdout)
+    with tempfile.TemporaryDirectory() as tmp:
+        for model in MODELS:
+            for est in ESTIMATORS:
+                for seed in SEEDS:
+                    path = Path(tmp) / f"{model}-{est}-{seed}.json"
+                    path.write_text(json.dumps(dict(
+                        model=model, estimator=est, alpha=0.95, n=2000,
+                        replications=1, seed=seed)))
+                    res = runner.invoke(qvr, ["estimate", "--config",
+                                               str(path), "--bootstrap", "500"])
+                    out[f"estimate/{model}/{est}/{seed}"] = _sha(
+                        f"{res.exit_code}\n{res.stdout}\0{res.stderr}")
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", metavar="FILE",
+                    help="compare against a digest file; exit 1 on any "
+                         "difference")
+    args = ap.parse_args()
+    got = digests()
+    if not args.check:
+        for name, digest in got.items():
+            print(name, digest)
+        return 0
+    want = dict(line.split() for line in
+                Path(args.check).read_text().splitlines() if line.strip())
+    bad = 0
+    for name in sorted(want.keys() | got.keys()):
+        if want.get(name) != got.get(name):
+            bad += 1
+            print(f"DIFF {name}: want {want.get(name)} got {got.get(name)}")
+    print(f"{bad} of {len(want.keys() | got.keys())} gates differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
