@@ -2,8 +2,8 @@
 
 The expensive model can live in a separate executable: the adapter sends
 ``{"id": ..., "x": [...]}`` lines on stdin and reads ``{"id": ..., "y": ...}``
-lines from stdout, batching requests, tolerating out-of-order replies and
-caching repeated points.  Here the "simulator" is a tiny inline Python
+lines from stdout, keeping at most ``batch_size`` requests in flight,
+tolerating out-of-order replies and caching repeated points.  Here the "simulator" is a tiny inline Python
 child evaluating the same 1D oscillatory function.
 
 Run:  python demos/04_external_simulator.py

@@ -500,17 +500,19 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
         return values
 
     n, rng = len(y), root.child(1).generator()
-    starts = np.cumsum(sizes) - sizes
+    # Record j of a resample is drawn within its stratum: the stratum's
+    # first record plus an integer below its size.  One broadcast call per
+    # chunk gives the integers of a loop over resamples and strata.
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    size_of = np.repeat(sizes, sizes)
     vals = np.empty(B)
     chunk = max(1, BLOCK_POINTS // n)
     for start in range(0, B, chunk):
         c = min(chunk, B - start)
         if len(sizes) == 1:
-            rows = rng.integers(0, n, (c, n))  # = c draws of n each
+            rows = rng.integers(0, n, (c, n))  # the same integers, faster
         else:
-            rows = np.array([np.concatenate([s + rng.integers(0, k, k)
-                                             for s, k in zip(starts, sizes)])
-                             for _ in range(c)])
+            rows = first + rng.integers(0, np.broadcast_to(size_of, (c, n)))
         vals[start:start + c] = invert(rows)
     return {"estimator": config.estimator, "alpha": config.alpha,
             "n": config.n, "estimate": float(invert(np.arange(n)[None])[0]),

@@ -10,8 +10,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import re
+import selectors
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -266,15 +270,23 @@ class SubprocessModel:
 
     Wire protocol (newline-delimited JSON, UTF-8): request
     ``{"id": <uint64>, "x": [<f64>...]}``, response ``{"id": ..., "y": <f64>}``.
-    Responses may arrive out of order within a batch; a response carrying
-    ``"error"`` aborts the run.  Results are cached per exact input bit
-    pattern so an identical point is never paid for twice.
+    Responses may arrive in any order; a response carrying ``"error"``
+    aborts the run.  A call is one exchange: request lines stream to the
+    child while its replies are read, with at most ``batch_size`` requests
+    in flight (sent and not yet answered).  ``timeout`` is the number of
+    seconds the adapter waits without a reply.  A timeout or any other
+    ``ModelError`` during an exchange kills and reaps the child, so the next
+    call starts a fresh one.  Results are cached per exact input bit
+    pattern, so a point is never paid for twice across calls; a point
+    repeated within one call is sent each time.
     """
 
     def __init__(self, command: Sequence[str] | str, batch_size: int = 64,
                  timeout: float = 60.0):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not timeout > 0:
+            raise ValueError("timeout must be > 0")
         self.command = command
         self.batch_size = batch_size
         self.timeout = timeout
@@ -285,25 +297,36 @@ class SubprocessModel:
 
     def _ensure_proc(self):
         if self._proc is None or self._proc.poll() is not None:
-            shell = isinstance(self.command, str)
+            self._kill()
             self._proc = subprocess.Popen(
                 self.command,
-                shell=shell,
+                shell=isinstance(self.command, str),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                bufsize=0,
             )
+            os.set_blocking(self._proc.stdin.fileno(), False)
         return self._proc
 
+    def _kill(self):
+        """End the child, reap it and close its pipes."""
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            proc.kill()
+            proc.wait()
+            proc.stdin.close()
+            proc.stdout.close()
+
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
+        """Close the child's input, give it 5 s to exit, then kill it."""
+        proc = self._proc
+        if proc is not None and proc.poll() is None:
+            proc.stdin.close()
             try:
-                self._proc.wait(timeout=5)
+                proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
-        self._proc = None
+                pass
+        self._kill()
 
     def __enter__(self):
         return self
@@ -315,61 +338,128 @@ class SubprocessModel:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty(pts.shape[0])
         with self._lock:
-            pending: list[tuple[int, bytes]] = []
+            pending: list[int] = []
+            keys: list[bytes] = []
             for i in range(pts.shape[0]):
                 key = pts[i].tobytes()
-                if key in self._cache:
-                    out[i] = self._cache[key]
+                y = self._cache.get(key)
+                if y is None:
+                    pending.append(i)
+                    keys.append(key)
                 else:
-                    pending.append((i, key))
-            for start in range(0, len(pending), self.batch_size):
-                chunk = pending[start:start + self.batch_size]
-                replies = self._roundtrip([pts[i] for i, _ in chunk])
-                for (i, key), y in zip(chunk, replies):
-                    self._cache[key] = y
                     out[i] = y
+            if pending:
+                try:
+                    ys = self._exchange(pts[pending])
+                except BaseException:
+                    self._kill()  # its pipes may hold stale replies
+                    raise
+                out[pending] = ys
+                self._cache.update(zip(keys, ys.tolist()))
         return out
 
-    def _roundtrip(self, points) -> list[float]:
+    def _exchange(self, rows: np.ndarray) -> np.ndarray:
+        """Send one request per row and return the replies in row order."""
         proc = self._ensure_proc()
-        first = self._next_id
-        self._next_id += len(points)
-        ids = range(first, self._next_id)  # O(1) membership test per reply
-        lines = [json.dumps({"id": rid, "x": [float(v) for v in p]})
-                 for rid, p in zip(ids, points)]
-        got: dict[int, float] = {}
-        # Armed before the write: a child that stops reading blocks it.
-        timer = threading.Timer(self.timeout, proc.kill)
-        timer.start()
-        try:
-            try:
-                proc.stdin.write("\n".join(lines) + "\n")
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError) as e:
-                raise ModelError("subprocess model pipe failure (exit code "
-                                 f"{proc.poll()}) or timed out: {e}") from e
-            while len(got) < len(ids):
-                line = proc.stdout.readline()
-                if not line:
-                    raise ModelError(
-                        "subprocess model closed its output stream "
-                        f"(exit code {proc.poll()}) or timed out"
-                    )
-                try:
-                    msg = json.loads(line)
-                    rid = int(msg["id"])
-                except (ValueError, KeyError, TypeError) as e:
-                    raise ModelError(f"malformed response line {line!r}") from e
-                if "error" in msg:
-                    raise ModelError(f"model reported error: {msg['error']}")
-                if rid not in ids:
-                    raise ModelError(f"response id {rid} was never requested")
-                if "y" not in msg or not isinstance(msg["y"], (int, float)):
-                    raise ModelError(f"response without numeric 'y': {line!r}")
-                got[rid] = float(msg["y"])
-        finally:
-            timer.cancel()
-        return [got[rid] for rid in ids]
+        first, n = self._next_id, len(rows)
+        self._next_id += n
+        ys, seen = np.empty(n), bytearray(n)
+        answered = queued = 0
+        out, tail = memoryview(b""), b""
+        rfd, wfd = proc.stdout.fileno(), proc.stdin.fileno()
+        with selectors.PollSelector() as sel:
+            sel.register(rfd, selectors.EVENT_READ)
+            deadline = time.monotonic() + self.timeout
+            while answered < n:
+                stop = min(n, answered + self.batch_size)
+                if not out and stop > queued:
+                    out = memoryview(_request_lines(rows[queued:stop],
+                                                    first + queued))
+                    queued = stop
+                if out:
+                    try:
+                        out = out[os.write(wfd, out):]
+                    except BlockingIOError:
+                        pass
+                    except OSError as e:
+                        raise ModelError("subprocess model pipe failure (exit "
+                                         f"code {proc.poll()}): {e}") from e
+                if out and wfd not in sel.get_map():
+                    sel.register(wfd, selectors.EVENT_WRITE)
+                elif not out and wfd in sel.get_map():
+                    sel.unregister(wfd)
+                ready = sel.select(deadline - time.monotonic())
+                if not ready:
+                    if time.monotonic() >= deadline:
+                        raise ModelError("subprocess model sent no reply "
+                                         f"within {self.timeout} s")
+                    continue
+                if not any(key.fd == rfd for key, _ in ready):
+                    continue
+                chunk = os.read(rfd, 1 << 16)
+                if not chunk:
+                    raise ModelError("subprocess model closed its output "
+                                     f"stream (exit code {proc.poll()})")
+                body, newline, tail = (tail + chunk).rpartition(b"\n")
+                if not newline:
+                    continue
+                ids = range(first, first + queued)
+                fast = _REPLY.findall(body)
+                if len(fast) == body.count(b"\n") + 1:
+                    replies = ((int(rid), float(y)) for rid, y in fast)
+                else:
+                    replies = (_parse_reply(raw, ids)
+                               for raw in body.split(b"\n"))
+                for rid, y in replies:
+                    if rid not in ids:
+                        raise ModelError(f"response id {rid} was never requested")
+                    answered += not seen[rid - first]
+                    seen[rid - first] = 1
+                    ys[rid - first] = y
+                deadline = time.monotonic() + self.timeout
+        return ys
+
+
+# A reply line in the form json.dumps writes for an int id and a float y.
+# Such a line parses to that id and float(y); any other line goes through
+# json.loads and every check in _parse_reply.
+_REPLY = re.compile(
+    rb'^\{"id": (0|[1-9][0-9]{0,19}), "y": (-?(?:0|[1-9][0-9]*)'
+    rb'(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))\}$', re.M)
+
+
+def _parse_reply(raw: bytes, ids: range) -> tuple[int, float]:
+    """(id, y) of one reply line; ModelError unless it answers one of ``ids``."""
+    line = raw.decode(errors="replace")
+    try:
+        msg = json.loads(line)
+        rid = int(msg["id"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise ModelError(f"malformed response line {line!r}") from e
+    if "error" in msg:
+        raise ModelError(f"model reported error: {msg['error']}")
+    if rid not in ids:
+        raise ModelError(f"response id {rid} was never requested")
+    if not isinstance(msg.get("y"), (int, float)):
+        raise ModelError(f"response without numeric 'y': {line!r}")
+    return rid, float(msg["y"])
+
+
+def _request_lines(rows: np.ndarray, first: int) -> bytes:
+    """Request lines for ``rows`` with ids from ``first``.
+
+    Each line is ``json.dumps({"id": i, "x": [float(v) for v in row]})``;
+    finite floats are formatted with ``repr``, which gives the same bytes,
+    and a slice holding NaN or infinities goes through ``json.dumps``.
+    """
+    if np.isfinite(rows).all():
+        line = '{"id": %d, "x": [' + ", ".join(["%r"] * rows.shape[1]) + "]}\n"
+        text = "".join([line % (i, *row)
+                        for i, row in enumerate(rows.tolist(), first)])
+    else:
+        text = "".join([json.dumps({"id": i, "x": row}) + "\n"
+                        for i, row in enumerate(rows.tolist(), first)])
+    return text.encode()
 
 
 def subprocess_pair(command, input_dist: InputDistribution, f_r,

@@ -444,3 +444,19 @@ class TestBootstrapEquivalence:
         for row in rows:
             assert np.array_equal(row, b.integers(0, n, n))
         assert a.integers(0, 2**40) == b.integers(0, 2**40)
+
+    @pytest.mark.parametrize("sizes", [[1000, 800, 100, 100], [3, 0, 1, 5],
+                                       [1, 1, 0, 7], [2, 0]])
+    def test_one_draw_within_strata_equals_stratum_by_stratum_draws(
+            self, sizes):
+        # The within-strata scheme draws a chunk with one broadcast call.
+        a = RngStream(9, (1,)).generator()
+        b = RngStream(9, (1,)).generator()
+        sizes = np.array(sizes)
+        n, starts = int(sizes.sum()), np.cumsum(sizes) - sizes
+        rows = np.repeat(starts, sizes) + a.integers(
+            0, np.broadcast_to(np.repeat(sizes, sizes), (5, n)))
+        for row in rows:
+            assert np.array_equal(row, np.concatenate(
+                [s + b.integers(0, k, k) for s, k in zip(starts, sizes)]))
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)

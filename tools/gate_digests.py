@@ -7,7 +7,13 @@ leave byte-identical:
   fig1, table1, table2 and fig2;
 - ``qvr estimate --bootstrap 500`` stdout, stderr and exit code for ee, cv,
   ps, cs, acs and cis on toy1d and toy2d at seeds 0-4 (n=2000, alpha 0.95,
-  default params, one config file each).
+  default params, one config file each);
+- the JSON report of 20 ee replications (n=200, alpha 0.95, seed 0) on a
+  config-dict external model whose f and f_r run in ``toy1d_sim.py``, a
+  child process behind ``qvr.model.SubprocessModel``.  No command runs
+  the replications of a config file, so this gate calls
+  ``run_replications`` and ``emit_report``, as ``qvr bench`` does for a
+  preset.
 
 Every command runs in this process through click's test runner, with qvr
 imported from ``src/`` next to this directory.  Run from anywhere:
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -35,12 +42,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from click.testing import CliRunner  # noqa: E402
 
+from qvr import bench  # noqa: E402
 from qvr.cli import main as qvr  # noqa: E402
 
 PRESETS = ("fig1", "table1", "table2", "fig2")
 ESTIMATORS = ("ee", "cv", "ps", "cs", "acs", "cis")
 MODELS = ("toy1d", "toy2d")
 SEEDS = range(5)
+# Fixed text: the report embeds the config, so the command must not depend
+# on where the interpreter or the repository lies.
+SIM_COMMAND = 'exec "$QVR_GATE_PYTHON" "$QVR_GATE_SIM" {role}'
 
 
 def _sha(text: str) -> str:
@@ -69,7 +80,23 @@ def digests() -> dict[str, str]:
                                                str(path), "--bootstrap", "500"])
                     out[f"estimate/{model}/{est}/{seed}"] = _sha(
                         f"{res.exit_code}\n{res.stdout}\0{res.stderr}")
+    out["external/toy1d/ee"] = _sha(external_report())
     return out
+
+
+def external_report() -> str:
+    os.environ["QVR_GATE_PYTHON"] = sys.executable
+    os.environ["QVR_GATE_SIM"] = str(Path(__file__).with_name("toy1d_sim.py"))
+    config = bench.ExperimentConfig.from_dict({
+        "model": {
+            "command": SIM_COMMAND.format(role="f"),
+            "metamodel_command": SIM_COMMAND.format(role="fr"),
+            "input": [{"family": "normal", "mean": 0.0, "stddev": 1.0}],
+        },
+        "estimator": "ee", "alpha": 0.95, "n": 200, "replications": 20,
+        "seed": 0,
+    })
+    return bench.emit_report(bench.run_replications(config), "json")
 
 
 def main() -> int:
