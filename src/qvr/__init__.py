@@ -34,7 +34,6 @@ from .estimators import (
     empirical_quantile,
     indicator_correlation,
     ps_cdf,
-    ps_variance_estimate,
     quantile_from_weighted_cdf,
     weighted_cdf,
 )
@@ -62,7 +61,6 @@ from .model import (
     Normal,
     SubprocessModel,
     builtin_model,
-    evaluate_pair,
     identity1d,
     standard_normal_input,
     subprocess_pair,
@@ -87,7 +85,6 @@ from .strata import (
     AcsResult,
     ConditionalProbs,
     StrataError,
-    acs_cdf,
     acs_quantile,
     cs_cdf,
     cs_quantile,
@@ -96,7 +93,6 @@ from .strata import (
     ocs_variance,
     optimal_allocation,
     ps_form_variance,
-    strong_control_rho,
     two_strata_acs_factor,
 )
 

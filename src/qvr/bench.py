@@ -12,11 +12,13 @@ resamples.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import jsonschema
 import numpy as np
@@ -181,13 +183,14 @@ class ExperimentConfig:
 
 def ground_truth_quantile(pair: ModelPair, alpha: float, sample_count: int,
                           stream: RngStream) -> float:
-    """Quantile of Y from one large plain Monte Carlo sample (exact order
-    statistic, no interpolation)."""
+    """Quantile of Y from one large plain Monte Carlo sample: its exact
+    (floor(alpha N) + 1)-th order statistic, as ``empirical_quantile``
+    takes it, no interpolation."""
     if sample_count < 10**6:
         raise ValueError("sample_count must be at least 1e6")
     x = sample_input(pair.input, stream, sample_count)
-    y = np.sort(pair.eval_full(x))
-    return float(y[min(int(np.floor(alpha * sample_count)), sample_count - 1)])
+    return float(estimators.empirical_quantile_rows(pair.eval_full(x)[None],
+                                                    alpha)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +254,21 @@ class _Prepared:
     cis_mode: str = "tail"
 
 
-def _prepare(config: ExperimentConfig) -> _Prepared:
+@contextlib.contextmanager
+def _prepared(config: ExperimentConfig):
+    """``_prepare`` on the model pair of ``config``; on exit, whether the
+    preparation or the run failed or not, closes each of the pair's
+    evaluators that has a ``close`` (the simulators of an external model)."""
     pair = config.build_pair()
+    try:
+        yield _prepare(config, pair)
+    finally:
+        for evaluator in (pair.f, pair.f_r):
+            if hasattr(evaluator, "close"):
+                evaluator.close()
+
+
+def _prepare(config: ExperimentConfig, pair: ModelPair) -> _Prepared:
     prep = _Prepared(pair=pair, alpha=config.alpha, n=config.n)
     est = config.estimator
     if est in ("cv", "cis"):
@@ -372,20 +388,17 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     replication fails; any other error, such as a ``ModelError`` from a
     dead simulator, propagates.
     """
-    prep = _prepare(config)
     root = RngStream(config.seed)
     size = max(1, BLOCK_POINTS // config.n)
     blocks = [range(start, min(start + size, config.replications))
               for start in range(0, config.replications, size)]
-
-    def work(rs: range):
-        return _run_block(config, prep, root, rs)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(work, blocks))
-    else:
-        outcomes = [work(rs) for rs in blocks]
+    with _prepared(config) as prep:
+        work = partial(_run_block, config, prep, root)
+        if config.workers > 1:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                outcomes = list(pool.map(work, blocks))
+        else:
+            outcomes = [work(rs) for rs in blocks]
     ok = [res for results, _ in outcomes for res in results]
     errors = sorted(e for _, errs in outcomes for e in errs)
     if not ok:
@@ -479,10 +492,10 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     weights sum in another order (see ``qvr.estimators``).  The first
     resample (or else the run) that defeats its estimator raises its error.
     """
-    prep = _prepare(config)
     design = DESIGNS[config.estimator]
     root = RngStream(config.seed)
-    y, aux, (run,) = design.draw(prep, [root.child(0)])
+    with _prepared(config) as prep:  # the inversions call no model
+        y, aux, (run,) = design.draw(prep, [root.child(0)])
     if isinstance(run, Exception):
         raise run
     sizes, extras = run

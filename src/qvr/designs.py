@@ -108,7 +108,7 @@ def _invert_ee(prep, y, aux, rows, by_y):
 
 def _invert_cv(prep, y, aux, rows, by_y):
     return _invert_weighted(prep, y, aux, rows, by_y, lambda ids: (
-        estimators.cv_indicator_weight_rows(aux[ids], prep.alpha)))
+        estimators.cv_indicator_weight_rows(aux[ids], prep.alpha)[0]))
 
 
 def _invert_ps(prep, y, aux, rows, by_y):

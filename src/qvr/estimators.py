@@ -4,21 +4,23 @@ Quantile conventions (README "Quantile conventions"):
 
 * weighted cdfs are inverted with the generalized inverse, the smallest
   support point whose cumulative weight is >= alpha; with uniform weights
-  this is the ceil(alpha n)-th order statistic (``quantile_from_weighted_cdf``);
+  this is the ceil(alpha n)-th order statistic
+  (``weighted_quantile_sorted_rows``);
 * the plain-sample baseline uses the (floor(alpha n) + 1)-th order
-  statistic, inf{y : F_n(y) > alpha} (``empirical_quantile``); the adaptive
-  pilot step uses the same strict form on its weighted cdf
+  statistic, inf{y : F_n(y) > alpha} (``empirical_quantile_rows``); the
+  adaptive pilot step uses the same strict form on its weighted cdf
   (``weighted_quantile_sorted_rows(..., strict=True)``).
 
 The two differ only when alpha*n is an integer.  The ``*_rows`` functions
-apply the one-sample functions to every row of a (replications, n) array
-at once and give the same bits on each row; the ``*_sorted_rows`` ones take
-rows already sorted by output, stably, as the one-sample functions sort.
-A row sorted another way (the bootstrap sorts ranks) holds the same
-values, but points with tied outputs and different weights may sit in
-another order; the cumulative weights then differ by rounding only, which
-can change a result only when one falls within the ``16 n eps`` inversion
-tolerance of alpha.
+invert every row of a (replications, n) array at once; the one-sample
+functions (``quantile_from_weighted_cdf``, ``empirical_quantile``,
+``cv_weights``) are one-row calls of them, so both give the same bits.  The
+``*_sorted_rows`` ones take rows already sorted by output, stably, as
+``weighted_cdf`` sorts.  A row sorted another way (the bootstrap sorts
+ranks) holds the same values, but points with tied outputs and different
+weights may sit in another order; the cumulative weights then differ by
+rounding only, which can change a result only when one falls within the
+``16 n eps`` inversion tolerance of alpha.
 """
 
 from __future__ import annotations
@@ -83,24 +85,11 @@ def empirical_cdf(y_values) -> WeightedCdf:
 
 def quantile_from_weighted_cdf(cdf: WeightedCdf, alpha: float,
                                strict: bool = False) -> float:
-    """Generalized inverse: smallest point whose cumulative weight is >= alpha.
-
-    With uniform weights this is the ceil(alpha*n)-th order statistic.
-    ``strict=True`` switches to inf{y : F(y) > alpha}, which differs only
-    when some cumulative weight hits alpha exactly.  Cumulative weights
-    within a size-scaled rounding tolerance of alpha count as equal, so
-    exact-mass hits (e.g. integer alpha*n) invert the same way regardless
-    of accumulation error.
-    """
+    """``weighted_quantile_sorted_rows`` of the one row ``cdf``."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    cum = np.cumsum(cdf.weights)
-    tol = 16 * len(cum) * np.finfo(float).eps
-    if strict:
-        k = np.searchsorted(cum, alpha + tol, side="right")
-    else:
-        k = np.searchsorted(cum, alpha - tol, side="left")
-    return float(cdf.points[min(k, len(cum) - 1)])
+    return float(weighted_quantile_sorted_rows(
+        cdf.points[None], cdf.weights[None], 1.0, alpha, strict)[0])
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -111,10 +100,19 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def weighted_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
                                   total: np.ndarray, alpha: float,
                                   strict: bool = False) -> np.ndarray:
-    """``quantile_from_weighted_cdf`` of every row of (B, n) outputs ``ys``
-    sorted ascending, with their weights ``ws`` in the same order.  Each row
+    """Generalized inverse of the weighted cdf of every row of (B, n)
+    outputs ``ys`` sorted ascending, with their weights ``ws`` in the same
+    order: the smallest point whose cumulative weight is >= alpha.  Each row
     is normalized by its weight total ``total`` (shape (B, 1)), which
-    ``weighted_cdf`` takes in the sample's own order, not in sorted order."""
+    ``weighted_cdf`` takes in the sample's own order, not in sorted order.
+
+    With uniform weights this is the ceil(alpha*n)-th order statistic.
+    ``strict=True`` switches to inf{y : F(y) > alpha}, which differs only
+    when some cumulative weight hits alpha exactly.  Cumulative weights
+    within a size-scaled rounding tolerance of alpha count as equal, so
+    exact-mass hits (e.g. integer alpha*n) invert the same way regardless
+    of accumulation error.
+    """
     n = ys.shape[1]
     cum = np.cumsum(ws / total, axis=1)
     tol = 16 * n * np.finfo(float).eps
@@ -125,23 +123,23 @@ def weighted_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
 
 
 def empirical_quantile(y_values, alpha: float) -> float:
-    """Plain-sample quantile: the (floor(alpha*n) + 1)-th order statistic.
+    """``empirical_quantile_rows`` of the one sample ``y_values``."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    y = np.asarray(y_values, dtype=float)
+    if y.size == 0:
+        raise EstimatorError("empirical quantile needs a nonempty sample")
+    return float(empirical_quantile_rows(y.reshape(1, -1), alpha)[0])
+
+
+def empirical_quantile_rows(y: np.ndarray, alpha: float) -> np.ndarray:
+    """Plain-sample quantile of every row of a (B, n) array: the
+    (floor(alpha*n) + 1)-th order statistic, by one partition.
 
     This is inf{y : F_n(y) > alpha}, one order statistic above the
     generalized inverse when alpha*n is an integer; the replication means
     and stds of the baseline estimator are calibrated to this convention.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    y = np.sort(np.asarray(y_values, dtype=float))
-    if y.size == 0:
-        raise EstimatorError("empirical quantile needs a nonempty sample")
-    return float(y[min(int(math.floor(alpha * y.size)), y.size - 1)])
-
-
-def empirical_quantile_rows(y: np.ndarray, alpha: float) -> np.ndarray:
-    """``empirical_quantile`` of every row of a (B, n) array, by one
-    partition instead of a full sort."""
     n = y.shape[1]
     k = min(int(math.floor(alpha * n)), n - 1)
     return np.partition(y, k, axis=1)[:, k]
@@ -174,30 +172,27 @@ def draw_paired_sample(pair: ModelPair, stream: RngStream, n: int) -> PairedSamp
 
 
 def cv_weights(z_values, z_alpha: float, alpha: float) -> tuple[np.ndarray, bool]:
-    """Hesterberg weights for the indicator control 1{Z <= z_alpha}.
+    """``cv_indicator_weight_rows`` of the one sample ``z_values``."""
+    w, degenerate = cv_indicator_weight_rows(
+        np.asarray(z_values, dtype=float).reshape(1, -1) <= z_alpha, alpha)
+    return w[0], bool(degenerate[0])
 
-    Returns (weights, degenerate) where degenerate marks the fallback to
-    uniform weights when every Z falls on one side of z_alpha.
+
+def cv_indicator_weight_rows(below: np.ndarray, alpha: float
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Hesterberg weights for the indicator control 1{Z <= z_alpha} of every
+    row of a (B, n) array of control indicators ``below``.
+
+    Returns (weights, degenerate), where degenerate (shape (B,)) marks the
+    rows that fall back to uniform weights because every Z falls on one side
+    of z_alpha.
     """
-    z = np.asarray(z_values, dtype=float)
-    n = len(z)
-    below = z <= z_alpha
-    n0 = int(below.sum())
-    if n0 == 0 or n0 == n:
-        return np.full(n, 1.0 / n), True
-    return np.where(below, alpha / n0, (1 - alpha) / (n - n0)), False
-
-
-def cv_indicator_weight_rows(below: np.ndarray, alpha: float) -> np.ndarray:
-    """``cv_weights(z[i], z_alpha, alpha)[0]`` for every row of a (B, n)
-    array, uniform fallback included, from the control indicators
-    ``below`` = 1{z <= z_alpha}."""
     n = below.shape[1]
     n0 = below.sum(axis=1, keepdims=True)
     degenerate = (n0 == 0) | (n0 == n)
     w_below = np.where(degenerate, 1.0 / n, alpha / np.maximum(n0, 1))
     w_above = np.where(degenerate, 1.0 / n, (1 - alpha) / np.maximum(n - n0, 1))
-    return np.where(below, w_below, w_above)
+    return np.where(below, w_below, w_above), degenerate[:, 0]
 
 
 def cv_cdf(sample: PairedSample, z_alpha: float, alpha: float) -> WeightedCdf:
@@ -289,14 +284,6 @@ def ps_quantile_sorted_rows(ys: np.ndarray, strat: np.ndarray,
         ys, _take_rows(w, strat),
         _take_rows(w, pooled).sum(axis=1, keepdims=True), alpha)
     return values, np.where(empty.any(axis=1), empty.argmax(axis=1), -1)
-
-
-def ps_variance_estimate(p_hat, spec: StrataSpec, n: int) -> float:
-    """Leading-order variance of the PS cdf estimate."""
-    p = np.asarray(p_hat, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("stratum probabilities must lie in [0, 1]")
-    return float(np.sum(spec.widths * (p - p**2)) / n)
 
 
 # ---------------------------------------------------------------------------

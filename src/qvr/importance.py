@@ -399,25 +399,23 @@ def fit_biased_member(pair: ModelPair, family: BiasedFamily, alpha: float,
 
 
 def tail_quantile(weighted: WeightedSample, alpha: float) -> float:
-    """Invert the tail-mass form of the reweighted cdf.
+    """``tail_quantile_sorted_rows`` of the one sample ``weighted``, sorted
+    by output, stably."""
+    order = np.argsort(weighted.y, kind="stable")
+    return float(tail_quantile_sorted_rows(
+        weighted.y[order][None], weighted.w[order][None], alpha)[0])
+
+
+def tail_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
+                              alpha: float) -> np.ndarray:
+    """Invert the tail-mass form of the reweighted cdf of every row of
+    (B, n) outputs ``ys`` sorted ascending, with their likelihood ratios
+    ``ws`` in the same order.
 
     Returns the smallest sample value y with (1/n) sum w 1{Y >= y} < 1-alpha,
     i.e. the first point whose inclusive upper-tail weight has dropped below
     the target tail mass.
     """
-    order = np.argsort(weighted.y, kind="stable")
-    ys = weighted.y[order]
-    cw = np.cumsum(weighted.w[order])
-    n = weighted.n
-    cdf_vals = 1.0 - (cw[-1] - cw) / n
-    k = np.searchsorted(cdf_vals, alpha, side="right")
-    return float(ys[min(k + 1, n - 1)])
-
-
-def tail_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
-                              alpha: float) -> np.ndarray:
-    """``tail_quantile`` of every row of (B, n) outputs ``ys`` sorted
-    ascending, with their likelihood ratios ``ws`` in the same order."""
     n = ys.shape[1]
     cw = np.cumsum(ws, axis=1)
     cdf_vals = 1.0 - (cw[:, -1:] - cw) / n
@@ -427,28 +425,21 @@ def tail_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
 
 
 def cis_quantile(pair: ModelPair, family: BiasedFamily, alpha: float,
-                 n: int, stream: RngStream,
-                 params: BiasedParams | None = None,
+                 n: int, stream: RngStream, params: BiasedParams,
                  diagnostics: CisDiagnostics | None = None,
-                 pilot_count: int = 200_000, q0=None,
-                 z_alpha: float | None = None, tail: str = "upper",
-                 selection: str = "variance",
                  mode: str = "tail") -> CisResult:
     """Quantile estimate from a biased draw of n full-model evaluations.
 
-    When ``params`` is omitted the biased member is fitted first from a
-    metamodel-only pilot (see fit_biased_member); a precomputed member can
-    be shared across replications since fitting never calls the full model.
-    ``mode`` "tail" inverts the tail-mass cdf; "self_normalized" inverts
-    the weight-normalized cdf.
+    ``params`` is the biased member, fitted from a metamodel-only pilot
+    (see fit_biased_member); one member can be shared across replications
+    since fitting never calls the full model.  ``mode`` "tail" inverts the
+    tail-mass cdf; "self_normalized" inverts the weight-normalized cdf.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if params is None:
-        params, diagnostics = fit_biased_member(
-            pair, family, alpha, stream.child(0), z_alpha=z_alpha,
-            pilot_count=pilot_count, q0=q0, tail=tail, selection=selection)
-    elif diagnostics is None:
+    if mode not in ("tail", "self_normalized"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if diagnostics is None:
         diagnostics = CisDiagnostics(mass_in_event=float("nan"),
                                      center_in_event=True,
                                      z_threshold=float("nan"),
@@ -456,10 +447,8 @@ def cis_quantile(pair: ModelPair, family: BiasedFamily, alpha: float,
     weighted = draw_weighted_sample(pair, family, params, stream.child(1), n)
     if mode == "tail":
         estimate = tail_quantile(weighted, alpha)
-    elif mode == "self_normalized":
-        cdf = weighted_cdf(weighted.y, weighted.w)
-        estimate = quantile_from_weighted_cdf(cdf, alpha)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        estimate = quantile_from_weighted_cdf(
+            weighted_cdf(weighted.y, weighted.w), alpha)
     return CisResult(estimate=estimate, params=params,
                      diagnostics=diagnostics, sample=weighted)

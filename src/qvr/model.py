@@ -16,7 +16,7 @@ import selectors
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -181,14 +181,6 @@ class ModelPair:
 
     def eval_full(self, x) -> np.ndarray:
         return np.asarray(self.f(self._batch(x)), dtype=float)
-
-
-def evaluate_pair(pair: ModelPair, x) -> tuple[float, float]:
-    """Evaluate (f_r(x), f(x)) at a single d-dimensional point."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    z = pair.eval_metamodel(x)
-    y = pair.eval_full(x)
-    return float(z[0]), float(y[0])
 
 
 # ---------------------------------------------------------------------------

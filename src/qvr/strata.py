@@ -14,7 +14,6 @@ from .model import ModelPair
 from .sampling import (
     AllocationPlan,
     RngStream,
-    SamplingError,
     StrataSpec,
     StratifiedSample,
     _positions,
@@ -68,20 +67,18 @@ def cs_cdf(sample: StratifiedSample, spec: StrataSpec,
     return float(np.sum(spec.widths * p.p_hat)), p
 
 
-def cs_quantile(sample: StratifiedSample, spec: StrataSpec, alpha: float,
-                strict: bool = False) -> float:
+def cs_quantile(sample: StratifiedSample, spec: StrataSpec,
+                alpha: float) -> float:
     """Quantile of the stratified cdf, inverted on the pooled sorted outputs.
 
     Each output in stratum j carries weight width_j / N_j, so the pooled
     weighted cdf equals the stratified cdf at every support point.
-    ``strict`` selects the inf{y : F(y) > alpha} inversion used by the
-    adaptive pilot step.
     """
     _require_filled(sample, spec)
     counts = np.array([len(yj) for yj in sample.y])
     cdf = weighted_cdf(np.concatenate(sample.y),
                        np.repeat(stratum_weights(spec.widths, counts), counts))
-    return quantile_from_weighted_cdf(cdf, alpha, strict=strict)
+    return quantile_from_weighted_cdf(cdf, alpha)
 
 
 def cs_variance(p: ConditionalProbs, spec: StrataSpec, plan: AllocationPlan) -> float:
@@ -171,12 +168,11 @@ class AcsResult:
     beta_tilde: np.ndarray
     final_counts: np.ndarray
     realized_fractions: np.ndarray
-    pilot_quantile: float | None
-    conditional: ConditionalProbs
+    pilot_quantile: float
     draw_count: int
-    proportional_fallback: bool = False
-    floored_strata: tuple[int, ...] = ()
-    sample: StratifiedSample | None = None
+    proportional_fallback: bool
+    floored_strata: tuple[int, ...]
+    sample: StratifiedSample
 
 
 def largest_remainder(targets: np.ndarray) -> np.ndarray:
@@ -239,15 +235,15 @@ class AcsRows(NamedTuple):
     errors: list
 
 
-def acs_rows(pair: ModelPair, config: AcsConfig, streams, alpha=None,
-             tune_at=None) -> AcsRows:
+def acs_rows(pair: ModelPair, config: AcsConfig, streams,
+             alpha: float) -> AcsRows:
     """Two-phase adaptive stratified samples, one row per stream: a pilot on
     ``stream.child(0)``; the optimal allocation at the pilot's conditional
-    probabilities at ``tune_at``, or else at the strict inverse of the
-    pilot's alpha-quantile (proportional when no indicator varies); phase
-    two on ``stream.child(1)``, which keeps the pilot points.  Each phase
-    draws its rows with one ``sample_strata_rows`` call and one f call."""
-    if tune_at is None and not 0 < alpha < 1:
+    probabilities at the strict inverse of the pilot's alpha-quantile
+    (proportional when no indicator varies); phase two on
+    ``stream.child(1)``, which keeps the pilot points.  Each phase draws its
+    rows with one ``sample_strata_rows`` call and one f call."""
+    if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     spec, widths, n = config.spec, config.spec.widths, config.n
     pilot = config.pilot_counts()
@@ -257,17 +253,14 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams, alpha=None,
         [s.child(0) for s in streams])
     ok = [r for r, e in enumerate(errors) if e is None]
     y1 = (pair.eval_full(x1) if ok else np.empty(0)).reshape(len(ok), P)
-    if tune_at is None:
-        # cs_quantile(strict=True) by rows.  The strict inverse sits one
-        # support point above the generalized inverse whenever the pilot
-        # mass hits alpha exactly (routine when a cutpoint equals alpha).
-        w = np.repeat(stratum_weights(widths, pilot), pilot)
-        order = np.argsort(y1, axis=1, kind="stable")
-        at = weighted_quantile_sorted_rows(
-            np.take_along_axis(y1, order, axis=1), w[order], w.sum(), alpha,
-            strict=True)
-    else:
-        at = np.full(len(ok), float(tune_at))
+    # The strict inverse of the pilot's stratified cdf sits one support
+    # point above the generalized inverse whenever the pilot mass hits alpha
+    # exactly (routine when a cutpoint equals alpha).
+    w = np.repeat(stratum_weights(widths, pilot), pilot)
+    order = np.argsort(y1, axis=1, kind="stable")
+    at = weighted_quantile_sorted_rows(
+        np.take_along_axis(y1, order, axis=1), w[order], w.sum(), alpha,
+        strict=True)
     # conditional_probs(pilot, at) by rows.
     p = np.add.reduceat(y1 <= at[:, None], np.cumsum(pilot) - pilot, axis=1,
                         dtype=int) / pilot
@@ -298,50 +291,20 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams, alpha=None,
                    [f for (_, f), d in zip(two, done) if d], errors)
 
 
-def _one_row(pair, config, stream, alpha=None, tune_at=None):
-    rows = acs_rows(pair, config, [stream], alpha, tune_at)
+def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
+                 stream: RngStream) -> AcsResult:
+    """Adaptive stratified quantile: the ``cs_quantile`` of one row of
+    ``acs_rows``, which raises its ``SamplingError``."""
+    rows = acs_rows(pair, config, [stream], alpha)
     if rows.errors[0] is not None:
         raise rows.errors[0]
     cuts = np.cumsum(rows.counts[0])[:-1]
-    merged = StratifiedSample(*(np.split(a, cuts) for a in rows[:3]))
-    return (merged, float(rows.y_tilde[0]), rows.beta_tilde[0],
-            int(rows.draws[0]), bool(rows.fallback[0]), rows.floored[0])
-
-
-def _result(drawn, estimate, p, pilot_quantile) -> AcsResult:
-    merged, _, beta_tilde, draws, fallback, floored = drawn
-    counts = merged.counts
-    return AcsResult(estimate, beta_tilde, counts, counts / counts.sum(),
-                     pilot_quantile, p, draws, fallback, floored, merged)
-
-
-def acs_cdf(pair: ModelPair, config: AcsConfig, y: float,
-            stream: RngStream) -> AcsResult:
-    """Adaptive stratified estimate of F(y): pilot, re-allocate at y, pool
-    (one row of ``acs_rows``)."""
-    drawn = _one_row(pair, config, stream, tune_at=y)
-    estimate, p = cs_cdf(drawn[0], config.spec, y)
-    return _result(drawn, estimate, p, None)
-
-
-def acs_sample(pair: ModelPair, config: AcsConfig, alpha: float,
-               stream: RngStream) -> tuple[StratifiedSample, float, np.ndarray,
-                                           int, bool, tuple[int, ...]]:
-    """The adaptive stratified sample for the alpha-quantile: one row of
-    ``acs_rows``, which raises its ``SamplingError``.  Returns the merged
-    sample, the pilot quantile, beta_tilde, the draw count, the
-    proportional-fallback flag and the floored strata."""
-    return _one_row(pair, config, stream, alpha)
-
-
-def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
-                 stream: RngStream) -> AcsResult:
-    """Adaptive stratified quantile: the stratified quantile of
-    ``acs_sample``."""
-    drawn = acs_sample(pair, config, alpha, stream)
-    estimate = cs_quantile(drawn[0], config.spec, alpha)
-    return _result(drawn, estimate, cs_cdf(drawn[0], config.spec, estimate)[1],
-                   drawn[1])
+    sample = StratifiedSample(*(np.split(a, cuts) for a in rows[:3]))
+    counts = sample.counts
+    return AcsResult(cs_quantile(sample, config.spec, alpha),
+                     rows.beta_tilde[0], counts, counts / counts.sum(),
+                     float(rows.y_tilde[0]), int(rows.draws[0]),
+                     bool(rows.fallback[0]), rows.floored[0], sample)
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +328,3 @@ def two_strata_acs_factor(alpha: float, F: float, rho_I: float
         )
     K = alpha * np.sqrt(b1) * np.sqrt(b2) + (1 - alpha) * np.sqrt(b3) * np.sqrt(b4)
     return float(K), float(K**2)
-
-
-def strong_control_rho(alpha: float, F: float, branch: str) -> float:
-    """Indicator correlation when the metamodel is a monotone map of Y.
-
-    branch "z_below": the metamodel alpha-quantile falls below the image of y;
-    branch "z_at_or_above": it falls at or above.
-    """
-    if not (0 < alpha < 1 and 0 < F < 1):
-        raise ValueError("alpha and F must lie in (0, 1)")
-    ratio = (alpha * (1 - F)) / ((1 - alpha) * F)
-    if branch == "z_below":
-        return float(np.sqrt(ratio))
-    if branch == "z_at_or_above":
-        return float(np.sqrt(1.0 / ratio))
-    raise ValueError(f"unknown branch {branch!r}")

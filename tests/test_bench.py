@@ -1,11 +1,15 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_inversions as ref
 from scipy.stats import norm
 
-from qvr import bench, estimators, importance, strata
+from qvr import bench, estimators, importance, sampling, strata
 from qvr.bench import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -19,7 +23,8 @@ from qvr.bench import (
 )
 from qvr.estimators import EstimatorError
 from qvr.model import identity1d, toy1d
-from qvr.sampling import RngStream, evaluate_full, sample_input, sample_strata
+from qvr.sampling import (AllocationPlan, RngStream, evaluate_full,
+                          sample_input, sample_strata, strata_from_cutpoints)
 
 
 def make_config(**over):
@@ -93,6 +98,14 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             ground_truth_quantile(identity1d(), 0.95, 10**5, RngStream(1))
 
+    def test_is_the_floor_alpha_n_plus_one_order_statistic(self):
+        # alpha N is an integer at 0.5; 1 - 1e-7 reaches the largest point.
+        pair, N = toy1d(), 10**6
+        y = np.sort(pair.eval_full(sample_input(pair.input, RngStream(3), N)))
+        for alpha in (0.5, 0.95, 0.9500005, 1 - 1e-7):
+            assert ground_truth_quantile(pair, alpha, N, RngStream(3)) == \
+                y[math.floor(alpha * N)], alpha
+
 
 class TestRunReplications:
     def test_summary_matches_estimates(self):
@@ -145,7 +158,8 @@ class TestRunReplications:
     def test_default_cs_plan_gives_every_stratum_a_point(self):
         # widths 0.5, 0.4, 0.05, 0.05: n = 7 rounds to [4, 3, 0, 0].
         config = make_config(estimator="cs", n=7, replications=30)
-        assert bench._prepare(config).plan.counts == (2, 3, 1, 1)
+        assert bench._prepare(config, config.build_pair()).plan.counts == \
+            (2, 3, 1, 1)
         rep = run_replications(config)
         assert len(rep.estimates) == 30 and not rep.errors
         payload = estimate_with_bootstrap(config, B=100)
@@ -237,6 +251,31 @@ class TestEmitReport:
             emit_report(rep, "yaml")
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps_or_reads(monkeypatch):
+    # perfbench/tracing.py wraps qvr functions by name and reads fields of
+    # their results; a name it cannot find fails here, not in the benchmark.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = [getattr(home, attr) for _, home, attr in tracing.FUNCTIONS]
+    pair = toy1d()
+    spec3 = strata_from_cutpoints(pair, [0.0, 0.85, 0.95, 1.0])
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        sampling.sample_strata(pair, spec3, AllocationPlan((5, 5, 5)),
+                               RngStream(1))
+        estimators.cv_cdf(estimators.draw_paired_sample(pair, RngStream(2),
+                                                        40), 3.8415, 0.95)
+        strata.acs_quantile(pair, strata.AcsConfig(spec=spec3, n=60),
+                            0.95, RngStream(3))
+    assert [getattr(home, attr) for _, home, attr in tracing.FUNCTIONS] == \
+        originals
+    assert {"sampling.sample_strata", "estimators.cv_cdf",
+            "strata.acs_quantile"} <= set(tracer.summary())
+
+
 class TestPresets:
     def test_known_presets_exist(self):
         for name in ("fig1", "table1", "table2", "fig2"):
@@ -256,10 +295,10 @@ class TestPresets:
 
 
 def reference_bootstrap(config, B, seen=None):
-    """``estimate_with_bootstrap`` as ``bootstrap_std`` over the one-sample
-    estimators: one closure per design, one resample at a time.  ``seen``,
-    when given, collects the design's fallback flags."""
-    prep = bench._prepare(config)
+    """``estimate_with_bootstrap`` as ``bootstrap_std`` over the inversions
+    of ``reference_inversions``: one closure per design, one resample at a
+    time.  ``seen``, when given, collects the design's fallback flags."""
+    prep = bench._prepare(config, config.build_pair())
     pair, est, alpha, n = prep.pair, config.estimator, config.alpha, config.n
     root = RngStream(config.seed)
     run_stream, boot_stream = root.child(0), root.child(1)
@@ -267,26 +306,19 @@ def reference_bootstrap(config, B, seen=None):
     extras = {}
 
     def pooled_quantile(ylist):
-        ys, ws = [], []
-        for j, yj in enumerate(ylist):
-            if len(yj):
-                ys.append(yj)
-                ws.append(np.full(len(yj), prep.spec.widths[j] / len(yj)))
-        cdf = estimators.weighted_cdf(np.concatenate(ys), np.concatenate(ws))
-        return estimators.quantile_from_weighted_cdf(cdf, alpha)
+        return ref.stratified_quantile(ylist, prep.spec.widths, alpha)
 
     if est == "ee":
         data = pair.eval_full(sample_input(pair.input, run_stream, n))
-        fn = lambda y: estimators.empirical_quantile(y, alpha)
+        fn = lambda y: ref.empirical_quantile(y, alpha)
     elif est == "cv":
         s = estimators.draw_paired_sample(pair, run_stream, n)
         data = (s.y, s.z)
 
         def fn(pick):
-            w, degenerate = estimators.cv_weights(pick[1], prep.z_alpha, alpha)
+            w, degenerate = ref.cv_weights(pick[1], prep.z_alpha, alpha)
             seen["uniform_fallbacks"] = seen.get("uniform_fallbacks", 0) + degenerate
-            cdf = estimators.weighted_cdf(pick[0], w)
-            return estimators.quantile_from_weighted_cdf(cdf, alpha)
+            return ref.weighted_quantile(pick[0], w, alpha)
     elif est == "ps":
         s = estimators.draw_paired_sample(pair, run_stream, n)
         data = (s.y, s.z)
@@ -312,17 +344,15 @@ def reference_bootstrap(config, B, seen=None):
         data = res.sample
         fn = pooled_quantile
     else:
-        res = importance.cis_quantile(pair, prep.cis_family, alpha, n,
-                                      run_stream, params=prep.cis_params,
-                                      mode=prep.cis_mode)
-        data = (res.sample.y, res.sample.w)
+        s = importance.draw_weighted_sample(pair, prep.cis_family,
+                                           prep.cis_params,
+                                           run_stream.child(1), n)
+        data = (s.y, s.w)
 
         def fn(pick):
             if prep.cis_mode == "tail":
-                return importance.tail_quantile(importance.WeightedSample(
-                    x=np.zeros((len(pick[0]), 1)), y=pick[0], w=pick[1]), alpha)
-            cdf = estimators.weighted_cdf(*pick)
-            return estimators.quantile_from_weighted_cdf(cdf, alpha)
+                return ref.tail_quantile(*pick, alpha)
+            return ref.weighted_quantile(*pick, alpha)
     scheme = bench.DESIGNS[est].scheme
     boot = bootstrap_std(data, fn, scheme, B, boot_stream)
     return {"estimator": est, "alpha": alpha, "n": n,
@@ -409,7 +439,7 @@ class TestBootstrapEquivalence:
         messages, full_samples = set(), 0
         for seed in range(12):
             config = make_config(estimator="ps", n=14, seed=seed)
-            prep = bench._prepare(config)
+            prep = bench._prepare(config, config.build_pair())
             s = estimators.draw_paired_sample(
                 prep.pair, RngStream(seed).child(0), config.n)
             full_samples += len(set(prep.spec.stratum_of(s.z))) == prep.spec.m

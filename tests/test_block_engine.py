@@ -1,12 +1,12 @@
 """The block replication engine against one-replication-at-a-time runs.
 
-``reference_estimate`` computes replication r with the one-sample public
-functions, the way each replication was run before replications were
-blocked; the engine must give the same bits, whatever block a replication
-falls in.  The cs and acs draws of the reference are this file's copies of
-the per-stream rejection sampler and adaptive pipeline
-(``reference_sample_strata``, ``reference_acs_sample``), which the
-row-wise sampler must reproduce bit for bit.
+``reference_estimate`` computes replication r one stream at a time, the
+way each replication was run before replications were blocked; the engine
+must give the same bits, whatever block a replication falls in.  The cs
+and acs draws of the reference are this file's copies of the per-stream
+rejection sampler and adaptive pipeline (``reference_sample_strata``,
+``reference_acs_sample``), which the row-wise sampler must reproduce bit
+for bit, and every inversion is a copy in ``reference_inversions``.
 """
 
 import sys
@@ -14,6 +14,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import reference_inversions as ref
 
 from qvr import bench, estimators, importance, strata
 from qvr.bench import ExperimentConfig, run_replications
@@ -99,18 +100,19 @@ def reference_sample_strata(pair, spec, plan, stream, max_draws=None,
         z=[np.concatenate(c) if c else np.empty(0) for c in zs]), draws
 
 
-def reference_acs_sample(pair, config, alpha, stream, tune_at=None):
+def reference_acs_sample(pair, config, alpha, stream):
     """One stream's adaptive sample: pilot, allocation tuned at the strict
-    pilot quantile (or at ``tune_at``), phase two; as ``acs_sample``
-    returns it."""
+    pilot quantile, phase two.  Returns the merged sample, the pilot
+    quantile, beta_tilde, the draw count, the proportional-fallback flag
+    and the floored strata."""
     spec = config.spec
     pilot = config.pilot_counts()
     first, d1 = reference_sample_strata(
         pair, spec, AllocationPlan(tuple(int(c) for c in pilot)),
         stream.child(0))
     first = evaluate_full(pair, first)
-    y_tilde = (strata.cs_quantile(first, spec, alpha, strict=True)
-               if tune_at is None else tune_at)
+    y_tilde = ref.stratified_quantile(first.y, spec.widths, alpha,
+                                      strict=True)
     p = strata.conditional_probs(first, spec, y_tilde)
     try:
         beta, fallback = strata.optimal_allocation(p, spec), False
@@ -136,10 +138,11 @@ def reference_estimate(config, prep, r):
     est = config.estimator
     if est == "ee":
         x = sample_input(pair.input, stream, n)
-        return estimators.empirical_quantile(pair.eval_full(x), alpha)
+        return ref.empirical_quantile(pair.eval_full(x), alpha)
     if est == "cv":
         s = estimators.draw_paired_sample(pair, stream, n)
-        return estimators.cv_quantile(s, prep.z_alpha, alpha)
+        w, _ = ref.cv_weights(s.z, prep.z_alpha, alpha)
+        return ref.weighted_quantile(s.y, w, alpha)
     if est == "ps":
         s = estimators.draw_paired_sample(pair, stream, n)
         strat = prep.spec.stratum_of(s.z)
@@ -147,20 +150,19 @@ def reference_estimate(config, prep, r):
         for j, yj in enumerate(ys):
             if len(yj) == 0:
                 raise estimators.EstimatorError(f"stratum {j} is empty")
-        ws = [np.full(len(yj), prep.spec.widths[j] / len(yj))
-              for j, yj in enumerate(ys)]
-        cdf = estimators.weighted_cdf(np.concatenate(ys), np.concatenate(ws))
-        return estimators.quantile_from_weighted_cdf(cdf, alpha)
+        return ref.stratified_quantile(ys, prep.spec.widths, alpha)
     if est == "cs":
         sample, _ = reference_sample_strata(pair, prep.spec, prep.plan, stream)
-        return strata.cs_quantile(evaluate_full(pair, sample), prep.spec,
-                                  alpha)
+        return ref.stratified_quantile(evaluate_full(pair, sample).y,
+                                       prep.spec.widths, alpha)
     if est == "acs":
         merged = reference_acs_sample(pair, prep.acs_config, alpha, stream)[0]
-        return strata.cs_quantile(merged, prep.spec, alpha)
-    return importance.cis_quantile(pair, prep.cis_family, alpha, n, stream,
-                                   params=prep.cis_params,
-                                   mode=prep.cis_mode).estimate
+        return ref.stratified_quantile(merged.y, prep.spec.widths, alpha)
+    s = importance.draw_weighted_sample(pair, prep.cis_family, prep.cis_params,
+                                        stream.child(1), n)
+    if prep.cis_mode == "tail":
+        return ref.tail_quantile(s.y, s.w, alpha)
+    return ref.weighted_quantile(s.y, s.w, alpha)
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))
@@ -171,7 +173,7 @@ def test_estimates_do_not_depend_on_their_block(label):
     assert len(long.estimates) == SPANNING
     assert short.estimates.tolist() == long.estimates[:5].tolist()
     config = make(label, SPANNING)
-    prep = bench._prepare(config)
+    prep = bench._prepare(config, config.build_pair())
     for r in (0, BLOCK - 1, BLOCK, SPANNING - 1):
         assert long.estimates[r] == reference_estimate(config, prep, r), r
 
@@ -186,7 +188,7 @@ def test_weighted_inversions_match_reference(alpha, n):
                                             "mode": "self_normalized"}})):
         config = make(label, 12, alpha=alpha, n=n, **over)
         report = run_replications(config)
-        prep = bench._prepare(config)
+        prep = bench._prepare(config, config.build_pair())
         expected = [reference_estimate(config, prep, r) for r in range(12)]
         assert report.estimates.tolist() == expected, label
 
@@ -194,7 +196,7 @@ def test_weighted_inversions_match_reference(alpha, n):
 def test_ps_empty_strata_recorded_per_replication():
     config = make("ps", 60, n=20)
     report = run_replications(config)
-    prep = bench._prepare(config)
+    prep = bench._prepare(config, config.build_pair())
     expected_errors, expected = [], []
     for r in range(60):
         try:
@@ -359,14 +361,14 @@ def test_rows_that_reach_max_draws_fail_alone():
         sample_strata_rows(pair, spec, plans, streams, 19)
 
 
-def assert_acs_matches_reference(pair, config, alpha, streams, tune_at=None):
-    rows = strata.acs_rows(pair, config, streams, alpha, tune_at)
+def assert_acs_matches_reference(pair, config, alpha, streams):
+    rows = strata.acs_rows(pair, config, streams, alpha)
     i = at = 0
     outcome = {"ok": 0, "failed": 0, "fallback": 0, "floored": 0}
     for r, stream in enumerate(streams):
         try:
             merged, y_tilde, beta, draws, fallback, floored = (
-                reference_acs_sample(pair, config, alpha, stream, tune_at))
+                reference_acs_sample(pair, config, alpha, stream))
         except SamplingError as e:
             assert str(rows.errors[r]) == str(e), r
             outcome["failed"] += 1
@@ -402,10 +404,6 @@ def test_acs_rows_match_per_stream_pipeline():
     config = strata.AcsConfig(spec=spec, n=40, pilot_per_stratum=5)
     out = assert_acs_matches_reference(pair, config, 0.95, streams)
     assert 0 < out["fallback"] < out["ok"] == 40
-    # Tuned at a fixed y, as acs_cdf tunes.
-    out = assert_acs_matches_reference(pair, config, None, streams,
-                                       tune_at=3.66)
-    assert out["ok"] == 40
     # f = f_r: the pilot mass below the cutpoint is exactly alpha, where
     # the strict inverse and the generalized inverse differ.
     pair = BUILTIN_MODELS["identity1d"]()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_inversions as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +16,11 @@ from qvr.estimators import (
     empirical_quantile,
     indicator_correlation,
     ps_cdf,
-    ps_variance_estimate,
     quantile_from_weighted_cdf,
     weighted_cdf,
 )
+from qvr.importance import WeightedSample, tail_quantile
+from qvr.strata import ConditionalProbs, ps_form_variance
 from qvr.model import identity1d, toy1d
 from qvr.sampling import RngStream, StrataSpec, strata_from_cutpoints
 
@@ -101,6 +103,41 @@ class TestQuantileInversion:
         assert out[0] >= 0 and out[-1] == pytest.approx(1.0)
         q = quantile_from_weighted_cdf(cdf, alpha)
         assert min(values) <= q <= max(values)
+
+
+class TestOneSampleFunctionsMatchReference:
+    """The one-sample functions, one-row calls of the row inversions,
+    against ``reference_inversions``: samples with ties, integer and
+    exponential weights, levels from 0.01 to 0.99, exact-mass hits."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            y = rng.standard_normal(n)
+            if rng.random() < 0.5:  # ties
+                y = np.round(y, 1)
+            w = (rng.integers(1, 4, n).astype(float) if rng.random() < 0.5
+                 else rng.exponential(size=n))
+            alpha, pick = rng.uniform(0.01, 0.99), rng.random()
+            if n > 1 and pick < 0.2:  # alpha n an integer
+                alpha = rng.integers(1, n) / n
+            elif n > 1 and pick < 0.4:  # a cumulative weight hits alpha
+                cum = np.cumsum(w[np.argsort(y, kind="stable")])
+                alpha = cum[rng.integers(0, n - 1)] / w.sum()
+            for strict in (False, True):
+                got = quantile_from_weighted_cdf(weighted_cdf(y, w), alpha,
+                                                 strict)
+                assert got == ref.weighted_quantile(y, w, alpha, strict)
+            assert empirical_quantile(y, alpha) == \
+                ref.empirical_quantile(y, alpha)
+            assert tail_quantile(WeightedSample(np.zeros((n, 1)), y, w),
+                                 alpha) == ref.tail_quantile(y, w, alpha)
+            z_alpha = float(rng.choice(y)) if rng.random() < 0.8 else 9.0
+            got_w, got_flag = cv_weights(y, z_alpha, alpha)
+            want_w, want_flag = ref.cv_weights(y, z_alpha, alpha)
+            assert np.array_equal(got_w, want_w) and got_flag == want_flag
 
 
 class TestCvWeights:
@@ -245,14 +282,20 @@ class TestPostStratification:
             ps_cdf(s, spec, 0.0)
 
 
+def _ps_variance(p_hat, spec, n):
+    """Leading-order variance of the PS cdf estimate at sample size n."""
+    p = ConditionalProbs(p_hat=p_hat, counts=np.zeros(len(p_hat)))
+    return ps_form_variance(p, spec) / n
+
+
 class TestPsVariance:
     def test_zero_probs(self):
         spec = StrataSpec((0.0, 0.5, 1.0), (-np.inf, 0.0, np.inf))
-        assert ps_variance_estimate([0.0, 0.0], spec, 100) == 0.0
+        assert _ps_variance([0.0, 0.0], spec, 100) == 0.0
 
     def test_single_stratum_binomial(self):
         spec = StrataSpec((0.0, 1.0), (-np.inf, np.inf))
-        assert ps_variance_estimate([0.5], spec, 100) == pytest.approx(0.0025)
+        assert _ps_variance([0.5], spec, 100) == pytest.approx(0.0025)
 
     def test_matches_replication_variance(self):
         pair = toy1d()
@@ -266,13 +309,13 @@ class TestPsVariance:
         big = draw_paired_sample(pair, RngStream(54), 10**6)
         strat = spec.stratum_of(big.z)
         p = [float((big.y[strat == j] <= y0).mean()) for j in range(2)]
-        formula = ps_variance_estimate(p, spec, n)
+        formula = _ps_variance(p, spec, n)
         assert vals.var(ddof=1) == pytest.approx(formula, rel=0.10)
 
     def test_range_check(self):
         spec = StrataSpec((0.0, 1.0), (-np.inf, np.inf))
         with pytest.raises(ValueError):
-            ps_variance_estimate([1.5], spec, 10)
+            _ps_variance([1.5], spec, 10)
 
 
 class TestReplicationMeans:

@@ -318,6 +318,20 @@ class TestCisPipeline:
         assert np.mean(vals) == pytest.approx(2.75, abs=0.1)
         assert np.std(vals, ddof=1) < 0.3
 
+    def test_unknown_mode_rejected_before_the_draw(self):
+        base, points = toy2d(), []
+
+        def f(x):
+            points.append(len(x))
+            return base.f(x)
+
+        pair = ModelPair(f=f, f_r=base.f_r, input=base.input)
+        params = BiasedParams(lam=[1.0, 1.0], C=np.eye(2))
+        with pytest.raises(ValueError, match="unknown mode 'raw'"):
+            cis_quantile(pair, BiasedFamily("joint_gaussian"), 0.95, 200,
+                         RngStream(28), params=params, mode="raw")
+        assert points == []
+
     def test_moment_selection_mode(self):
         pair = toy2d()
         fam = BiasedFamily("joint_gaussian")
@@ -430,9 +444,9 @@ class TestChiSquareFit:
     def test_gate_fit_bit_identical_to_lapack_reference(self, seed):
         # The fits behind the cis byte gates: `qvr estimate` on toy2d at
         # seeds 0-4, with _prepare's fit stream and metamodel quantile.
-        prep = _prepare(ExperimentConfig(model="toy2d", estimator="cis",
-                                         alpha=0.95, n=2000, replications=1,
-                                         seed=seed))
+        config = ExperimentConfig(model="toy2d", estimator="cis", alpha=0.95,
+                                  n=2000, replications=1, seed=seed)
+        prep = _prepare(config, config.build_pair())
         lam, C = _ref_variance_optimal(
             prep.pair, prep.z_alpha, 200_000,
             RngStream(seed, (2**32, 2)).child(0), "upper")

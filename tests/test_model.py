@@ -12,7 +12,6 @@ from qvr.model import (
     ModelError,
     Normal,
     builtin_model,
-    evaluate_pair,
     identity1d,
     standard_normal_input,
     toy1d,
@@ -120,21 +119,27 @@ class TestInputDistribution:
             d.density(np.array([1.0, 2.0, 3.0]))
 
 
+def _z_and_y(pair, x):
+    """(f_r(x), f(x)) at a single d-dimensional point."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return float(pair.eval_metamodel(x)[0]), float(pair.eval_full(x)[0])
+
+
 class TestBuiltinModels:
     def test_toy1d_origin(self):
-        assert evaluate_pair(toy1d(), [0.0]) == (0.0, 0.0)
+        assert _z_and_y(toy1d(), [0.0]) == (0.0, 0.0)
 
     def test_toy1d_at_one(self):
-        z, y = evaluate_pair(toy1d(), [1.0])
+        z, y = _z_and_y(toy1d(), [1.0])
         assert z == 1.0
         expect = 0.95 * (1 + 0.5 * math.cos(10.0) + 0.5 * math.cos(20.0))
         assert y == pytest.approx(expect, rel=1e-14)
 
     def test_toy2d_origin(self):
-        assert evaluate_pair(toy2d(), [0.0, 0.0]) == (0.0, 0.0)
+        assert _z_and_y(toy2d(), [0.0, 0.0]) == (0.0, 0.0)
 
     def test_identity(self):
-        z, y = evaluate_pair(identity1d(), [0.37])
+        z, y = _z_and_y(identity1d(), [0.37])
         assert z == 0.37 and y == 0.37
 
     def test_unknown_builtin(self):

@@ -15,7 +15,6 @@ from qvr.strata import (
     AcsConfig,
     ConditionalProbs,
     StrataError,
-    acs_cdf,
     acs_quantile,
     cs_cdf,
     cs_quantile,
@@ -26,7 +25,6 @@ from qvr.strata import (
     optimal_allocation,
     phase_two_counts,
     ps_form_variance,
-    strong_control_rho,
     two_strata_acs_factor,
 )
 
@@ -287,16 +285,6 @@ def _perfect_pair():
 
 
 class TestAcs:
-    def test_perfect_control_cdf(self):
-        pair = _perfect_pair()
-        spec = strata_from_cutpoints(pair, [0.0, 0.5, 1.0])
-        config = AcsConfig(spec=spec, n=400, pilot_per_stratum=40)
-        res = acs_cdf(pair, config, 0.0, RngStream(70))
-        # y = 0 is the boundary between strata: P_1 = 1, P_2 = 0 exactly
-        assert res.estimate == pytest.approx(0.5)
-        assert np.allclose(res.conditional.p_hat, [1.0, 0.0])
-        assert res.proportional_fallback  # pilot sees zero variance everywhere
-
     def test_budget_and_fractions(self):
         pair = toy1d()
         spec = strata_from_cutpoints(pair, [0.0, 0.85, 0.95, 1.0])
@@ -327,7 +315,7 @@ class TestAcs:
         spec = strata_from_cutpoints(pair, [0.0, 0.5, 1.0], precision="mc",
                                      sample_count=10**5, stream=RngStream(73))
         config = AcsConfig(spec=spec, n=2000, pilot_per_stratum=500)
-        res = acs_cdf(pair, config, 0.0, RngStream(74))
+        res = acs_quantile(pair, config, 0.95, RngStream(74))
         # P_j(y) identical across strata: beta_tilde near widths
         assert np.allclose(res.beta_tilde, spec.widths, atol=0.05)
 
@@ -352,7 +340,8 @@ class TestAcs:
         for pilot in (100, 1000, 10000):
             config = AcsConfig(spec=spec, n=3 * pilot + 300,
                                pilot_per_stratum=pilot)
-            res = acs_cdf(pair, config, 3.66, RngStream(77, (pilot,)))
+            # Tuned at the pilot 0.95-quantile, which tends to 3.66.
+            res = acs_quantile(pair, config, 0.95, RngStream(77, (pilot,)))
             errs.append(np.abs(res.beta_tilde - beta_ref).max())
         assert errs[2] < errs[0]
 
@@ -370,6 +359,18 @@ class TestAcs:
         truth = (pair.eval_full(x) <= y0).mean()
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - truth) < 3 * se + 1e-3
+
+
+def strong_control_rho(alpha, F, branch):
+    """Indicator correlation of 1{Y <= y} and 1{Z <= z_alpha} when the
+    metamodel is a monotone map of Y, with F = F(y): the closed form behind
+    ``TestTwoStrataFactor.test_matches_simulation``.
+
+    branch "z_below": the metamodel alpha-quantile falls below the image of y;
+    branch "z_at_or_above": it falls at or above.
+    """
+    ratio = (alpha * (1 - F)) / ((1 - alpha) * F)
+    return float(np.sqrt(ratio if branch == "z_below" else 1.0 / ratio))
 
 
 class TestTwoStrataFactor:

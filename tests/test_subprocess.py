@@ -269,3 +269,52 @@ def test_silent_child_fails_within_timeout(tmp_path, code):
     assert kind == "ModelError"
     assert elapsed < 1.0 + 1.0
     assert reaped == "True"
+
+
+TOY1D_SIM = Path(__file__).resolve().parents[1] / "tools" / "toy1d_sim.py"
+
+EXTERNAL_CALLS = textwrap.dedent("""
+    import sys
+    from qvr.bench import (ExperimentConfig, estimate_with_bootstrap,
+                           run_replications)
+    cmd = f'"{sys.executable}" "{sys.argv[1]}"'
+    config = ExperimentConfig.from_dict({
+        "model": {"command": cmd + " f", "metamodel_command": cmd + " fr",
+                  "input": [{"family": "normal", "mean": 0.0,
+                             "stddev": 1.0}]},
+        "estimator": "ee", "alpha": 0.95, "n": 50, "replications": 3,
+        "seed": 0})
+    run_replications(config)
+    estimate_with_bootstrap(config, B=100)
+""")
+
+
+def test_external_model_calls_close_their_simulators(tmp_path, monkeypatch):
+    models, procs = [], []
+
+    class Tracked(SubprocessModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+        def _ensure_proc(self):
+            procs.append(super()._ensure_proc())
+            return procs[-1]
+
+    monkeypatch.setattr(qvr.model, "SubprocessModel", Tracked)
+    script = tmp_path / "calls.py"
+    script.write_text(EXTERNAL_CALLS)
+    monkeypatch.setattr(sys, "argv", [str(script), str(TOY1D_SIM)])
+    exec(compile(EXTERNAL_CALLS, str(script), "exec"), {})
+    assert len(models) == 4 and procs  # f and f_r, twice; ee calls no f_r
+    assert all(m._proc is None for m in models)
+    assert all(p.returncode is not None for p in procs)
+    # No simulator outlives its call, so no pipe or child is left for the
+    # interpreter to warn about at exit.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qvr.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", str(script),
+         str(TOY1D_SIM)], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr, done.stderr
