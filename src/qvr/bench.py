@@ -2,12 +2,12 @@
 
 Turns the estimator modules into reproducible experiments: a JSON-validated
 config selects a model and an estimator, replications run on per-replication
-random streams (deterministic for a fixed master seed regardless of worker
-count), and reports serialize byte-stably to JSON or CSV.  Both the
-replications and the bootstrap run each estimator's draw and inversion from
-``qvr.designs``: a block of replications inverts its draw one row per
-replication, and the bootstrap draws replication 0 and inverts it and its
-resamples.
+random streams (deterministic for a fixed master seed regardless of how
+they are grouped into blocks), and reports serialize byte-stably to JSON or
+CSV.  Both the replications and the bootstrap run each estimator's draw and
+inversion from ``qvr.designs``: a block of replications inverts its draw one
+row per replication, and the bootstrap draws replication 0 and inverts it
+and its resamples.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import contextlib
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import jsonschema
 import numpy as np
@@ -98,7 +96,6 @@ CONFIG_SCHEMA = {
         "n": {"type": "integer", "minimum": 2},
         "replications": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
-        "workers": {"type": "integer", "minimum": 1},
         "params": {
             "type": "object",
             "properties": {
@@ -118,7 +115,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
         },
         "output": {"type": "string"},
-        "format": {"enum": ["csv", "json"]},
     },
     "required": ["model", "estimator", "alpha", "n", "replications", "seed"],
     "additionalProperties": False,
@@ -139,10 +135,8 @@ class ExperimentConfig:
     n: int
     replications: int
     seed: int
-    workers: int = 1
     params: dict = field(default_factory=dict)
     output: str | None = None
-    format: str = "json"
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -157,10 +151,8 @@ class ExperimentConfig:
             n=raw["n"],
             replications=raw["replications"],
             seed=raw["seed"],
-            workers=raw.get("workers", 1),
             params=raw.get("params", {}),
             output=raw.get("output"),
-            format=raw.get("format", "json"),
         )
 
     def build_pair(self) -> ModelPair:
@@ -255,17 +247,24 @@ class _Prepared:
 
 
 @contextlib.contextmanager
-def _prepared(config: ExperimentConfig):
-    """``_prepare`` on the model pair of ``config``; on exit, whether the
-    preparation or the run failed or not, closes each of the pair's
-    evaluators that has a ``close`` (the simulators of an external model)."""
+def _open_pair(config: ExperimentConfig):
+    """The model pair of ``config``; on exit, whether its use failed or not,
+    closes each of the pair's evaluators that has a ``close`` (the
+    simulators of an external model)."""
     pair = config.build_pair()
     try:
-        yield _prepare(config, pair)
+        yield pair
     finally:
         for evaluator in (pair.f, pair.f_r):
             if hasattr(evaluator, "close"):
                 evaluator.close()
+
+
+@contextlib.contextmanager
+def _prepared(config: ExperimentConfig):
+    """``_prepare`` on the pair of ``_open_pair(config)``."""
+    with _open_pair(config) as pair:
+        yield _prepare(config, pair)
 
 
 def _prepare(config: ExperimentConfig, pair: ModelPair) -> _Prepared:
@@ -382,23 +381,17 @@ def _std(a: np.ndarray) -> np.ndarray:
 def run_replications(config: ExperimentConfig) -> ReplicationReport:
     """R independent replications, each on the stream path [replication_id].
 
-    Replications run in blocks (see ``_run_block``); with ``workers`` > 1
-    the blocks are spread over a thread pool.  A replication that fails with
-    one of ``NON_CONVERGENCE_ERRORS`` is recorded, not fatal, unless every
-    replication fails; any other error, such as a ``ModelError`` from a
-    dead simulator, propagates.
+    Replications run in blocks, one after another (see ``_run_block``).  A
+    replication that fails with one of ``NON_CONVERGENCE_ERRORS`` is
+    recorded, not fatal, unless every replication fails; any other error,
+    such as a ``ModelError`` from a dead simulator, propagates.
     """
     root = RngStream(config.seed)
     size = max(1, BLOCK_POINTS // config.n)
     blocks = [range(start, min(start + size, config.replications))
               for start in range(0, config.replications, size)]
     with _prepared(config) as prep:
-        work = partial(_run_block, config, prep, root)
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                outcomes = list(pool.map(work, blocks))
-        else:
-            outcomes = [work(rs) for rs in blocks]
+        outcomes = [_run_block(config, prep, root, rs) for rs in blocks]
     ok = [res for results, _ in outcomes for res in results]
     errors = sorted(e for _, errs in outcomes for e in errs)
     if not ok:
@@ -492,6 +485,8 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     weights sum in another order (see ``qvr.estimators``).  The first
     resample (or else the run) that defeats its estimator raises its error.
     """
+    if B < 100:
+        raise ValueError("bootstrap needs at least 100 resamples")
     design = DESIGNS[config.estimator]
     root = RngStream(config.seed)
     with _prepared(config) as prep:  # the inversions call no model
@@ -499,8 +494,6 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     if isinstance(run, Exception):
         raise run
     sizes, extras = run
-    if B < 100:
-        raise ValueError("bootstrap needs at least 100 resamples")
     # y is sorted once; a resample then sorts its records' ranks, small ints.
     order = np.argsort(y, kind="stable")
     rank = np.argsort(order).astype(np.int32)
@@ -573,14 +566,14 @@ _TOY1D_CUTS = [0.0, 0.5, 0.9, 0.95, 1.0]
 _ACS3_CUTS = [0.0, 0.85, 0.95, 1.0]
 
 
-def preset_configs(name: str, replications: int | None = None, seed: int = 0,
-                   workers: int = 1) -> dict[str, ExperimentConfig]:
+def preset_configs(name: str, replications: int | None = None,
+                   seed: int = 0) -> dict[str, ExperimentConfig]:
     """Named experiment suites replicating the published toy benchmarks."""
 
     def cfg(model, est, n, reps, **params):
         return ExperimentConfig(model=model, estimator=est, alpha=0.95, n=n,
                                 replications=replications or reps, seed=seed,
-                                workers=workers, params=params)
+                                params=params)
 
     if name == "fig1":
         return {
@@ -614,8 +607,7 @@ def preset_configs(name: str, replications: int | None = None, seed: int = 0,
     raise ConfigError(f"unknown preset {name!r}")
 
 
-def run_preset(name: str, replications: int | None = None, seed: int = 0,
-               workers: int = 1) -> dict[str, ReplicationReport]:
+def run_preset(name: str, replications: int | None = None,
+               seed: int = 0) -> dict[str, ReplicationReport]:
     return {label: run_replications(c)
-            for label, c in preset_configs(name, replications, seed,
-                                           workers).items()}
+            for label, c in preset_configs(name, replications, seed).items()}

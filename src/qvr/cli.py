@@ -103,15 +103,13 @@ def estimate(config_path, resamples):
 @click.option("--reps", type=int, default=None,
               help="Override the preset replication count.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="json", show_default=True)
-def bench_cmd(preset, reps, seed, workers, out_path, fmt):
+def bench_cmd(preset, reps, seed, out_path, fmt):
     """Run a benchmark preset and emit the replication report."""
     try:
-        reports = bench.run_preset(preset, replications=reps, seed=seed,
-                                   workers=workers)
+        reports = bench.run_preset(preset, replications=reps, seed=seed)
     except bench.NON_CONVERGENCE_ERRORS as e:
         _fail(EXIT_NON_CONVERGENCE, str(e))
     except ModelError as e:
@@ -133,45 +131,48 @@ def diag(topic, config_path, samples):
     diagnostics for the configured strata."""
     config = _load_config(config_path)
     try:
-        pair = config.build_pair()
-        spec = bench._spec_for(pair, config)
-        # beta_star does not depend on the allocation
-        plan = bench._cs_plan(spec, config) if topic != "allocation" else None
-        stream = RngStream(config.seed, (2**32, 9))
-        s = estimators.draw_paired_sample(pair, stream, samples)
-        y_alpha = estimators.empirical_quantile(s.y, config.alpha)
-        by = [spec.stratum_of(s.z) == j for j in range(spec.m)]
-        p = strata.conditional_probs(StratifiedSample(
-            x=[s.x[b] for b in by], z=[s.z[b] for b in by],
-            y=[s.y[b] for b in by]), spec, y_alpha)
-        payload: dict = {
-            "model": config.model, "alpha": config.alpha, "n": config.n,
-            "cutpoints": [float(c) for c in spec.cutpoints],
-            "p_hat": [float(v) for v in p.p_hat],
-        }
-        if topic == "variance":
-            z_alpha = bench._z_alpha_for(pair, config)
-            rho_i = estimators.indicator_correlation(s, y_alpha, z_alpha)
-            F = float((s.y <= y_alpha).mean())
-            payload.update({
-                "sigma2_ps": strata.ps_form_variance(p, spec) / config.n,
-                "sigma2_cs": strata.cs_variance(p, spec, plan),
-                "sigma2_ocs": strata.ocs_variance(p, spec) / config.n,
-                "rho_indicator": rho_i,
-            })
-            try:
-                K, ratio = strata.two_strata_acs_factor(config.alpha, F, rho_i)
-                payload.update({"two_strata_K": K, "two_strata_ratio": ratio})
-            except strata.StrataError as e:
-                payload["two_strata_K_error"] = str(e)
-        elif topic == "allocation":
-            beta = strata.optimal_allocation(p, spec)
-            payload["beta_star"] = [float(b) for b in beta]
-        else:
-            expected, bound = expected_rejection_cost(spec, plan)
-            payload.update({"expected_draws_naive": expected,
-                            "uniform_bound": bound,
-                            "allocation": list(plan.counts)})
+        with bench._open_pair(config) as pair:
+            spec = bench._spec_for(pair, config)
+            # beta_star does not depend on the allocation
+            plan = (bench._cs_plan(spec, config) if topic != "allocation"
+                    else None)
+            stream = RngStream(config.seed, (2**32, 9))
+            s = estimators.draw_paired_sample(pair, stream, samples)
+            y_alpha = estimators.empirical_quantile(s.y, config.alpha)
+            by = [spec.stratum_of(s.z) == j for j in range(spec.m)]
+            p = strata.conditional_probs(StratifiedSample(
+                x=[s.x[b] for b in by], z=[s.z[b] for b in by],
+                y=[s.y[b] for b in by]), spec, y_alpha)
+            payload: dict = {
+                "model": config.model, "alpha": config.alpha, "n": config.n,
+                "cutpoints": [float(c) for c in spec.cutpoints],
+                "p_hat": [float(v) for v in p.p_hat],
+            }
+            if topic == "variance":
+                z_alpha = bench._z_alpha_for(pair, config)
+                rho_i = estimators.indicator_correlation(s, y_alpha, z_alpha)
+                F = float((s.y <= y_alpha).mean())
+                payload.update({
+                    "sigma2_ps": strata.ps_form_variance(p, spec) / config.n,
+                    "sigma2_cs": strata.cs_variance(p, spec, plan),
+                    "sigma2_ocs": strata.ocs_variance(p, spec) / config.n,
+                    "rho_indicator": rho_i,
+                })
+                try:
+                    K, ratio = strata.two_strata_acs_factor(config.alpha, F,
+                                                            rho_i)
+                    payload.update({"two_strata_K": K,
+                                    "two_strata_ratio": ratio})
+                except strata.StrataError as e:
+                    payload["two_strata_K_error"] = str(e)
+            elif topic == "allocation":
+                beta = strata.optimal_allocation(p, spec)
+                payload["beta_star"] = [float(b) for b in beta]
+            else:
+                expected, bound = expected_rejection_cost(spec, plan)
+                payload.update({"expected_draws_naive": expected,
+                                "uniform_bound": bound,
+                                "allocation": list(plan.counts)})
     except ModelError as e:
         _fail(EXIT_MODEL, str(e))
     except (ConfigError, ValueError, SamplingError) as e:

@@ -55,10 +55,10 @@ class Checks:
                 pytrace=False)
 
 
-def preset_report(name, reps, seed=0, workers=4):
+def preset_report(name, reps, seed=0):
     return {label: run_replications(cfg)
             for label, cfg in bench.preset_configs(
-                name, replications=reps, seed=seed, workers=workers).items()}
+                name, replications=reps, seed=seed).items()}
 
 
 def test_criterion_01_ground_truth():
@@ -307,15 +307,22 @@ def test_criterion_08_statistical_soundness():
     c.finish()
 
 
-def test_criterion_09_worker_determinism():
+def test_criterion_09_block_determinism():
+    # Replication r depends only on (seed, r): 5 replications run as one
+    # block give the bits of the first 5 of 100, which run in a first block
+    # of 81 (n = 200) or 8 (table1, n = 2000).
     c = Checks(9)
     for name in ("fig1", "table1", "table2", "fig2"):
-        texts = []
-        for workers in (1, 3):
-            rep = preset_report(name, reps=8, seed=5, workers=workers)
-            texts.append(emit_report(rep, "json"))
-        c.expect(texts[0] == texts[1], f"preset {name} byte-identical",
-                 "worker counts 1 and 3 differ")
+        short = preset_report(name, reps=5, seed=5)
+        long = preset_report(name, reps=100, seed=5)
+        for label, rep in short.items():
+            c.expect(rep.estimates.tolist()
+                     == long[label].estimates[:5].tolist(),
+                     f"preset {name} {label} prefix",
+                     "5 replications differ from the first 5 of 100")
+        again = preset_report(name, reps=5, seed=5)
+        c.expect(emit_report(short, "json") == emit_report(again, "json"),
+                 f"preset {name} byte-identical", "two runs differ")
     c.finish()
 
 

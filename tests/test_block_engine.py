@@ -9,15 +9,18 @@ rejection sampler and adaptive pipeline (``reference_sample_strata``,
 for bit, and every inversion is a copy in ``reference_inversions``.
 """
 
+import json
 import sys
 import textwrap
 
 import numpy as np
 import pytest
 import reference_inversions as ref
+from click.testing import CliRunner
 
 from qvr import bench, estimators, importance, strata
 from qvr.bench import ExperimentConfig, run_replications
+from qvr.cli import main as cli_main
 from qvr.model import BUILTIN_MODELS, ModelError, ModelPair, toy1d
 from qvr.sampling import (
     AllocationPlan,
@@ -245,6 +248,25 @@ def test_model_error_ends_the_run(label, monkeypatch):
         model, {"f": 0}, fail_after=N * (BLOCK + 1)))
     with pytest.raises(ModelError):
         run_replications(make(label, 2 * BLOCK))
+
+
+@pytest.mark.parametrize("label", list(CONFIGS))
+def test_too_few_resamples_refused_before_the_draw(label, monkeypatch,
+                                                   tmp_path):
+    counts = {"f": 0}
+    model = CONFIGS[label]["model"]
+    monkeypatch.setitem(BUILTIN_MODELS, model,
+                        _counting_factory(model, counts))
+    message = "bootstrap needs at least 100 resamples"
+    with pytest.raises(ValueError, match=message):
+        bench.estimate_with_bootstrap(make(label, 1), B=99)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(alpha=0.95, n=N, replications=1,
+                                    seed=21, **CONFIGS[label])))
+    res = CliRunner().invoke(cli_main, ["estimate", "--config", str(path),
+                                        "--bootstrap", "99"])
+    assert res.exit_code == 2 and message in res.output
+    assert counts["f"] == 0
 
 
 def test_sample_strata_does_not_depend_on_batch_size_in_one_dimension():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,10 +6,11 @@ from click.testing import CliRunner
 from scipy.stats import norm
 
 from qvr import bench
+from qvr.bench import ExperimentConfig
 from qvr.cli import main
 from qvr.estimators import EstimatorError
 from qvr.importance import ImportanceError
-from qvr.model import ModelError
+from qvr.model import ModelError, toy1d
 from qvr.sampling import SamplingError
 from qvr.strata import StrataError
 
@@ -161,14 +163,10 @@ class TestBench:
         assert res.exit_code == code
         assert str(error) in res.output
 
-    def test_worker_invariance(self, runner, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for out, workers in ((a, "1"), (b, "3")):
-            res = runner.invoke(main, ["bench", "--preset", "table2",
-                                       "--reps", "15", "--workers", workers,
-                                       "--out", str(out)])
-            assert res.exit_code == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_workers_option_rejected(self, runner):
+        res = runner.invoke(main, ["bench", "--preset", "table2",
+                                   "--reps", "2", "--workers", "3"])
+        assert res.exit_code == 2
 
 
 class TestDiag:
@@ -239,6 +237,31 @@ class TestDiag:
         assert res.exit_code == code
         if code:
             assert "4 strata" in res.output
+
+    @pytest.mark.parametrize("allocation, code", [
+        ([50, 50, 50, 50], 0), ([100, 0, 50, 50], 3), ([10, 10, 10, 10], 2)])
+    def test_closes_the_model_pair(self, runner, tmp_path, monkeypatch,
+                                   allocation, code):
+        class Closing:
+            def __init__(self, fn):
+                self.fn, self.closed = fn, 0
+
+            def __call__(self, x):
+                return self.fn(x)
+
+            def close(self):
+                self.closed += 1
+
+        base = toy1d()
+        pair = dataclasses.replace(base, f=Closing(base.f),
+                                   f_r=Closing(base.f_r))
+        monkeypatch.setattr(ExperimentConfig, "build_pair", lambda _: pair)
+        cfg = write_config(tmp_path, estimator="cs",
+                           params={"allocation": allocation})
+        res = runner.invoke(main, ["diag", "variance", "--config", cfg,
+                                   "--samples", "20000"])
+        assert res.exit_code == code
+        assert pair.f.closed == pair.f_r.closed == 1
 
     def test_bad_topic(self, runner, tmp_path):
         cfg = write_config(tmp_path)
