@@ -8,19 +8,11 @@ estimator against the metamodel-assisted ones over many replications.
 Run:  python demos/01_variance_reduction_tour.py
 """
 
-import numpy as np
-
 from qvr import (
-    AllocationPlan,
+    ExperimentConfig,
     RngStream,
-    cs_quantile,
-    cv_quantile,
-    draw_paired_sample,
-    empirical_quantile,
-    evaluate_full,
     ground_truth_quantile,
-    sample_strata,
-    strata_from_cutpoints,
+    run_replications,
     toy1d,
 )
 
@@ -33,23 +25,23 @@ pair = toy1d()
 truth = ground_truth_quantile(pair, ALPHA, 10**7, RngStream(0))
 print(f"ground truth y_{ALPHA}: {truth:.4f}  (10^7-sample Monte Carlo)\n")
 
+
+def replicate(estimator, seed, **params):
+    """REPS estimates; replication r draws from RngStream(seed, (r,))."""
+    config = ExperimentConfig(model="toy1d", estimator=estimator, alpha=ALPHA,
+                              n=N, replications=REPS, seed=seed, params=params)
+    return run_replications(config).estimates
+
+
+# Empirical + control variate draw the same paired (y, z) samples (seed 1).
 # The metamodel quantile is known in closed form for this model; it anchors
 # both the control variate and the strata boundaries.
-z_alpha = pair.closed_form_z_quantile(ALPHA)
-spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0])
-plan = AllocationPlan((50, 50, 50, 50))
-
-ee, cv, cs = (np.empty(REPS) for _ in range(3))
-for r in range(REPS):
-    # Empirical + control variate share one paired (y, z) sample.
-    s = draw_paired_sample(pair, RngStream(1, (r,)), N)
-    ee[r] = empirical_quantile(s.y, ALPHA)
-    cv[r] = cv_quantile(s, z_alpha, ALPHA)
-    # Controlled stratification rejects inputs until each metamodel stratum
-    # holds its quota, then runs the full model once per accepted point.
-    strat, _ = sample_strata(pair, spec, plan, RngStream(2, (r,)))
-    strat = evaluate_full(pair, strat)
-    cs[r] = cs_quantile(strat, spec, ALPHA)
+ee = replicate("ee", 1)
+cv = replicate("cv", 1)
+# Controlled stratification rejects inputs until each metamodel stratum
+# holds its quota, then runs the full model once per accepted point.
+cs = replicate("cs", 2, cutpoints=[0.0, 0.5, 0.9, 0.95, 1.0],
+               allocation=[50, 50, 50, 50])
 
 print(f"{'method':<24}{'mean':>8}{'std':>8}{'std vs EE':>12}")
 for name, vals in (("empirical", ee), ("control variate", cv),

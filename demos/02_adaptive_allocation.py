@@ -13,9 +13,11 @@ import numpy as np
 
 from qvr import (
     AcsConfig,
+    ExperimentConfig,
     RngStream,
     acs_quantile,
     ground_truth_quantile,
+    run_replications,
     strata_from_cutpoints,
     toy1d,
 )
@@ -23,9 +25,10 @@ from qvr import (
 ALPHA = 0.95
 N = 2000
 REPS = 300
+CUTPOINTS = [0.0, 0.85, 0.95, 1.0]
 
 pair = toy1d()
-spec = strata_from_cutpoints(pair, [0.0, 0.85, 0.95, 1.0])
+spec = strata_from_cutpoints(pair, CUTPOINTS)
 config = AcsConfig(spec=spec, n=N)
 
 one = acs_quantile(pair, config, ALPHA, RngStream(0, (0,)))
@@ -42,8 +45,9 @@ print(f"  quantile estimate    : {one.estimate:.4f}\n")
 # pilot, so the clamped allocation keeps those points and spends the rest
 # on the informative upper strata.
 
-est = np.array([acs_quantile(pair, config, ALPHA, RngStream(1, (r,))).estimate
-                for r in range(REPS)])
+est = run_replications(ExperimentConfig(
+    model="toy1d", estimator="acs", alpha=ALPHA, n=N, replications=REPS,
+    seed=1, params={"cutpoints": CUTPOINTS})).estimates
 truth = ground_truth_quantile(pair, ALPHA, 10**7, RngStream(2))
 print(f"over {REPS} replications: mean {est.mean():.3f}, "
       f"std {est.std(ddof=1):.3f}  (truth {truth:.3f})")

@@ -16,12 +16,13 @@ from qvr import (
     BiasedFamily,
     CisNonConvergence,
     RngStream,
-    cis_quantile,
+    draw_weighted_sample,
     fit_biased_member,
     ground_truth_quantile,
     toy1d,
     toy2d,
 )
+from qvr.importance import tail_quantile
 
 ALPHA = 0.95
 N = 200
@@ -38,9 +39,11 @@ print(f"  center lambda        : {np.round(params.lam, 3)}")
 print(f"  mass in tail event   : {diag.mass_in_event:.2f}")
 print(f"  center inside event  : {diag.center_in_event}\n")
 
+# Each replication draws N points from the member and inverts the tail-mass
+# cdf, as the replication engine's cis design does with the member it fits.
 est = np.array([
-    cis_quantile(pair, family, ALPHA, N, RngStream(1, (r,)),
-                 params=params, diagnostics=diag).estimate
+    tail_quantile(draw_weighted_sample(pair, family, params,
+                                       RngStream(1, (r,)).child(1), N), ALPHA)
     for r in range(1000)
 ])
 truth = ground_truth_quantile(pair, ALPHA, 10**7, RngStream(2))

@@ -27,10 +27,8 @@ from .estimators import (
     correlation_report,
     cv_cdf,
     cv_cdf_general,
-    cv_quantile,
     cv_weights,
     draw_paired_sample,
-    empirical_cdf,
     empirical_quantile,
     indicator_correlation,
     ps_cdf,
@@ -41,10 +39,8 @@ from .importance import (
     BiasedFamily,
     BiasedParams,
     CisNonConvergence,
-    CisResult,
     ImportanceError,
     WeightedSample,
-    cis_quantile,
     draw_weighted_sample,
     fit_biased_member,
     is_cdf,

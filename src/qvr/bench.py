@@ -283,8 +283,7 @@ def _prepare(config: ExperimentConfig, pair: ModelPair) -> _Prepared:
         prep.acs_config = strata.AcsConfig(
             spec=prep.spec,
             n=config.n,
-            pilot_per_stratum=config.params.get("pilot_per_stratum",
-                                                max(config.n // 10, 1)),
+            pilot_per_stratum=config.params.get("pilot_per_stratum"),
             min_per_stratum=config.params.get("min_per_stratum", 1),
         )
     if est == "cis":

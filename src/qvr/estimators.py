@@ -76,13 +76,6 @@ def weighted_cdf(y_values, weights, uniform_fallback=False) -> WeightedCdf:
     return WeightedCdf(y[order], w[order] / w.sum(), uniform_fallback)
 
 
-def empirical_cdf(y_values) -> WeightedCdf:
-    y = np.asarray(y_values, dtype=float)
-    if y.size == 0:
-        raise EstimatorError("empirical cdf needs a nonempty sample")
-    return weighted_cdf(y, np.full(y.size, 1.0 / y.size))
-
-
 def quantile_from_weighted_cdf(cdf: WeightedCdf, alpha: float,
                                strict: bool = False) -> float:
     """``weighted_quantile_sorted_rows`` of the one row ``cdf``."""
@@ -161,10 +154,6 @@ class PairedSample:
         if len(self.y) < 1 or len(self.y) != len(self.z):
             raise ValueError("paired sample needs matching nonempty y and z")
 
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
 
 def draw_paired_sample(pair: ModelPair, stream: RngStream, n: int) -> PairedSample:
     x = sample_input(pair.input, stream, n)
@@ -199,10 +188,6 @@ def cv_cdf(sample: PairedSample, z_alpha: float, alpha: float) -> WeightedCdf:
     """Weighted-average form of the CV cdf estimator with indicator control."""
     w, degenerate = cv_weights(sample.z, z_alpha, alpha)
     return weighted_cdf(sample.y, w, uniform_fallback=degenerate)
-
-
-def cv_quantile(sample: PairedSample, z_alpha: float, alpha: float) -> float:
-    return quantile_from_weighted_cdf(cv_cdf(sample, z_alpha, alpha), alpha)
 
 
 def cv_cdf_general(sample: PairedSample, g, g_mean: float, y: float) -> float:

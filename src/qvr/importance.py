@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import multivariate_normal
 
-from .estimators import _take_rows, quantile_from_weighted_cdf, weighted_cdf
+from .estimators import _take_rows
 from .model import InputDistribution, Lognormal, ModelPair, Normal
 from .sampling import RngStream, metamodel_quantiles
 
@@ -148,40 +148,37 @@ def _event_mask(z: np.ndarray, threshold: float, tail: str) -> np.ndarray:
     raise ValueError(f"unknown tail {tail!r}")
 
 
-def _event_pilot(pair: ModelPair, threshold: float, q0, pilot_count: int,
-                 stream: RngStream, tail: str):
-    """Pilot points drawn from q0 (default: the original input distribution)
-    that fall in the metamodel event, with q_ori and q0 at those points."""
+def _event_pilot(pair: ModelPair, threshold: float, pilot_count: int,
+                 stream: RngStream, tail: str) -> np.ndarray:
+    """Pilot points drawn from the input distribution that fall in the
+    metamodel event."""
     if pilot_count < 10**3:
         raise ValueError("pilot_count must be at least 1e3")
-    if q0 is None:
-        q0 = pair.input
-    x = q0.sample(stream.generator(), pilot_count)
+    x = pair.input.sample(stream.generator(), pilot_count)
     mask = _event_mask(pair.eval_metamodel(x), threshold, tail)
     if not mask.any():
         raise ImportanceError("no pilot point falls in the conditioning event")
-    xe = x[mask]
-    return xe, pair.input.density(xe), np.asarray(q0.density(xe), dtype=float)
+    return x[mask]
 
 
-def moment_match(pair: ModelPair, threshold: float, q0, pilot_count: int,
+def moment_match(pair: ModelPair, threshold: float, pilot_count: int,
                  stream: RngStream, tail: str = "lower") -> BiasedParams:
-    """Weighted conditional moments of X given the metamodel event.
+    """Conditional moments of X given the metamodel event.
 
-    Draws the pilot from q0 (default: the original input distribution),
-    restricts to {f_r(X) <= threshold} ("lower", default) or
-    {f_r(X) > threshold} ("upper"), and returns the self-normalized
-    weighted mean and covariance with weights q_ori/q0.  The covariance is
-    regularized by eps*I with eps = 1e-8 * trace(C)/d.
+    Draws the pilot from the input distribution, restricts it to
+    {f_r(X) <= threshold} ("lower", default) or {f_r(X) > threshold}
+    ("upper"), and returns the mean and covariance of the points in the
+    event.  The covariance is regularized by eps*I with
+    eps = 1e-8 * trace(C)/d.
     """
     return _matched_moments(
-        *_event_pilot(pair, threshold, q0, pilot_count, stream, tail))
+        _event_pilot(pair, threshold, pilot_count, stream, tail))
 
 
-def _matched_moments(xe: np.ndarray, p: np.ndarray,
-                     p0: np.ndarray) -> BiasedParams:
-    w = p / p0
-    w = w / w.sum()
+def _matched_moments(xe: np.ndarray) -> BiasedParams:
+    # Equal weights through w @ xe, not xe.mean(axis=0): the fitted members,
+    # and so the cis gate digests, keep their bits.
+    w = np.full(len(xe), 1.0 / len(xe))
     lam = w @ xe
     dev = xe - lam
     C = (dev * w[:, None]).T @ dev
@@ -235,7 +232,7 @@ def _log_second_moment(t: np.ndarray, xt: np.ndarray, base: np.ndarray,
     return mx + math.log(np.exp(r - mx).sum())
 
 
-def variance_optimal_params(pair: ModelPair, threshold: float, q0,
+def variance_optimal_params(pair: ModelPair, threshold: float,
                             pilot_count: int, stream: RngStream,
                             tail: str = "upper") -> BiasedParams:
     """Gaussian member minimizing the tail chi-square variance proxy.
@@ -249,10 +246,9 @@ def variance_optimal_params(pair: ModelPair, threshold: float, q0,
     evaluation differ from a LAPACK solve in the last ulp and flip a
     Nelder-Mead comparison, the optimum moves by less than ``xatol``.
     """
-    xe, p, p0 = _event_pilot(pair, threshold, q0, pilot_count, stream, tail)
-    start = _matched_moments(xe, p, p0)
-    log_p = np.log(p)
-    base = (log_p - np.log(p0)) + log_p
+    xe = _event_pilot(pair, threshold, pilot_count, stream, tail)
+    start = _matched_moments(xe)
+    base = np.log(pair.input.density(xe))
     d = xe.shape[1]
     res = minimize(_log_second_moment, _pack(start.lam, start.C),
                    args=(np.ascontiguousarray(xe.T), base,
@@ -278,7 +274,6 @@ class WeightedSample:
     x: np.ndarray
     y: np.ndarray
     w: np.ndarray
-    params: BiasedParams | None = None
 
     def __post_init__(self):
         if len(self.y) == 0 or len(self.y) != len(self.w):
@@ -297,7 +292,7 @@ def draw_weighted_sample(pair: ModelPair, family: BiasedFamily,
     member = family.member(params)
     x = member.sample(stream.generator(), n)
     w = likelihood_ratio(pair, member, x)
-    return WeightedSample(x=x, y=pair.eval_full(x), w=w, params=params)
+    return WeightedSample(x=x, y=pair.eval_full(x), w=w)
 
 
 def likelihood_ratio(pair: ModelPair, member, x) -> np.ndarray:
@@ -334,31 +329,24 @@ class CisDiagnostics:
     mass_in_event: float
     center_in_event: bool
     z_threshold: float
-    pilot_event_count: int
     converged: bool
 
 
-@dataclass(frozen=True)
-class CisResult:
-    estimate: float
-    params: BiasedParams
-    diagnostics: CisDiagnostics
-    sample: WeightedSample
+# A fitted member must put at least this share of its mass in the tail event.
+MASS_FLOOR = 0.10
 
 
 def fit_biased_member(pair: ModelPair, family: BiasedFamily, alpha: float,
                       stream: RngStream, z_alpha: float | None = None,
-                      pilot_count: int = 200_000, q0=None,
-                      tail: str = "upper", selection: str = "variance",
-                      mass_floor: float = 0.10,
-                      check_count: int = 20_000
+                      pilot_count: int = 200_000, tail: str = "upper",
+                      selection: str = "variance", check_count: int = 20_000
                       ) -> tuple[BiasedParams, CisDiagnostics]:
     """Select the biased member for the alpha-quantile and vet it.
 
     Selection "variance" minimizes the tail chi-square proxy (Gaussian
     family only); "moment" uses the conditional moment match directly.
     The fit fails (CisNonConvergence) when the member puts less than
-    ``mass_floor`` of its mass in the tail event, or when its center does
+    ``MASS_FLOOR`` of its mass in the tail event, or when its center does
     not itself lie in the event — the signature of a multimodal
     conditioning region that one member of the family cannot cover.
     """
@@ -370,11 +358,11 @@ def fit_biased_member(pair: ModelPair, family: BiasedFamily, alpha: float,
                 pair, [alpha], precision="mc", sample_count=10**6,
                 stream=stream.child(10))[0])
     if selection == "variance" and family.tag == "joint_gaussian":
-        params = variance_optimal_params(pair, z_alpha, q0, pilot_count,
+        params = variance_optimal_params(pair, z_alpha, pilot_count,
                                          stream.child(0), tail)
     elif selection in ("variance", "moment"):
-        params = moment_match(pair, z_alpha, q0, pilot_count,
-                              stream.child(0), tail)
+        params = moment_match(pair, z_alpha, pilot_count, stream.child(0),
+                              tail)
     else:
         raise ValueError(f"unknown selection {selection!r}")
     member = family.member(params)
@@ -383,11 +371,9 @@ def fit_biased_member(pair: ModelPair, family: BiasedFamily, alpha: float,
     mass = float(_event_mask(probe_z, z_alpha, tail).mean())
     center_z = float(pair.eval_metamodel(params.lam.reshape(1, -1))[0])
     center_ok = bool(_event_mask(np.array([center_z]), z_alpha, tail)[0])
-    pilot_events = int(round(mass * check_count))
-    converged = mass >= mass_floor and center_ok
+    converged = mass >= MASS_FLOOR and center_ok
     diag = CisDiagnostics(mass_in_event=mass, center_in_event=center_ok,
-                          z_threshold=z_alpha, pilot_event_count=pilot_events,
-                          converged=converged)
+                          z_threshold=z_alpha, converged=converged)
     if not converged:
         raise CisNonConvergence(
             "no biased member concentrates on the tail event "
@@ -422,33 +408,3 @@ def tail_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
     # searchsorted(cdf_vals, alpha, "right") on nondecreasing rows.
     k = (cdf_vals <= alpha).sum(axis=1)
     return _take_rows(ys, np.minimum(k + 1, n - 1)[:, None])[:, 0]
-
-
-def cis_quantile(pair: ModelPair, family: BiasedFamily, alpha: float,
-                 n: int, stream: RngStream, params: BiasedParams,
-                 diagnostics: CisDiagnostics | None = None,
-                 mode: str = "tail") -> CisResult:
-    """Quantile estimate from a biased draw of n full-model evaluations.
-
-    ``params`` is the biased member, fitted from a metamodel-only pilot
-    (see fit_biased_member); one member can be shared across replications
-    since fitting never calls the full model.  ``mode`` "tail" inverts the
-    tail-mass cdf; "self_normalized" inverts the weight-normalized cdf.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    if mode not in ("tail", "self_normalized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if diagnostics is None:
-        diagnostics = CisDiagnostics(mass_in_event=float("nan"),
-                                     center_in_event=True,
-                                     z_threshold=float("nan"),
-                                     pilot_event_count=-1, converged=True)
-    weighted = draw_weighted_sample(pair, family, params, stream.child(1), n)
-    if mode == "tail":
-        estimate = tail_quantile(weighted, alpha)
-    else:
-        estimate = quantile_from_weighted_cdf(
-            weighted_cdf(weighted.y, weighted.w), alpha)
-    return CisResult(estimate=estimate, params=params,
-                     diagnostics=diagnostics, sample=weighted)

@@ -172,7 +172,6 @@ class AcsResult:
     draw_count: int
     proportional_fallback: bool
     floored_strata: tuple[int, ...]
-    sample: StratifiedSample
 
 
 def largest_remainder(targets: np.ndarray) -> np.ndarray:
@@ -220,11 +219,10 @@ def phase_two_counts(beta_tilde: np.ndarray, pilot: np.ndarray, n: int,
 
 class AcsRows(NamedTuple):
     """``errors`` holds each stream's ``SamplingError`` or None; the other
-    fields cover the rows without one: their records row after row (each in
-    stratum order, a stratum's pilot records first), one entry per row."""
+    fields cover the rows without one: ``y`` their outputs row after row
+    (each in stratum order, a stratum's pilot records first), the others one
+    entry per row."""
 
-    x: np.ndarray
-    z: np.ndarray
     y: np.ndarray
     counts: np.ndarray
     y_tilde: np.ndarray
@@ -248,7 +246,7 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
     spec, widths, n = config.spec, config.spec.widths, config.n
     pilot = config.pilot_counts()
     P = int(pilot.sum())
-    x1, z1, d1, errors = sample_strata_rows(
+    x1, _, d1, errors = sample_strata_rows(
         pair, spec, np.tile(pilot, (len(streams), 1)),
         [s.child(0) for s in streams])
     ok = [r for r, e in enumerate(errors) if e is None]
@@ -268,7 +266,7 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
     two = [phase_two_counts(b, pilot, n, config.min_per_stratum, widths)
            for b in beta]
     extra = np.array([e for e, _ in two], dtype=int).reshape(len(ok), spec.m)
-    x2, z2, d2, errors2 = sample_strata_rows(
+    x2, _, d2, errors2 = sample_strata_rows(
         pair, spec, extra, [streams[r].child(1) for r in ok])
     y2 = pair.eval_full(x2) if len(x2) else np.empty(0)
     done = np.array([e is None for e in errors2], dtype=bool)
@@ -279,32 +277,29 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
     first = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
     to_pilot = _positions(first, np.broadcast_to(pilot, counts.shape))
     to_two = _positions(first + pilot, extra)
-    keep = np.repeat(done, P)
-    merged = []
-    for a1, a2 in ((x1, x2), (z1, z2), (y1.ravel(), y2)):
-        out = np.empty((n * len(counts),) + a1.shape[1:])
-        out[to_pilot] = a1[keep]
-        out[to_two] = a2
-        merged.append(out)
-    return AcsRows(*merged, counts, at[done], beta[done],
+    y = np.empty(n * len(counts))
+    y[to_pilot] = y1[done].ravel()
+    y[to_two] = y2
+    return AcsRows(y, counts, at[done], beta[done],
                    d1[ok][done] + d2[done], fallback[done],
                    [f for (_, f), d in zip(two, done) if d], errors)
 
 
 def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
                  stream: RngStream) -> AcsResult:
-    """Adaptive stratified quantile: the ``cs_quantile`` of one row of
-    ``acs_rows``, which raises its ``SamplingError``."""
+    """Adaptive stratified quantile of one row of ``acs_rows``, which
+    raises its ``SamplingError``: the pooled weighted cdf of ``cs_quantile``
+    over the row's outputs."""
     rows = acs_rows(pair, config, [stream], alpha)
     if rows.errors[0] is not None:
         raise rows.errors[0]
-    cuts = np.cumsum(rows.counts[0])[:-1]
-    sample = StratifiedSample(*(np.split(a, cuts) for a in rows[:3]))
-    counts = sample.counts
-    return AcsResult(cs_quantile(sample, config.spec, alpha),
+    counts = rows.counts[0]
+    cdf = weighted_cdf(rows.y, np.repeat(
+        stratum_weights(config.spec.widths, counts), counts))
+    return AcsResult(quantile_from_weighted_cdf(cdf, alpha),
                      rows.beta_tilde[0], counts, counts / counts.sum(),
                      float(rows.y_tilde[0]), int(rows.draws[0]),
-                     bool(rows.fallback[0]), rows.floored[0], sample)
+                     bool(rows.fallback[0]), rows.floored[0])
 
 
 # ---------------------------------------------------------------------------

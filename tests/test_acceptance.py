@@ -288,7 +288,7 @@ def test_criterion_08_statistical_soundness():
              f"mean {vals.mean():.5f} vs 0.5 (3se {3 * se:.5f})")
 
     # pilot moment matching against the truncated-normal closed form
-    p = importance.moment_match(idpair, 0.0, None, 10**6, RngStream(83))
+    p = importance.moment_match(idpair, 0.0, 10**6, RngStream(83))
     c.close("moment-matched mean", p.lam[0], -0.798, 0.003)
     c.close("moment-matched variance", p.C[0, 0], 0.363, 0.005)
 

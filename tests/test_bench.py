@@ -3,6 +3,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -332,7 +333,9 @@ def reference_bootstrap(config, B, seen=None):
         extras.update(n_r=res.draw_count, beta_tilde=res.beta_tilde.tolist(),
                       realized_fractions=res.realized_fractions.tolist())
         seen["floored_strata"] = res.floored_strata
-        data = res.sample
+        rows = strata.acs_rows(pair, prep.acs_config, [run_stream], alpha)
+        data = SimpleNamespace(y=np.split(rows.y,
+                                          np.cumsum(rows.counts[0])[:-1]))
         fn = pooled_quantile
     else:
         s = importance.draw_weighted_sample(pair, prep.cis_family,

