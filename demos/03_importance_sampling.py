@@ -19,6 +19,7 @@ from qvr import (
     draw_weighted_sample,
     fit_biased_member,
     ground_truth_quantile,
+    metamodel_quantiles,
     toy1d,
     toy2d,
 )
@@ -31,8 +32,11 @@ pair = toy2d()
 family = BiasedFamily("joint_gaussian")
 
 # The member is fitted once from metamodel-only pilot draws (cheap), then
-# shared by every replication.
-params, diag = fit_biased_member(pair, family, ALPHA, RngStream(0),
+# shared by every replication.  Its tail event lies beyond z_alpha, the
+# alpha-quantile of Z = f_r(X), here a Monte Carlo order statistic.
+z_alpha = metamodel_quantiles(pair, [ALPHA], "mc",
+                              stream=RngStream(0).child(10))[0]
+params, diag = fit_biased_member(pair, family, z_alpha, RngStream(0),
                                  pilot_count=100_000)
 print("2D model: fitted biased member")
 print(f"  center lambda        : {np.round(params.lam, 3)}")
@@ -54,9 +58,10 @@ print("  the plain empirical estimator runs at std ~0.52 here — the biased"
 
 print("1D model: the tail event is symmetric in x, a Gaussian cannot cover"
       "\nboth lobes, and the fit is rejected:")
+pair = toy1d()
 try:
-    fit_biased_member(toy1d(), family, ALPHA, RngStream(3),
-                      pilot_count=100_000)
+    fit_biased_member(pair, family, metamodel_quantiles(pair, [ALPHA])[0],
+                      RngStream(3), pilot_count=100_000)
 except CisNonConvergence as err:
     d = err.diagnostics
     print(f"  rejected: mass_in_event={d.mass_in_event:.2f}, "

@@ -22,7 +22,7 @@ import jsonschema
 import numpy as np
 
 from . import estimators, importance, strata
-from .designs import DESIGNS, NON_CONVERGENCE_ERRORS
+from .designs import DESIGNS
 from .model import (
     InputDistribution,
     Lognormal,
@@ -36,6 +36,7 @@ from .sampling import (
     AllocationPlan,
     RngStream,
     StrataSpec,
+    metamodel_quantiles,
     sample_input,
     strata_from_cutpoints,
 )
@@ -189,22 +190,26 @@ def ground_truth_quantile(pair: ModelPair, alpha: float, sample_count: int,
 # Per-experiment preparation
 
 
-def _spec_for(pair: ModelPair, config: ExperimentConfig) -> StrataSpec:
-    cutpoints = config.params.get("cutpoints", [0.0, 0.5, 0.9, 0.95, 1.0])
-    precision = config.params.get(
+def _precision(pair: ModelPair, config: ExperimentConfig) -> str:
+    """How the metamodel quantiles of ``config`` are taken: the configured
+    ``quantile_precision``, by default "closed_form" when the model has one
+    and "mc" otherwise.  "closed_form" on a model without one is refused
+    (``ValueError``) by ``metamodel_quantiles``."""
+    return config.params.get(
         "quantile_precision",
         "closed_form" if pair.closed_form_z_quantile is not None else "mc")
-    return strata_from_cutpoints(pair, cutpoints, precision=precision,
+
+
+def _spec_for(pair: ModelPair, config: ExperimentConfig) -> StrataSpec:
+    cutpoints = config.params.get("cutpoints", [0.0, 0.5, 0.9, 0.95, 1.0])
+    return strata_from_cutpoints(pair, cutpoints,
+                                 precision=_precision(pair, config),
                                  stream=RngStream(config.seed, (2**32,)))
 
 
 def _z_alpha_for(pair: ModelPair, config: ExperimentConfig) -> float:
-    if (config.params.get("quantile_precision") != "mc"
-            and pair.closed_form_z_quantile is not None):
-        return float(pair.closed_form_z_quantile(config.alpha))
-    from .sampling import metamodel_quantiles
     return float(metamodel_quantiles(
-        pair, [config.alpha], precision="mc", sample_count=10**6,
+        pair, [config.alpha], _precision(pair, config),
         stream=RngStream(config.seed, (2**32, 1)))[0])
 
 
@@ -292,9 +297,8 @@ def _prepare(config: ExperimentConfig, pair: ModelPair) -> _Prepared:
         prep.cis_family = importance.BiasedFamily(tag=tag, base=base)
         prep.cis_mode = config.params.get("mode", "tail")
         prep.cis_params, _ = importance.fit_biased_member(
-            pair, prep.cis_family, config.alpha,
+            pair, prep.cis_family, prep.z_alpha,
             RngStream(config.seed, (2**32, 2)),
-            z_alpha=prep.z_alpha,
             pilot_count=config.params.get("pilot_count", 200_000),
             tail=config.params.get("tail", "upper"),
             selection=config.params.get("selection", "variance"),
@@ -381,7 +385,7 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     """R independent replications, each on the stream path [replication_id].
 
     Replications run in blocks, one after another (see ``_run_block``).  A
-    replication that fails with one of ``NON_CONVERGENCE_ERRORS`` is
+    replication that fails with one of ``designs.NON_CONVERGENCE_ERRORS`` is
     recorded, not fatal, unless every replication fails; any other error,
     such as a ``ModelError`` from a dead simulator, propagates.
     """
@@ -567,12 +571,16 @@ _ACS3_CUTS = [0.0, 0.85, 0.95, 1.0]
 
 def preset_configs(name: str, replications: int | None = None,
                    seed: int = 0) -> dict[str, ExperimentConfig]:
-    """Named experiment suites replicating the published toy benchmarks."""
+    """Named experiment suites replicating the published toy benchmarks;
+    ``replications``, when given, overrides every suite's count."""
+    if replications is not None and replications < 1:
+        raise ConfigError("replications must be at least 1")
 
     def cfg(model, est, n, reps, **params):
-        return ExperimentConfig(model=model, estimator=est, alpha=0.95, n=n,
-                                replications=replications or reps, seed=seed,
-                                params=params)
+        return ExperimentConfig(
+            model=model, estimator=est, alpha=0.95, n=n,
+            replications=reps if replications is None else replications,
+            seed=seed, params=params)
 
     if name == "fig1":
         return {

@@ -1,12 +1,13 @@
 """Command-line interface: ground truth, single estimates, benchmark
 presets and closed-form diagnostics.
 
-Exit codes: 0 success, 2 configuration error, 3 estimator non-convergence,
-4 model or subprocess failure.
+Exit codes, the same for every command: 0 success, 2 configuration error,
+3 estimator non-convergence, 4 model or subprocess failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -14,16 +15,29 @@ import click
 
 from . import bench, estimators, strata
 from .bench import ConfigError, ExperimentConfig
+from .designs import NON_CONVERGENCE_ERRORS
 from .model import ModelError, builtin_model
-from .sampling import (RngStream, SamplingError, StratifiedSample,
-                       expected_rejection_cost)
+from .sampling import RngStream, StratifiedSample, expected_rejection_cost
 
 EXIT_CONFIG = 2
 EXIT_NON_CONVERGENCE = 3
 EXIT_MODEL = 4
 
 
-def _fail(code: int, message: str):
+@contextlib.contextmanager
+def _exit_codes():
+    """Print a library failure raised in the block as "error: ..." on
+    stderr and exit with its code."""
+    try:
+        yield
+    except NON_CONVERGENCE_ERRORS as e:
+        code, message = EXIT_NON_CONVERGENCE, str(e)
+    except ModelError as e:
+        code, message = EXIT_MODEL, str(e)
+    except (ConfigError, ValueError) as e:
+        code, message = EXIT_CONFIG, str(e)
+    else:
+        return
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -33,11 +47,8 @@ def _load_config(path: str) -> ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        _fail(EXIT_CONFIG, f"cannot read config {path}: {e}")
-    try:
-        return ExperimentConfig.from_dict(raw)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    return ExperimentConfig.from_dict(raw)
 
 
 def _emit(payload: dict, out: str | None):
@@ -61,19 +72,11 @@ def main():
 @click.option("--seed", type=int, default=0, show_default=True)
 def truth(model, alpha, samples, seed):
     """Plain Monte Carlo reference quantile of the full model output."""
-    if not 0 < alpha < 1:
-        _fail(EXIT_CONFIG, "alpha must be in (0, 1)")
-    try:
-        pair = builtin_model(model)
-    except ValueError as e:
-        _fail(EXIT_CONFIG, str(e))
-    try:
-        value = bench.ground_truth_quantile(pair, alpha, samples,
-                                            RngStream(seed))
-    except ValueError as e:
-        _fail(EXIT_CONFIG, str(e))
-    except ModelError as e:
-        _fail(EXIT_MODEL, str(e))
+    with _exit_codes():
+        if not 0 < alpha < 1:
+            raise ConfigError("alpha must be in (0, 1)")
+        value = bench.ground_truth_quantile(builtin_model(model), alpha,
+                                            samples, RngStream(seed))
     _emit({"model": model, "alpha": alpha, "samples": samples,
            "quantile": value}, None)
 
@@ -85,22 +88,16 @@ def truth(model, alpha, samples, seed):
               show_default=True)
 def estimate(config_path, resamples):
     """One estimator run with a bootstrap standard error."""
-    config = _load_config(config_path)
-    try:
+    with _exit_codes():
+        config = _load_config(config_path)
         payload = bench.estimate_with_bootstrap(config, B=resamples)
-    except bench.NON_CONVERGENCE_ERRORS as e:
-        _fail(EXIT_NON_CONVERGENCE, str(e))
-    except ModelError as e:
-        _fail(EXIT_MODEL, str(e))
-    except (ConfigError, ValueError) as e:
-        _fail(EXIT_CONFIG, str(e))
     _emit(payload, config.output)
 
 
 @main.command(name="bench")
 @click.option("--preset", required=True,
               type=click.Choice(["fig1", "fig2", "table1", "table2"]))
-@click.option("--reps", type=int, default=None,
+@click.option("--reps", type=click.IntRange(min=1), default=None,
               help="Override the preset replication count.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
@@ -108,14 +105,8 @@ def estimate(config_path, resamples):
               default="json", show_default=True)
 def bench_cmd(preset, reps, seed, out_path, fmt):
     """Run a benchmark preset and emit the replication report."""
-    try:
+    with _exit_codes():
         reports = bench.run_preset(preset, replications=reps, seed=seed)
-    except bench.NON_CONVERGENCE_ERRORS as e:
-        _fail(EXIT_NON_CONVERGENCE, str(e))
-    except ModelError as e:
-        _fail(EXIT_MODEL, str(e))
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
     text = bench.emit_report(reports, fmt, out_path)
     if not out_path:
         click.echo(text, nl=False)
@@ -129,8 +120,8 @@ def bench_cmd(preset, reps, seed, out_path, fmt):
 def diag(topic, config_path, samples):
     """Closed-form variance, optimal-allocation and rejection-cost
     diagnostics for the configured strata."""
-    config = _load_config(config_path)
-    try:
+    with _exit_codes():
+        config = _load_config(config_path)
         with bench._open_pair(config) as pair:
             spec = bench._spec_for(pair, config)
             # beta_star does not depend on the allocation
@@ -173,12 +164,6 @@ def diag(topic, config_path, samples):
                 payload.update({"expected_draws_naive": expected,
                                 "uniform_bound": bound,
                                 "allocation": list(plan.counts)})
-    except ModelError as e:
-        _fail(EXIT_MODEL, str(e))
-    except (ConfigError, ValueError, SamplingError) as e:
-        _fail(EXIT_CONFIG, str(e))
-    except (strata.StrataError, estimators.EstimatorError) as e:
-        _fail(EXIT_NON_CONVERGENCE, str(e))
     _emit(payload, config.output)
 
 

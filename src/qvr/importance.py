@@ -18,7 +18,7 @@ from scipy.stats import multivariate_normal
 
 from .estimators import _take_rows
 from .model import InputDistribution, Lognormal, ModelPair, Normal
-from .sampling import RngStream, metamodel_quantiles
+from .sampling import RngStream
 
 
 class ImportanceError(Exception):
@@ -43,7 +43,6 @@ class BiasedParams:
 
     lam: np.ndarray
     C: np.ndarray
-    family: str = "joint_gaussian"
 
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
@@ -269,9 +268,8 @@ UNCOVERED_SUPPORT = ("nonpositive likelihood ratio: biased member does not "
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Records (x, y, likelihood ratio w = q_ori/q) from a biased draw."""
+    """Records (y, likelihood ratio w = q_ori/q) from a biased draw."""
 
-    x: np.ndarray
     y: np.ndarray
     w: np.ndarray
 
@@ -281,10 +279,6 @@ class WeightedSample:
         if np.any(np.asarray(self.w) <= 0):
             raise ImportanceError(UNCOVERED_SUPPORT)
 
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
 
 def draw_weighted_sample(pair: ModelPair, family: BiasedFamily,
                          params: BiasedParams, stream: RngStream,
@@ -292,7 +286,7 @@ def draw_weighted_sample(pair: ModelPair, family: BiasedFamily,
     member = family.member(params)
     x = member.sample(stream.generator(), n)
     w = likelihood_ratio(pair, member, x)
-    return WeightedSample(x=x, y=pair.eval_full(x), w=w)
+    return WeightedSample(y=pair.eval_full(x), w=w)
 
 
 def likelihood_ratio(pair: ModelPair, member, x) -> np.ndarray:
@@ -305,7 +299,7 @@ def is_cdf(weighted: WeightedSample, y: float, mode: str = "raw") -> float:
     the weight total."""
     ind = (weighted.y <= y).astype(float)
     if mode == "raw":
-        return float(np.sum(ind * weighted.w) / weighted.n)
+        return float(np.sum(ind * weighted.w) / len(weighted.y))
     if mode == "self_normalized":
         return float(np.sum(ind * weighted.w) / np.sum(weighted.w))
     raise ValueError(f"unknown mode {mode!r}")
@@ -315,7 +309,7 @@ def is_variance_estimate(weighted: WeightedSample, y: float) -> float:
     """Sample-based variance of the raw reweighted cdf estimate."""
     t = (weighted.y <= y) * weighted.w
     est = t.mean()
-    return float((np.mean(t**2) - est**2) / weighted.n)
+    return float((np.mean(t**2) - est**2) / len(weighted.y))
 
 
 # ---------------------------------------------------------------------------
@@ -328,35 +322,30 @@ class CisDiagnostics:
 
     mass_in_event: float
     center_in_event: bool
-    z_threshold: float
-    converged: bool
 
 
-# A fitted member must put at least this share of its mass in the tail event.
+# A fitted member must put at least this share of its mass in the tail event,
+# estimated from this many draws of the member.
 MASS_FLOOR = 0.10
+CHECK_COUNT = 20_000
 
 
-def fit_biased_member(pair: ModelPair, family: BiasedFamily, alpha: float,
-                      stream: RngStream, z_alpha: float | None = None,
-                      pilot_count: int = 200_000, tail: str = "upper",
-                      selection: str = "variance", check_count: int = 20_000
+def fit_biased_member(pair: ModelPair, family: BiasedFamily, z_alpha: float,
+                      stream: RngStream, pilot_count: int = 200_000,
+                      tail: str = "upper", selection: str = "variance"
                       ) -> tuple[BiasedParams, CisDiagnostics]:
-    """Select the biased member for the alpha-quantile and vet it.
+    """Select the biased member for the metamodel tail event beyond
+    ``z_alpha``, the alpha-quantile of Z = f_r(X), and vet it.
 
     Selection "variance" minimizes the tail chi-square proxy (Gaussian
-    family only); "moment" uses the conditional moment match directly.
-    The fit fails (CisNonConvergence) when the member puts less than
-    ``MASS_FLOOR`` of its mass in the tail event, or when its center does
-    not itself lie in the event — the signature of a multimodal
-    conditioning region that one member of the family cannot cover.
+    family only); "moment" uses the conditional moment match directly.  The
+    pilot is drawn from ``stream.child(0)``, the ``CHECK_COUNT`` vetting
+    draws of the member from ``stream.child(1)``.  The fit fails
+    (CisNonConvergence) when the member puts less than ``MASS_FLOOR`` of its
+    mass in the tail event, or when its center does not itself lie in the
+    event — the signature of a multimodal conditioning region that one
+    member of the family cannot cover.
     """
-    if z_alpha is None:
-        if pair.closed_form_z_quantile is not None:
-            z_alpha = float(pair.closed_form_z_quantile(alpha))
-        else:
-            z_alpha = float(metamodel_quantiles(
-                pair, [alpha], precision="mc", sample_count=10**6,
-                stream=stream.child(10))[0])
     if selection == "variance" and family.tag == "joint_gaussian":
         params = variance_optimal_params(pair, z_alpha, pilot_count,
                                          stream.child(0), tail)
@@ -366,15 +355,13 @@ def fit_biased_member(pair: ModelPair, family: BiasedFamily, alpha: float,
     else:
         raise ValueError(f"unknown selection {selection!r}")
     member = family.member(params)
-    probe = member.sample(stream.child(1).generator(), check_count)
+    probe = member.sample(stream.child(1).generator(), CHECK_COUNT)
     probe_z = pair.eval_metamodel(probe)
     mass = float(_event_mask(probe_z, z_alpha, tail).mean())
     center_z = float(pair.eval_metamodel(params.lam.reshape(1, -1))[0])
     center_ok = bool(_event_mask(np.array([center_z]), z_alpha, tail)[0])
-    converged = mass >= MASS_FLOOR and center_ok
-    diag = CisDiagnostics(mass_in_event=mass, center_in_event=center_ok,
-                          z_threshold=z_alpha, converged=converged)
-    if not converged:
+    diag = CisDiagnostics(mass_in_event=mass, center_in_event=center_ok)
+    if mass < MASS_FLOOR or not center_ok:
         raise CisNonConvergence(
             "no biased member concentrates on the tail event "
             f"(mass {mass:.3f}, center_in_event={center_ok}); "

@@ -11,10 +11,9 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from scipy.stats import norm
 
 from qvr import bench, estimators, importance, strata
-from qvr.bench import ExperimentConfig, emit_report, run_replications
+from qvr.bench import emit_report, run_replications
 from qvr.cli import main as cli_main
 from qvr.model import identity1d, toy1d, toy2d
 from qvr.sampling import (

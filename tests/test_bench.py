@@ -278,6 +278,15 @@ class TestPresets:
         with pytest.raises(ConfigError):
             preset_configs("fig9")
 
+    @pytest.mark.parametrize("replications", [0, -3])
+    def test_replications_below_one_refused(self, replications):
+        with pytest.raises(ConfigError, match="at least 1"):
+            preset_configs("fig1", replications=replications)
+
+    def test_default_replications(self):
+        cfgs = preset_configs("fig2")
+        assert all(c.replications == 5000 for c in cfgs.values())
+
     def test_fig1_small_run_is_sane(self):
         truth = 3.656
         for label, cfg in preset_configs("fig1", replications=60,

@@ -6,11 +6,11 @@ from click.testing import CliRunner
 from scipy.stats import norm
 
 from qvr import bench
-from qvr.bench import ExperimentConfig
+from qvr.bench import ConfigError, ExperimentConfig
 from qvr.cli import main
 from qvr.estimators import EstimatorError
 from qvr.importance import ImportanceError
-from qvr.model import ModelError, toy1d
+from qvr.model import ModelError, toy1d, toy2d
 from qvr.sampling import SamplingError
 from qvr.strata import StrataError
 
@@ -33,6 +33,18 @@ def write_config(tmp_path, **over):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base))
     return str(path)
+
+
+# Each command with the one library call (an attribute of ``qvr.bench``) that
+# a test replaces to make the command fail.
+COMMANDS = [
+    ("ground_truth_quantile", lambda cfg: [
+        "truth", "--model", "toy1d", "--alpha", "0.95",
+        "--samples", "2000000"]),
+    ("estimate_with_bootstrap", lambda cfg: ["estimate", "--config", cfg]),
+    ("run_preset", lambda cfg: ["bench", "--preset", "fig1", "--reps", "2"]),
+    ("_spec_for", lambda cfg: ["diag", "variance", "--config", cfg]),
+]
 
 
 class TestTruth:
@@ -118,6 +130,27 @@ class TestEstimate:
         out = json.loads(res.output)
         assert 2.0 < out["estimate"] < 3.6
 
+    @pytest.mark.parametrize("estimator", ["cs", "cv", "cis"])
+    def test_closed_form_without_one_is_config_error(
+            self, runner, tmp_path, monkeypatch, estimator):
+        # toy2d has no closed-form Z quantile; every estimator that reads a
+        # metamodel quantile refuses the request before it calls f.
+        base, points = toy2d(), []
+
+        def f(x):
+            points.append(len(x))
+            return base.f(x)
+
+        pair = dataclasses.replace(base, f=f)
+        monkeypatch.setattr(ExperimentConfig, "build_pair", lambda _: pair)
+        cfg = write_config(tmp_path, model="toy2d", estimator=estimator,
+                           params={"quantile_precision": "closed_form"})
+        res = runner.invoke(main, ["estimate", "--config", cfg,
+                                   "--bootstrap", "100"])
+        assert res.exit_code == 2
+        assert "no closed-form Z quantile" in res.output
+        assert sum(points) == 0
+
     def test_output_file(self, runner, tmp_path):
         out_path = tmp_path / "res.json"
         cfg = write_config(tmp_path, output=str(out_path))
@@ -154,14 +187,31 @@ class TestBench:
         (StrataError("no allocation defined"), 3),
         (ImportanceError("degenerate event covariance"), 3),
         (ModelError("simulator closed its output stream"), 4),
+        (ConfigError("allocation must sum to n"), 2),
+        (ValueError("mc quantiles need sample_count >= 1e4"), 2),
     ])
-    def test_failure_exit_codes(self, runner, monkeypatch, error, code):
+    def test_failure_exit_codes(self, runner, monkeypatch, tmp_path, error,
+                                code):
+        # The same error gives the same exit code in every command.
         def fail(*args, **kwargs):
             raise error
-        monkeypatch.setattr(bench, "run_preset", fail)
-        res = runner.invoke(main, ["bench", "--preset", "fig1", "--reps", "2"])
-        assert res.exit_code == code
-        assert str(error) in res.output
+
+        cfg = write_config(tmp_path, estimator="cs")
+        for call, args in COMMANDS:
+            with monkeypatch.context() as m:
+                m.setattr(bench, call, fail)
+                res = runner.invoke(main, args(cfg))
+            assert res.exit_code == code, args(cfg)[0]
+            assert f"error: {error}" in res.output, args(cfg)[0]
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_rejected(self, runner, monkeypatch, reps):
+        calls = []
+        monkeypatch.setattr(bench, "run_replications", calls.append)
+        res = runner.invoke(main, ["bench", "--preset", "fig1",
+                                   "--reps", reps])
+        assert res.exit_code == 2
+        assert calls == []
 
     def test_workers_option_rejected(self, runner):
         res = runner.invoke(main, ["bench", "--preset", "table2",

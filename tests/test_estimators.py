@@ -137,8 +137,8 @@ class TestOneSampleFunctionsMatchReference:
                 assert got == ref.weighted_quantile(y, w, alpha, strict)
             assert empirical_quantile(y, alpha) == \
                 ref.empirical_quantile(y, alpha)
-            assert tail_quantile(WeightedSample(np.zeros((n, 1)), y, w),
-                                 alpha) == ref.tail_quantile(y, w, alpha)
+            assert tail_quantile(WeightedSample(y, w), alpha) == \
+                ref.tail_quantile(y, w, alpha)
             z_alpha = float(rng.choice(y)) if rng.random() < 0.8 else 9.0
             got_w, got_flag = cv_weights(y, z_alpha, alpha)
             want_w, want_flag = ref.cv_weights(y, z_alpha, alpha)

@@ -7,6 +7,8 @@ from scipy.stats import norm
 
 from qvr.estimators import quantile_from_weighted_cdf, weighted_cdf
 from qvr.importance import (
+    CHECK_COUNT,
+    MASS_FLOOR,
     BiasedFamily,
     BiasedParams,
     CisNonConvergence,
@@ -32,7 +34,7 @@ from qvr.model import (
     toy1d,
     toy2d,
 )
-from qvr.sampling import RngStream, sample_input
+from qvr.sampling import RngStream, metamodel_quantiles, sample_input
 
 TRUNC_MEAN = -norm.pdf(0) / norm.cdf(0)          # E[X | X <= 0], X ~ N(0,1)
 TRUNC_VAR = 1 - (norm.pdf(0) / norm.cdf(0)) ** 2
@@ -172,7 +174,7 @@ class TestIsCdf:
     def test_unit_weights_equal_empirical(self):
         rng = np.random.default_rng(11)
         y = rng.standard_normal(500)
-        ws = WeightedSample(x=np.zeros((500, 1)), y=y, w=np.ones(500))
+        ws = WeightedSample(y=y, w=np.ones(500))
         for y0 in (-1.0, 0.0, 1.3):
             emp = (y <= y0).mean()
             assert is_cdf(ws, y0, "raw") == pytest.approx(emp)
@@ -180,8 +182,7 @@ class TestIsCdf:
 
     def test_self_normalized_limit_is_one(self):
         rng = np.random.default_rng(12)
-        ws = WeightedSample(x=np.zeros((50, 1)),
-                            y=rng.standard_normal(50),
+        ws = WeightedSample(y=rng.standard_normal(50),
                             w=rng.random(50) + 0.1)
         assert is_cdf(ws, 1e9, "self_normalized") == 1.0
 
@@ -207,12 +208,12 @@ class TestIsCdf:
         ws = draw_weighted_sample(pair, fam,
                                   BiasedParams(lam=[0.7], C=[[1.3]]),
                                   RngStream(14), 10**5)
-        se = ws.w.std(ddof=1) / math.sqrt(ws.n)
+        se = ws.w.std(ddof=1) / math.sqrt(len(ws.y))
         assert abs(ws.w.mean() - 1.0) < 3 * se
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ImportanceError):
-            WeightedSample(x=np.zeros((2, 1)), y=np.array([0.0, 1.0]),
+            WeightedSample(y=np.array([0.0, 1.0]),
                            w=np.array([1.0, 0.0]))
 
 
@@ -220,7 +221,7 @@ class TestIsVariance:
     def test_unit_weights_binomial(self):
         rng = np.random.default_rng(15)
         y = rng.standard_normal(1000)
-        ws = WeightedSample(x=np.zeros((1000, 1)), y=y, w=np.ones(1000))
+        ws = WeightedSample(y=y, w=np.ones(1000))
         est = is_cdf(ws, 0.0, "raw")
         assert is_variance_estimate(ws, 0.0) == pytest.approx(
             est * (1 - est) / 1000, rel=1e-9)
@@ -258,13 +259,17 @@ class TestSelfNormalizedCdfValidity:
         rng = np.random.default_rng(19)
         for _ in range(50):
             n = rng.integers(2, 100)
-            ws = WeightedSample(x=np.zeros((n, 1)),
-                                y=rng.standard_normal(n),
+            ws = WeightedSample(y=rng.standard_normal(n),
                                 w=rng.random(n) + 1e-3)
             grid = np.linspace(-3, 3, 31)
             vals = [is_cdf(ws, g, "self_normalized") for g in grid]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             assert 0 <= vals[0] and vals[-1] <= 1 + 1e-12
+
+
+def _mc_z_alpha(pair, stream):
+    """The 0.95-quantile of Z = f_r(X) from 10^6 metamodel draws."""
+    return metamodel_quantiles(pair, [0.95], "mc", stream=stream)[0]
 
 
 class TestCisPipeline:
@@ -283,33 +288,36 @@ class TestCisPipeline:
         # the plain empirical quantile (calibration choice).
         rng = np.random.default_rng(21)
         y = np.sort(rng.standard_normal(100))
-        ws = WeightedSample(x=np.zeros((100, 1)), y=y, w=np.ones(100))
+        ws = WeightedSample(y=y, w=np.ones(100))
         assert tail_quantile(ws, 0.9) == y[91]
 
     def test_toy2d_fit_converges(self):
         pair = toy2d()
         fam = BiasedFamily("joint_gaussian")
-        params, diag = fit_biased_member(pair, fam, 0.95, RngStream(22),
+        z_alpha = _mc_z_alpha(pair, RngStream(22).child(10))
+        params, diag = fit_biased_member(pair, fam, z_alpha, RngStream(22),
                                          pilot_count=100_000)
-        assert diag.converged
-        assert diag.mass_in_event >= 0.10
+        assert diag.center_in_event
+        assert diag.mass_in_event >= MASS_FLOOR
         # optimized member pushes its mean into the metamodel upper tail
         z_center = pair.eval_metamodel(params.lam.reshape(1, -1))[0]
-        assert z_center > diag.z_threshold
+        assert z_center > z_alpha
 
     def test_toy1d_reports_non_convergence(self):
         pair = toy1d()
         fam = BiasedFamily("joint_gaussian")
         with pytest.raises(CisNonConvergence) as err:
-            fit_biased_member(pair, fam, 0.95, RngStream(23),
-                              pilot_count=100_000)
-        assert err.value.diagnostics.converged is False
+            fit_biased_member(pair, fam, pair.closed_form_z_quantile(0.95),
+                              RngStream(23), pilot_count=100_000)
+        d = err.value.diagnostics
+        assert not (d.mass_in_event >= MASS_FLOOR and d.center_in_event)
 
     def test_estimate_reasonable_on_toy2d(self):
         pair = toy2d()
         fam = BiasedFamily("joint_gaussian")
-        params, _ = fit_biased_member(pair, fam, 0.95, RngStream(24),
-                                      pilot_count=100_000)
+        params, _ = fit_biased_member(
+            pair, fam, _mc_z_alpha(pair, RngStream(24).child(10)),
+            RngStream(24), pilot_count=100_000)
         vals = [tail_quantile(draw_weighted_sample(
                     pair, fam, params, RngStream(25, (r,)).child(1), 200), 0.95)
                 for r in range(200)]
@@ -327,10 +335,10 @@ class TestCisPipeline:
     def test_moment_selection_mode(self):
         pair = toy2d()
         fam = BiasedFamily("joint_gaussian")
-        params, diag = fit_biased_member(pair, fam, 0.95, RngStream(26),
-                                         pilot_count=50_000,
-                                         selection="moment")
-        assert diag.converged
+        params, diag = fit_biased_member(
+            pair, fam, _mc_z_alpha(pair, RngStream(26).child(10)),
+            RngStream(26), pilot_count=50_000, selection="moment")
+        assert diag.mass_in_event >= MASS_FLOOR and diag.center_in_event
 
 
 class TestVarianceOptimalParams:
@@ -454,7 +462,6 @@ class TestChiSquareFit:
             return base.f_r(x)
 
         pair = ModelPair(f=base.f, f_r=f_r, input=base.input)
-        fit_biased_member(pair, BiasedFamily("joint_gaussian"), 0.95,
-                          RngStream(33), z_alpha=2.6, pilot_count=20_000,
-                          check_count=5_000)
-        assert sum(points) == 20_000 + 5_000 + 1
+        fit_biased_member(pair, BiasedFamily("joint_gaussian"), 2.6,
+                          RngStream(33), pilot_count=20_000)
+        assert sum(points) == 20_000 + CHECK_COUNT + 1

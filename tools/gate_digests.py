@@ -14,6 +14,9 @@ leave byte-identical:
   the replications of a config file, so this gate calls
   ``run_replications`` and ``emit_report``, as ``qvr bench`` does for a
   preset;
+- ``qvr diag variance|allocation|cost`` stdout, stderr and exit code on
+  toy1d and toy2d, with a cs config (n=200, alpha 0.95, seed 0, default
+  params) and the default ``--samples``;
 - the stdout of each demo, ``demos/01_*.py`` to ``demos/04_*.py``.
 
 Every command runs in this process through click's test runner, with qvr
@@ -53,6 +56,7 @@ from qvr.cli import main as qvr  # noqa: E402
 PRESETS = ("fig1", "table1", "table2", "fig2")
 ESTIMATORS = ("ee", "cv", "ps", "cs", "acs", "cis")
 MODELS = ("toy1d", "toy2d")
+DIAG_TOPICS = ("variance", "allocation", "cost")
 SEEDS = range(5)
 # Fixed text: the report embeds the config, so the command must not depend
 # on where the interpreter or the repository lies.
@@ -85,6 +89,16 @@ def digests() -> dict[str, str]:
                                                str(path), "--bootstrap", "500"])
                     out[f"estimate/{model}/{est}/{seed}"] = _sha(
                         f"{res.exit_code}\n{res.stdout}\0{res.stderr}")
+        for model in MODELS:
+            path = Path(tmp) / f"{model}-diag.json"
+            path.write_text(json.dumps(dict(
+                model=model, estimator="cs", alpha=0.95, n=200,
+                replications=1, seed=0)))
+            for topic in DIAG_TOPICS:
+                res = runner.invoke(qvr, ["diag", topic, "--config",
+                                           str(path)])
+                out[f"diag/{model}/{topic}"] = _sha(
+                    f"{res.exit_code}\n{res.stdout}\0{res.stderr}")
     out["external/toy1d/ee"] = _sha(external_report())
     for demo in sorted((ROOT / "demos").glob("0[1-4]_*.py")):
         out[f"demo/{demo.name[:2]}"] = _sha(demo_stdout(demo))
