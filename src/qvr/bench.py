@@ -145,16 +145,7 @@ class ExperimentConfig:
             jsonschema.validate(raw, CONFIG_SCHEMA)
         except jsonschema.ValidationError as e:
             raise ConfigError(f"invalid config: {e.message}") from e
-        return ExperimentConfig(
-            model=raw["model"],
-            estimator=raw["estimator"],
-            alpha=raw["alpha"],
-            n=raw["n"],
-            replications=raw["replications"],
-            seed=raw["seed"],
-            params=raw.get("params", {}),
-            output=raw.get("output"),
-        )
+        return ExperimentConfig(**raw)
 
     def build_pair(self) -> ModelPair:
         if isinstance(self.model, str):

@@ -115,7 +115,8 @@ def bench_cmd(preset, reps, seed, out_path, fmt):
 @main.command()
 @click.argument("topic", type=click.Choice(["variance", "allocation", "cost"]))
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--samples", type=int, default=10**5, show_default=True,
+@click.option("--samples", type=click.IntRange(min=10**4), default=10**5,
+              show_default=True,
               help="Monte Carlo size for the conditional probabilities.")
 def diag(topic, config_path, samples):
     """Closed-form variance, optimal-allocation and rejection-cost

@@ -279,7 +279,6 @@ def ps_quantile_sorted_rows(ys: np.ndarray, strat: np.ndarray,
 class CorrelationReport:
     rho: float
     rho_indicator: float
-    sample_size: int
 
 
 def correlation_report(pair: ModelPair, alpha: float, sample_count: int,
@@ -293,4 +292,4 @@ def correlation_report(pair: ModelPair, alpha: float, sample_count: int,
     y_alpha = empirical_quantile(s.y, alpha)
     z_alpha = empirical_quantile(s.z, alpha)
     rho_i = indicator_correlation(s, y_alpha, z_alpha)
-    return CorrelationReport(rho=rho, rho_indicator=rho_i, sample_size=sample_count)
+    return CorrelationReport(rho=rho, rho_indicator=rho_i)

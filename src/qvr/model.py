@@ -45,9 +45,6 @@ class Normal:
     def sample(self, rng, count):
         return rng.normal(self.mean, self.stddev, size=count)
 
-    def cdf(self, x):
-        return norm.cdf(x, loc=self.mean, scale=self.stddev)
-
 
 @dataclass(frozen=True)
 class Lognormal:
@@ -69,9 +66,6 @@ class Lognormal:
 
     def sample(self, rng, count):
         return np.exp(rng.normal(self.log_mean, self.log_stddev, size=count))
-
-    def cdf(self, x):
-        return lognorm.cdf(x, s=self.log_stddev, scale=math.exp(self.log_mean))
 
 
 Marginal = Normal | Lognormal
@@ -268,9 +262,8 @@ class SubprocessModel:
     in flight (sent and not yet answered).  ``timeout`` is the number of
     seconds the adapter waits without a reply.  A timeout or any other
     ``ModelError`` during an exchange kills and reaps the child, so the next
-    call starts a fresh one.  Results are cached per exact input bit
-    pattern, so a point is never paid for twice across calls; a point
-    repeated within one call is sent each time.
+    call starts a fresh one.  Every row of every call is sent, repeated
+    points included.
     """
 
     def __init__(self, command: Sequence[str] | str, batch_size: int = 64,
@@ -283,7 +276,6 @@ class SubprocessModel:
         self.batch_size = batch_size
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._cache: dict[bytes, float] = {}
         self._next_id = 0
         self._lock = threading.Lock()
 
@@ -328,27 +320,14 @@ class SubprocessModel:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty(pts.shape[0])
+        if pts.shape[0] == 0:
+            return np.empty(0)
         with self._lock:
-            pending: list[int] = []
-            keys: list[bytes] = []
-            for i in range(pts.shape[0]):
-                key = pts[i].tobytes()
-                y = self._cache.get(key)
-                if y is None:
-                    pending.append(i)
-                    keys.append(key)
-                else:
-                    out[i] = y
-            if pending:
-                try:
-                    ys = self._exchange(pts[pending])
-                except BaseException:
-                    self._kill()  # its pipes may hold stale replies
-                    raise
-                out[pending] = ys
-                self._cache.update(zip(keys, ys.tolist()))
-        return out
+            try:
+                return self._exchange(pts)
+            except BaseException:
+                self._kill()  # its pipes may hold stale replies
+                raise
 
     def _exchange(self, rows: np.ndarray) -> np.ndarray:
         """Send one request per row and return the replies in row order."""

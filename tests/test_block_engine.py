@@ -236,7 +236,10 @@ def test_ps_empty_strata_recorded_per_replication():
     assert report.estimates.tolist() == expected
 
 
-def _counting_factory(name, counts, fail_after=None):
+def _counting_factory(name, counts, fail_after=None, rows=None):
+    """Builtin pair ``name`` whose ``f`` counts its points and calls; with
+    ``rows``, ``f`` and ``f_r`` also keep a copy of every batch they get in
+    ``rows["f"]`` and ``rows["f_r"]``."""
     original = BUILTIN_MODELS[name]
 
     def factory():
@@ -247,8 +250,15 @@ def _counting_factory(name, counts, fail_after=None):
             counts["calls"] = counts.get("calls", 0) + 1
             if fail_after is not None and counts["f"] > fail_after:
                 raise ModelError("simulator died")
+            if rows is not None:
+                rows["f"].append(np.array(x))
             return pair.f(x)
-        return ModelPair(f=f, f_r=pair.f_r, input=pair.input, name=pair.name,
+
+        def f_r(x):
+            if rows is not None:
+                rows["f_r"].append(np.array(x))
+            return pair.f_r(x)
+        return ModelPair(f=f, f_r=f_r, input=pair.input, name=pair.name,
                          closed_form_z_quantile=pair.closed_form_z_quantile)
     return factory
 
@@ -264,6 +274,30 @@ def test_f_receives_n_points_per_replication(label, monkeypatch):
     assert counts["f"] == N * (BLOCK + 3)
     if label == "acs":  # a pilot and a phase two per block of replications
         assert counts["calls"] == 2 * 2
+
+
+@pytest.mark.parametrize("run", ["replications", "bootstrap"])
+@pytest.mark.parametrize("label", list(CONFIGS))
+def test_no_evaluator_sees_a_row_twice(label, run, monkeypatch):
+    # The premise of an adapter without a point cache: every design
+    # evaluates f (and f_r) once per sampled input, so a memo of seen
+    # points would never be hit.
+    counts, rows = {"f": 0}, {"f": [], "f_r": []}
+    model = CONFIGS[label]["model"]
+    monkeypatch.setitem(BUILTIN_MODELS, model,
+                        _counting_factory(model, counts, rows=rows))
+    if run == "replications":  # over two blocks
+        report = run_replications(make(label, BLOCK + 1))
+        assert len(report.estimates) == BLOCK + 1
+        expected = N * (BLOCK + 1)
+    else:
+        bench.estimate_with_bootstrap(make(label, 1), B=100)
+        expected = N
+    for key, batches in rows.items():
+        if batches:
+            seen = np.concatenate(batches)
+            assert len(np.unique(seen, axis=0)) == len(seen), key
+    assert sum(map(len, rows["f"])) == counts["f"] == expected
 
 
 @pytest.mark.parametrize("label", list(CONFIGS))

@@ -313,6 +313,15 @@ class TestDiag:
         assert res.exit_code == code
         assert pair.f.closed == pair.f_r.closed == 1
 
+    @pytest.mark.parametrize("samples", ["0", "5"])
+    def test_too_few_samples_is_usage_error(self, runner, tmp_path, samples):
+        # the same 10^4 floor as metamodel_quantiles and correlation_report
+        cfg = write_config(tmp_path, model="toy2d", estimator="cs")
+        res = runner.invoke(main, ["diag", "variance", "--config", cfg,
+                                   "--samples", samples])
+        assert res.exit_code == 2
+        assert "--samples" in res.output
+
     def test_bad_topic(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         res = runner.invoke(main, ["diag", "entropy", "--config", cfg])

@@ -75,9 +75,16 @@ def test_caching_never_repays_for_a_point(tmp_path):
         m(np.array([[1.5], [2.5]]))
         m(np.array([[1.5], [2.5], [1.5]]))
         m(np.array([[3.5]]))
-    lines = log.read_text().strip().splitlines()
-    xs = sorted(json.loads(line)["x"][0] for line in lines)
-    assert xs == [1.5, 2.5, 3.5]
+    # no point is served from memory: every row is sent, in row order
+    msgs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(msg["id"], msg["x"]) for msg in msgs] == list(enumerate(
+        [[1.5], [2.5], [1.5], [2.5], [1.5], [3.5]]))
+
+
+def test_empty_batch_starts_no_simulator(tmp_path):
+    with SubprocessModel(child(tmp_path, ECHO_CHILD, "echo.py")) as m:
+        out = m(np.empty((0, 2)))
+        assert out.shape == (0,) and m._proc is None
 
 
 def test_error_response_is_hard_error(tmp_path):
