@@ -41,8 +41,8 @@ class Design(NamedTuple):
 def _draw_input(prep, streams, control=None):
     """n input points per stream and one f call; ``control(prep, z)`` maps
     their metamodel outputs to ``aux``."""
-    x = np.concatenate([sampling.sample_input(prep.pair.input, s, prep.n)
-                        for s in streams])
+    x = np.concatenate([prep.pair.input.sample(g, prep.n)
+                        for g in sampling.generators(streams)])
     y = prep.pair.eval_full(x)
     aux = None if control is None else control(prep,
                                                prep.pair.eval_metamodel(x))
@@ -51,8 +51,8 @@ def _draw_input(prep, streams, control=None):
 
 def _draw_cis(prep, streams):
     member = prep.cis_member
-    x = np.concatenate([member.sample(s.child(1).generator(), prep.n)
-                        for s in streams])
+    x = np.concatenate([member.sample(g, prep.n) for g in
+                        sampling.generators([s.child(1) for s in streams])])
     w = importance.likelihood_ratio(prep.pair, member, x)
     return prep.pair.eval_full(x), w, [([prep.n], {})] * len(streams)
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .model import ModelPair
 
@@ -20,7 +23,9 @@ class RngStream:
 
     Identical keys reproduce identical draw sequences; distinct paths give
     statistically independent streams regardless of scheduling, which keeps
-    multi-phase pipelines deterministic.
+    multi-phase pipelines deterministic.  A block's stream keys are derived
+    together (``generators``) and equal numpy's
+    ``SeedSequence(master_seed, spawn_key=path)`` bit for bit.
     """
 
     master_seed: int
@@ -30,8 +35,130 @@ class RngStream:
         return RngStream(self.master_seed, self.path + tuple(int(i) for i in ids))
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seq))
+        return generators([self])[0]
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator), pool size 4.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK = 0xFFFFFFFF
+# generate_state's xor and multiply constants for the 4 words of a key.
+_STATE_XOR, _STATE_MUL = (
+    np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK for i in r],
+             dtype=np.uint32) for r in (range(4), range(1, 5)))
+
+
+def _words(v) -> list[int]:
+    """The uint32 words of a non-negative integer, least significant first
+    (0 is one word), as SeedSequence splits its entropy."""
+    v = operator.index(v)
+    if v < 0:
+        raise ValueError("expected non-negative integer")
+    out = [v & _MASK]
+    while v > _MASK:
+        v >>= 32
+        out.append(v & _MASK)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _hash_consts(k: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's constants of hashmix calls ``k .. k + count - 1``: the
+    i-th xors with INIT_A * MULT_A**i and multiplies by INIT_A *
+    MULT_A**(i+1).  Shaped (count // 4, 4): one row per word mixed into
+    the pool."""
+    c = [_INIT_A * pow(_MULT_A, k, 1 << 32) & _MASK]
+    for _ in range(count):
+        c.append(c[-1] * _MULT_A & _MASK)
+    c = np.array(c, dtype=np.uint32)
+    c.flags.writeable = False
+    return c[:-1].reshape(-1, 4), c[1:].reshape(-1, 4)
+
+
+def _absorb(pool: np.ndarray, words: np.ndarray, k: int) -> np.ndarray:
+    """Mix the columns of ``words`` (R, w) into pools (R, 4), each word
+    into every pool word, as SeedSequence mixes its entropy past the pool
+    size; ``k`` counts the hashmix calls made before."""
+    xor, mul = _hash_consts(k, 4 * words.shape[1])
+    h = (words[:, :, None] ^ xor) * mul
+    h ^= h >> 16
+    h *= _MIX_R
+    for hj in h.transpose(1, 0, 2):
+        pool = _MIX_L * pool - hj
+        pool ^= pool >> 16
+    return pool
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's pool (1, 4) after the words of ``seed``, zero-padded
+    to the pool size, and the number of hashmix calls that took."""
+    words = _words(seed)
+    words += [0] * (4 - len(words))
+    xor, mul = (c.ravel().tolist() for c in _hash_consts(0, 16))
+
+    def hashmix(v, k):
+        v = (v ^ xor[k]) * mul[k] & _MASK
+        return v ^ v >> 16
+
+    pool = [hashmix(words[i], i) for i in range(4)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src], k) & _MASK
+                pool[dst] = v ^ v >> 16
+                k += 1
+    pool = _absorb(np.array([pool], dtype=np.uint32),
+                   np.array([words[4:]], dtype=np.uint32), k)
+    pool.flags.writeable = False
+    return pool, k + 4 * (len(words) - 4)
+
+
+class _Key(ISeedSequence):
+    """A Philox key derived by ``generators``, handed to ``Philox`` as its
+    seed sequence: ``Philox`` asks it for ``generate_state(2, uint64)``
+    once.  (``Philox(key=...)`` would also draw OS entropy for a
+    SeedSequence it never uses.)  It cannot ``spawn``: child streams come
+    from ``RngStream.child``."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def generators(streams) -> list[np.random.Generator]:
+    """One Philox generator per stream, in order, each keyed exactly as
+    ``Philox(SeedSequence(master_seed, spawn_key=path))``.
+
+    The keys of all streams with one seed and one path word count are
+    derived in one numpy pass over their path words, from that seed's pool
+    (cached: every stream of a run shares it); SeedSequence zero-pads the
+    seed's words to the pool size when a path is present, and without one
+    the padding does not change the pool.
+    """
+    groups: dict = {}
+    for i, s in enumerate(streams):
+        words = [w for p in s.path for w in _words(p)]
+        rows, block = groups.setdefault(
+            (operator.index(s.master_seed), len(words)), ([], []))
+        rows.append(i)
+        block.append(words)
+    out: list = [None] * len(streams)
+    for (seed, width), (rows, block) in groups.items():
+        pool, k = _seed_pool(seed)
+        pool = _absorb(pool.repeat(len(rows), axis=0),
+                       np.array(block, dtype=np.uint32), k)
+        state = (pool ^ _STATE_XOR) * _STATE_MUL
+        state ^= state >> 16
+        # generate_state(2, uint64) reads its uint32 words little-endian.
+        keys = state.astype("<u4", copy=False).view("<u8")
+        for i, key in zip(rows, keys):
+            out[i] = np.random.Generator(np.random.Philox(_Key(key)))
+    return out
 
 
 def sample_input(dist, stream: RngStream, count: int) -> np.ndarray:
@@ -222,7 +349,7 @@ def sample_strata_rows(pair: ModelPair, spec: StrataSpec, need, streams,
     slot = (np.cumsum(need) - need.ravel()).reshape(need.shape)
     x_out = np.empty((int(total.sum()), pair.dimension))
     z_out = np.empty(len(x_out))
-    rngs = [s.generator() for s in streams]
+    rngs = generators(streams)
     draws = np.zeros(R, dtype=int)
     errors: list = [None] * R
     live = total > 0

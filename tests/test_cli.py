@@ -71,6 +71,13 @@ class TestTruth:
                                    "--alpha", "0.95", "--samples", "100"])
         assert res.exit_code == 2
 
+    def test_negative_seed_is_config_error(self, runner):
+        res = runner.invoke(main, ["truth", "--model", "toy1d",
+                                   "--alpha", "0.95", "--samples", "1000000",
+                                   "--seed", "-1"])
+        assert res.exit_code == 2
+        assert "error: expected non-negative integer" in res.output
+
 
 class TestEstimate:
     def test_ee_run(self, runner, tmp_path):
@@ -212,6 +219,12 @@ class TestBench:
                                    "--reps", reps])
         assert res.exit_code == 2
         assert calls == []
+
+    def test_negative_seed_is_config_error(self, runner):
+        res = runner.invoke(main, ["bench", "--preset", "fig1",
+                                   "--reps", "1", "--seed", "-1"])
+        assert res.exit_code == 2
+        assert "error: expected non-negative integer" in res.output
 
     def test_workers_option_rejected(self, runner):
         res = runner.invoke(main, ["bench", "--preset", "table2",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qvr.model import identity1d, toy1d
@@ -10,6 +12,7 @@ from qvr.sampling import (
     StrataSpec,
     evaluate_full,
     expected_rejection_cost,
+    generators,
     metamodel_quantiles,
     sample_input,
     sample_strata,
@@ -30,6 +33,63 @@ class TestRngStream:
 
     def test_child_extends_path(self):
         assert RngStream(7).child(3, 4).path == (3, 4)
+
+    @pytest.mark.parametrize("seed, path", [
+        (0, ()), (2**32 - 1, ()), (2**32, ()), (2**64 + 1, ()),
+        (0, (0,)), (2**32 - 1, (2**32,)), (2**32, (2**32, 1)),
+        (2**64 + 1, (2**32, 2)), (11, (2**32 - 1, 0, 2**40)),
+        (2**130 + 7, (3,)), (5, (2**64 + 1, 9)),
+    ])
+    def test_key_equals_seed_sequence(self, seed, path):
+        assert_keys_equal([RngStream(seed, path)])
+
+    def test_mixed_seeds_and_paths_keep_their_order(self):
+        streams = [RngStream(s, p) for s, p in [
+            (3, (1,)), (0, ()), (3, (2**32, 1)), (2**64 + 1, (4,)),
+            (3, (2,)), (0, (7, 0)), (3, ()), (2**32, (2**32, 2)),
+            (3, (0,))]]
+        assert_keys_equal(streams)
+
+    def test_numpy_integer_path_ids(self):
+        streams = [RngStream(np.uint64(9), (np.int64(4), np.uint32(1))),
+                   RngStream(9, (np.uint64(2**40),))]
+        assert_keys_equal(streams)
+        assert np.array_equal(
+            streams[0].generator().bit_generator.state["state"]["key"],
+            RngStream(9, (4, 1)).generator().bit_generator.state["state"]["key"])
+
+    def test_draws_equal_seed_sequence(self):
+        ref = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(7, spawn_key=(2**32, 1))))
+        got = RngStream(7, (2**32, 1)).generator()
+        assert np.array_equal(got.standard_normal(50),
+                              ref.standard_normal(50))
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.integers(0, 2**32), st.integers(0, 2**80)),
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)),
+                 max_size=4)), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_keys_equal_seed_sequence_property(self, cases):
+        assert_keys_equal([RngStream(s, tuple(p)) for s, p in cases])
+
+    @pytest.mark.parametrize("stream", [RngStream(-1), RngStream(1, (-2,)),
+                                        RngStream(1, (3, -2**40))])
+    def test_negative_keys_raise(self, stream):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            stream.generator()
+
+
+def assert_keys_equal(streams):
+    """Each stream's Philox key is numpy's SeedSequence key, in order."""
+    got = [g.bit_generator.state["state"]["key"]
+           for g in generators(streams)]
+    want = [np.random.Philox(np.random.SeedSequence(
+        s.master_seed, spawn_key=s.path)).state["state"]["key"]
+        for s in streams]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 class TestStrataSpec:

@@ -1,0 +1,97 @@
+"""Microbenchmark: microseconds per random-stream generator.
+
+For R = 1, 8 and 81 streams (one generator, an n=2000 block of
+replications, an n=200 block), times two ways of building one Philox
+generator per stream of the engine's paths ``(seed, (r,))``:
+
+- ``generators``: ``qvr.sampling.generators`` on the R streams at once
+  (``RngStream.generator()`` when R = 1), the engine's path;
+- ``seedsequence``: ``Generator(Philox(SeedSequence(seed, spawn_key=path)))``
+  once per stream, numpy's own key derivation.
+
+The process pins itself to one CPU, the lowest it may run on.  Each run
+times enough calls for about 0.2 s, after one warm-up call; the tool
+prints the median of the runs in microseconds per generator (``--json``:
+every run).  qvr is imported from ``src/`` next to
+this directory.  Not part of the test suite:
+
+    python tools/rng_bench.py [--runs 7] [--json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qvr.sampling import RngStream, generators  # noqa: E402
+
+SEED = 11
+SIZES = (1, 8, 81)
+RUN_S = 0.2
+
+
+def _seedsequence(streams):
+    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        s.master_seed, spawn_key=s.path))) for s in streams]
+
+
+def _kernel(streams):
+    return streams[0].generator() if len(streams) == 1 else generators(streams)
+
+
+def _runs(build, streams, runs: int) -> list[float]:
+    build(streams)
+    start = perf_counter()
+    build(streams)
+    calls = max(1, int(RUN_S / max(perf_counter() - start, 1e-7)))
+    out = []
+    for _ in range(runs):
+        start = perf_counter()
+        for _ in range(calls):
+            build(streams)
+        out.append((perf_counter() - start) / calls / len(streams) * 1e6)
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, default=7,
+                    help="timed runs per size and way (at least 5)")
+    ap.add_argument("--json", action="store_true",
+                    help="print one JSON object instead of a table")
+    args = ap.parse_args()
+    if args.runs < 5:
+        ap.error("--runs must be at least 5")
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    result: dict = {"cpu": cpu, "unit": "us_per_generator", "sizes": {}}
+    for R in SIZES:
+        streams = [RngStream(SEED, (r,)) for r in range(R)]
+        result["sizes"][R] = {
+            name: {"median": round(statistics.median(runs), 2),
+                   "runs": [round(t, 2) for t in runs]}
+            for name, build in (("generators", _kernel),
+                                ("seedsequence", _seedsequence))
+            for runs in [_runs(build, streams, args.runs)]}
+    if args.json:
+        print(json.dumps(result, indent=1))
+        return 0
+    print(f"us per generator, median of {args.runs} runs, CPU {cpu}")
+    print(f"{'R':>4} {'generators':>11} {'seedsequence':>13}")
+    for R, ways in result["sizes"].items():
+        print(f"{R:>4} {ways['generators']['median']:>11.2f} "
+              f"{ways['seedsequence']['median']:>13.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
