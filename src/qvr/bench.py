@@ -153,12 +153,10 @@ class ExperimentConfig:
         dist = InputDistribution(tuple(
             _marginal_from_dict(m) for m in self.model["input"]))
         from .model import SubprocessModel
-        meta = SubprocessModel(self.model["metamodel_command"],
-                               batch_size=self.model.get("batch_size", 64),
-                               timeout=self.model.get("timeout", 60.0))
-        return subprocess_pair(self.model["command"], dist, meta,
-                               batch_size=self.model.get("batch_size", 64),
-                               timeout=self.model.get("timeout", 60.0))
+        opts = {k: self.model[k] for k in ("batch_size", "timeout")
+                if k in self.model}
+        meta = SubprocessModel(self.model["metamodel_command"], **opts)
+        return subprocess_pair(self.model["command"], dist, meta, **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +388,7 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     errors = sorted(e for _, errs in outcomes for e in errs)
     if not ok:
         raise ConfigError("every replication failed; first error: "
-                          + (errors[0][1] if errors else "unknown"))
+                          + errors[0][1])
     est = np.array([res["estimate"] for res in ok])
     std = float(_std(est))
     report = ReplicationReport(

@@ -42,11 +42,17 @@ def _exit_codes():
     sys.exit(code)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _load_config(path: str) -> ExperimentConfig:
+    """Parse a JSON config file; ``NaN`` and ``±Infinity``, which Python's
+    json accepts but JSON does not, are refused."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            raw = json.load(fh, parse_constant=_refuse_constant)
+    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return ExperimentConfig.from_dict(raw)
 

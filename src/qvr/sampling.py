@@ -32,7 +32,7 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def child(self, *ids: int) -> "RngStream":
-        return RngStream(self.master_seed, self.path + tuple(int(i) for i in ids))
+        return RngStream(self.master_seed, self.path + tuple(map(operator.index, ids)))
 
     def generator(self) -> np.random.Generator:
         return generators([self])[0]

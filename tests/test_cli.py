@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -105,6 +106,17 @@ class TestEstimate:
         path.write_text("{not json")
         res = runner.invoke(main, ["estimate", "--config", str(path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("alpha, constant", [
+        (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
+    def test_non_finite_constant_is_config_error(self, runner, tmp_path,
+                                                 alpha, constant):
+        # json.dumps writes these floats as the bare constants.
+        cfg = write_config(tmp_path, estimator="cs", alpha=alpha)
+        res = runner.invoke(main, ["estimate", "--config", cfg,
+                                   "--bootstrap", "100"])
+        assert res.exit_code == 2
+        assert f"{constant} is not a finite number" in res.output
 
     def test_cis_non_convergence_exit_code(self, runner, tmp_path):
         cfg = write_config(tmp_path, model="toy1d", estimator="cis")

@@ -1,11 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-import qvr.model
 from qvr.model import (
     InputDistribution,
     Lognormal,
@@ -28,6 +26,16 @@ class TestMarginals:
         with pytest.raises(ValueError):
             Lognormal(0.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: Normal(v, 1.0), lambda v: Normal(0.0, v),
+        lambda v: Lognormal(v, 1.0), lambda v: Lognormal(0.0, v),
+    ], ids=["Normal.mean", "Normal.stddev", "Lognormal.log_mean",
+            "Lognormal.log_stddev"])
+    def test_non_finite_parameter_raises(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
     def test_standard_normal_density_at_zero(self):
         assert Normal(0.0, 1.0).density(0.0) == pytest.approx(
             0.3989422804, abs=1e-9)
@@ -42,26 +50,10 @@ class TestInputDistribution:
         with pytest.raises(ValueError):
             InputDistribution(())
 
-    def test_unit_mass_integrated_once_per_marginal(self, monkeypatch):
-        qvr.model._check_unit_mass.cache_clear()
-        calls = []
-        quad = qvr.model.integrate.quad
-        monkeypatch.setattr(qvr.model.integrate, "quad",
-                            lambda *a, **k: calls.append(1) or quad(*a, **k))
-        marginal = Lognormal(0.123, 0.456)
-        InputDistribution((marginal, marginal))
-        InputDistribution((Lognormal(0.123, 0.456),))
-        assert len(calls) == 1
-
-    def test_bad_marginal_raises_every_time(self):
-        @dataclasses.dataclass(frozen=True)
-        class DoubledNormal(Normal):
-            def density(self, x):
-                return 2 * super().density(x)
-
-        for _ in range(2):
-            with pytest.raises(ValueError, match="mass"):
-                InputDistribution((DoubledNormal(0.0, 1.0),))
+    def test_huge_lognormal_location_builds_and_samples(self):
+        d = InputDistribution((Lognormal(700.0, 1.0),))
+        x = d.sample(np.random.default_rng(0), 100)
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
 
     def test_joint_density_two_dims(self):
         d = standard_normal_input(2)

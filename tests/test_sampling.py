@@ -34,6 +34,10 @@ class TestRngStream:
     def test_child_extends_path(self):
         assert RngStream(7).child(3, 4).path == (3, 4)
 
+    def test_child_refuses_non_integer_ids(self):
+        with pytest.raises(TypeError):
+            RngStream(3).child(1.9)
+
     @pytest.mark.parametrize("seed, path", [
         (0, ()), (2**32 - 1, ()), (2**32, ()), (2**64 + 1, ()),
         (0, (0,)), (2**32 - 1, (2**32,)), (2**32, (2**32, 1)),
