@@ -18,7 +18,6 @@ import io
 import json
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from . import estimators, importance, strata
@@ -141,6 +140,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        import jsonschema
         try:
             jsonschema.validate(raw, CONFIG_SCHEMA)
         except jsonschema.ValidationError as e:

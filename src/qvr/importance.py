@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import multivariate_normal
 
 from .estimators import _take_rows
 from .model import InputDistribution, Lognormal, ModelPair, Normal
 from .sampling import RngStream
+
+# log(2 pi) as scipy.stats.multivariate_normal computes it
+_LOG_2PI = np.log(2 * np.pi)
 
 
 class ImportanceError(Exception):
@@ -67,23 +68,33 @@ class BiasedParams:
 class JointGaussian:
     """Multivariate normal member with density/sample like InputDistribution.
 
-    The Cholesky factor and the frozen scipy distribution (one eigen
-    decomposition of C) are built once per member, not once per call.
+    The Cholesky factor (for sampling) and the whitening matrix and log
+    normalizer of the density are built once per member, not once per call.
+    The density is ``scipy.stats.multivariate_normal(lam, C).pdf`` bit for
+    bit: the same eigendecomposition and the same operations in order.
     """
 
     lam: np.ndarray
     C: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False, compare=False)
-    _dist: object = field(init=False, repr=False, compare=False)
+    _white: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.linalg import eigh
+        s, u = eigh(self.C, lower=True)
+        if s.min() <= 1e6 * np.finfo(float).eps * np.abs(s).max():
+            # scipy's multivariate_normal refuses such a C the same way
+            raise np.linalg.LinAlgError("C must be symmetric positive definite")
         object.__setattr__(self, "_chol", np.linalg.cholesky(self.C))
-        object.__setattr__(self, "_dist",
-                           multivariate_normal(mean=self.lam, cov=self.C))
+        object.__setattr__(self, "_white", u * np.sqrt(1 / s))
+        object.__setattr__(self, "_log_norm",
+                           len(s) * _LOG_2PI + np.sum(np.log(s)))
 
     def density(self, x):
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.atleast_1d(self._dist.pdf(pts))
+        maha = np.sum(np.square((pts - self.lam) @ self._white), axis=-1)
+        return np.exp(-0.5 * (self._log_norm + maha))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         d = len(self.lam)
@@ -245,6 +256,7 @@ def variance_optimal_params(pair: ModelPair, threshold: float,
     evaluation differ from a LAPACK solve in the last ulp and flip a
     Nelder-Mead comparison, the optimum moves by less than ``xatol``.
     """
+    from scipy.optimize import minimize
     xe = _event_pilot(pair, threshold, pilot_count, stream, tail)
     start = _matched_moments(xe)
     base = np.log(pair.input.density(xe))

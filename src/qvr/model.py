@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import lognorm, norm
+
+# sqrt(2 pi), the normal density's constant, as scipy.stats computes it.
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 class ModelError(Exception):
@@ -40,7 +42,9 @@ class Normal:
             raise ValueError(f"stddev must be positive and finite, got {self.stddev}")
 
     def density(self, x):
-        return norm.pdf(x, loc=self.mean, scale=self.stddev)
+        """scipy.stats.norm.pdf(x, mean, stddev), bit for bit."""
+        z = (np.asarray(x, dtype=float) - self.mean) / self.stddev
+        return np.exp(-z**2 / 2.0) / _SQRT_2PI / self.stddev
 
     def sample(self, rng, count):
         return rng.normal(self.mean, self.stddev, size=count)
@@ -65,7 +69,14 @@ class Lognormal:
                 f"log_stddev must be positive and finite, got {self.log_stddev}")
 
     def density(self, x):
-        return lognorm.pdf(x, s=self.log_stddev, scale=math.exp(self.log_mean))
+        """Density at ``x``, 0 where x <= 0.  It is computed in log space,
+        so a large ``log_mean`` neither overflows nor loses the density."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_x = np.log(x)
+            z = (log_x - self.log_mean) / self.log_stddev
+            log_pdf = -z**2 / 2.0 - log_x - np.log(self.log_stddev * _SQRT_2PI)
+        return np.where(x <= 0, 0.0, np.exp(log_pdf))[()]
 
     def sample(self, rng, count):
         return np.exp(rng.normal(self.log_mean, self.log_stddev, size=count))
@@ -183,6 +194,12 @@ def _identity(x):
     return x[:, 0]
 
 
+def _ndtri(p):
+    """Standard normal quantile (scipy.stats.norm.ppf's own kernel)."""
+    from scipy.special import ndtri
+    return ndtri(p)
+
+
 def toy1d() -> ModelPair:
     """1D oscillatory model with quadratic metamodel and N(0,1) input."""
     return ModelPair(
@@ -190,7 +207,7 @@ def toy1d() -> ModelPair:
         f_r=_toy1d_fr,
         input=standard_normal_input(1),
         name="toy1d",
-        closed_form_z_quantile=lambda a: float(norm.ppf((1 + a) / 2) ** 2),
+        closed_form_z_quantile=lambda a: float(_ndtri((1 + a) / 2) ** 2),
     )
 
 
@@ -211,7 +228,7 @@ def identity1d() -> ModelPair:
         f_r=_identity,
         input=standard_normal_input(1),
         name="identity1d",
-        closed_form_z_quantile=lambda a: float(norm.ppf(a)),
+        closed_form_z_quantile=lambda a: float(_ndtri(a)),
     )
 
 

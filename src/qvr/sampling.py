@@ -302,6 +302,18 @@ def strata_from_cutpoints(pair: ModelPair, cutpoints: Sequence[float],
 # so stacked arrays (and a subprocess model's pending requests) stay ~1 MB.
 BLOCK_POINTS = 16384
 
+# A block's temporaries (BLOCK_POINTS doubles is 128 KiB; some are twice
+# that) sit above glibc's initial 128 KiB mmap threshold, so each would be a
+# fresh mmap that faults in every page it touches and is unmapped when freed.
+# glibc raises the threshold to the size of any mmapped chunk that is freed
+# (and its heap-trim threshold to twice that), so allocating and freeing one
+# 512 KiB array here makes those temporaries reuse heap memory.  Without it a
+# table1 ee call of 1000 replications takes ~17,900 minor page faults instead
+# of ~2, and `qvr bench --preset table1 --reps 1000` takes 4.55 s instead of
+# 4.11 s (medians of 10 alternating runs, one core of a 2-core x86-64 host);
+# 640 or 704 KiB measured no faster.  Only glibc reacts to it.
+np.empty(4 * BLOCK_POINTS)
+
 
 def _batch_for(need: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Draws per row of quotas ``need`` (shape (R, m)) that fill every open

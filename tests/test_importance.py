@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm
 
 from qvr.estimators import quantile_from_weighted_cdf, weighted_cdf
 from qvr.importance import (
@@ -74,6 +74,30 @@ class TestBiasedParams:
 
 
 class TestBiasedDensity:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_joint_gaussian_density_equals_scipy_bit_for_bit(self, d):
+        rng = np.random.default_rng(40 + d)
+        fam = BiasedFamily("joint_gaussian")
+        for _ in range(50):
+            a = rng.normal(size=(d, d))
+            C = a @ a.T + rng.uniform(0.01, 2.0) * np.eye(d)
+            p = BiasedParams(lam=rng.normal(size=d), C=(C + C.T) / 2)
+            pts = rng.normal(size=(40, d)) * rng.uniform(0.5, 4.0)
+            member = fam.member(p)
+            want = multivariate_normal(p.lam, p.C).pdf(pts)
+            assert np.array_equal(member.density(pts), want)
+            one = member.density(pts[0])
+            assert one.shape == (1,)
+            assert one[0] == multivariate_normal(p.lam, p.C).pdf(pts[0])
+
+    def test_numerically_singular_joint_gaussian_rejected(self):
+        C = np.array([[1.0, 0.0], [0.0, 1e-12]])
+        p = BiasedParams(lam=[0.0, 0.0], C=C)
+        with pytest.raises(np.linalg.LinAlgError):
+            multivariate_normal(p.lam, p.C)
+        with pytest.raises(np.linalg.LinAlgError):
+            BiasedFamily("joint_gaussian").member(p)
+
     def test_standard_bivariate_gaussian(self):
         fam = BiasedFamily("joint_gaussian")
         p = BiasedParams(lam=[0.0, 0.0], C=np.eye(2))

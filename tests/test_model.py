@@ -44,6 +44,43 @@ class TestMarginals:
         d = InputDistribution((Lognormal(0.0, 1.0),))
         assert d.density(np.array([-1.0])) == 0.0
 
+    @pytest.mark.parametrize("mean,stddev", [
+        (0.0, 1.0), (0.3, 1.7), (-2.5, 0.01), (1e6, 3e5), (4.0, 1e-300)])
+    def test_normal_density_equals_scipy_bit_for_bit(self, mean, stddev):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.normal(mean, 4 * stddev, 10_000),
+                            [mean, np.inf, -np.inf, np.nan, 0.0, -0.0,
+                             1e308, -1e308, 5e-324]])
+        with np.errstate(over="ignore"):
+            got = Normal(mean, stddev).density(x)
+            want = stats.norm.pdf(x, loc=mean, scale=stddev)
+            assert np.array_equal(got, want, equal_nan=True)
+            for v in (0.25, mean, np.inf, -np.inf, np.nan):
+                got = Normal(mean, stddev).density(v)
+                want = stats.norm.pdf(v, loc=mean, scale=stddev)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("log_mean,log_stddev", [
+        (0.0, 1.0), (0.2, 0.9), (-3.0, 0.05), (5.0, 2.5)])
+    def test_lognormal_density_matches_scipy(self, log_mean, log_stddev):
+        rng = np.random.default_rng(12)
+        x = np.exp(rng.normal(log_mean, 1.5 * log_stddev, 10_000))
+        want = stats.lognorm.pdf(x, s=log_stddev, scale=math.exp(log_mean))
+        keep = want > 1e-300  # below that scipy's own result is subnormal
+        got = Lognormal(log_mean, log_stddev).density(x)
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
+        edges = np.array([0.0, -1.0, -np.inf, np.inf, np.nan])
+        assert np.array_equal(Lognormal(log_mean, log_stddev).density(edges),
+                              [0.0, 0.0, 0.0, 0.0, np.nan], equal_nan=True)
+
+    def test_lognormal_density_with_huge_location_is_finite(self):
+        m = Lognormal(710.0, 1.0)
+        at_max = m.density(1e308)
+        assert math.isfinite(at_max) and at_max > 0
+        assert math.isfinite(m.density(1.0))
+        assert type(m.density(1.0)) is np.float64
+
 
 class TestInputDistribution:
     def test_needs_components(self):
@@ -133,6 +170,16 @@ class TestBuiltinModels:
     def test_identity(self):
         z, y = _z_and_y(identity1d(), [0.37])
         assert z == 0.37 and y == 0.37
+
+    def test_closed_form_quantiles_equal_scipy_ppf(self):
+        alphas = [0.0, 1e-12, 0.05, 0.5, 0.9, 0.95, 0.99, 1 - 1e-12, 1.0,
+                  *np.linspace(0.001, 0.999, 499)]
+        for a in alphas:
+            got = toy1d().closed_form_z_quantile(a)
+            assert got == float(stats.norm.ppf((1 + a) / 2) ** 2)
+            assert type(got) is float
+            got = identity1d().closed_form_z_quantile(a)
+            assert got == float(stats.norm.ppf(a))
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
