@@ -138,6 +138,17 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
     output: str | None = None
 
+    def __post_init__(self):
+        # The checks of CONFIG_SCHEMA that a config built directly would
+        # skip, and without which the inversions index out of the sample.
+        if not 0 < self.alpha < 1:  # NaN too
+            raise ConfigError(f"alpha must be in (0, 1), not {self.alpha}")
+        if self.n < 2:
+            raise ConfigError(f"n must be at least 2, not {self.n}")
+        if self.replications < 1:
+            raise ConfigError("replications must be at least 1, not "
+                              f"{self.replications}")
+
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         import jsonschema
@@ -266,6 +277,9 @@ def _prepare(config: ExperimentConfig, pair: ModelPair) -> _Prepared:
     est = config.estimator
     if est in ("cv", "cis"):
         prep.z_alpha = _z_alpha_for(pair, config)
+    if est == "cv":  # the strata of the control 1{Z <= z_alpha}
+        prep.spec = StrataSpec((0.0, config.alpha, 1.0),
+                               (-np.inf, prep.z_alpha, np.inf))
     if est in ("ps", "cs", "acs"):
         prep.spec = _spec_for(pair, config)
     if est == "cs":
@@ -562,8 +576,6 @@ def preset_configs(name: str, replications: int | None = None,
                    seed: int = 0) -> dict[str, ExperimentConfig]:
     """Named experiment suites replicating the published toy benchmarks;
     ``replications``, when given, overrides every suite's count."""
-    if replications is not None and replications < 1:
-        raise ConfigError("replications must be at least 1")
 
     def cfg(model, est, n, reps, **params):
         return ExperimentConfig(

@@ -3,9 +3,10 @@ and the bootstrap (``qvr.bench``).
 
 ``draw(prep, streams)`` stacks the samples of replication streams, n records
 each, into (y, aux, runs): ``aux`` is what the inversion needs of a record
-besides y (the cv control indicator, the ps stratum, the cs/acs pooled
-weight or the cis likelihood ratio); ``runs`` holds per stream the error
-that stopped its draw, or its (bootstrap groups, reported extras).
+besides y (for cv and ps the stratum of its metamodel output, as cv is ps
+on two strata split at z_alpha; the cs/acs pooled weight or the cis
+likelihood ratio); ``runs`` holds per stream the error that stopped its
+draw, or its (bootstrap groups, reported extras).
 ``invert(prep, y, aux, rows, by_y)`` maps (c, n) record indices, one sample
 per row, to c estimates and the {row: error} of rows that defeat the
 estimator; ``by_y(rows)`` sorts each row by y, stably, as the caller sorts
@@ -16,7 +17,6 @@ rejection draws together (``sampling.sample_strata_rows``).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,14 +38,14 @@ class Design(NamedTuple):
     scheme: str
 
 
-def _draw_input(prep, streams, control=None):
-    """n input points per stream and one f call; ``control(prep, z)`` maps
-    their metamodel outputs to ``aux``."""
+def _draw_input(prep, streams):
+    """n input points per stream and one f call; with strata (cv, ps), aux
+    is each point's metamodel stratum, in the narrowest integer type."""
     x = np.concatenate([prep.pair.input.sample(g, prep.n)
                         for g in sampling.generators(streams)])
     y = prep.pair.eval_full(x)
-    aux = None if control is None else control(prep,
-                                               prep.pair.eval_metamodel(x))
+    aux = None if prep.spec is None else prep.spec.stratum_of(
+        prep.pair.eval_metamodel(x)).astype(np.min_scalar_type(prep.spec.m))
     return y, aux, [([prep.n], {})] * len(streams)
 
 
@@ -85,14 +85,12 @@ def _draw_acs(prep, streams):
         for d, b, c in zip(rows.draws, rows.beta_tilde, rows.counts)])
 
 
-def _invert_weighted(prep, y, aux, rows, by_y, weigh=None):
-    """Generalized inverse of each row with weights ``weigh(records)`` (by
-    default ``aux``), normalized by their total in the row's own order, as
-    ``weighted_cdf`` normalizes."""
-    weigh = weigh or (lambda ids: aux[ids])
+def _invert_weighted(prep, y, aux, rows, by_y):
+    """Generalized inverse of each row with weights ``aux``, normalized by
+    their total in the row's own order, as ``weighted_cdf`` normalizes."""
     srt = by_y(rows)
     return estimators.weighted_quantile_sorted_rows(
-        y[srt], weigh(srt), weigh(rows).sum(axis=1, keepdims=True),
+        y[srt], aux[srt], aux[rows].sum(axis=1, keepdims=True),
         prep.alpha), {}
 
 
@@ -106,17 +104,23 @@ def _invert_ee(prep, y, aux, rows, by_y):
     return estimators.empirical_quantile_rows(y[rows], prep.alpha), {}
 
 
-def _invert_cv(prep, y, aux, rows, by_y):
-    return _invert_weighted(prep, y, aux, rows, by_y, lambda ids: (
-        estimators.cv_indicator_weight_rows(aux[ids], prep.alpha)[0]))
-
-
 def _invert_ps(prep, y, aux, rows, by_y):
     srt = by_y(rows)
-    values, empty = estimators.ps_quantile_sorted_rows(
+    values, empty = estimators.stratified_quantile_sorted_rows(
         y[srt], aux[srt], prep.spec.widths, prep.alpha)
     return values, {i: estimators.EstimatorError(f"stratum {j} is empty")
                     for i, j in enumerate(empty) if j >= 0}
+
+
+def _invert_cv(prep, y, aux, rows, by_y):
+    """``_invert_ps``, but a row with an empty stratum (every Z on one side
+    of z_alpha) is inverted as one stratum, with uniform weights."""
+    values, fails = _invert_ps(prep, y, aux, rows, by_y)
+    if fails:
+        srt = by_y(rows[list(fails)])
+        values[list(fails)] = estimators.stratified_quantile_sorted_rows(
+            y[srt], np.zeros_like(srt), np.ones(1), prep.alpha)[0]
+    return values, {}
 
 
 _CIS_MODES = {"tail": _invert_tail, "self_normalized": _invert_weighted}
@@ -131,11 +135,8 @@ def _invert_cis(prep, y, aux, rows, by_y):
 
 DESIGNS = {
     "ee": Design(_draw_input, _invert_ee, "iid"),
-    "cv": Design(partial(_draw_input, control=lambda prep, z: z <= prep.z_alpha),
-                 _invert_cv, "iid"),
-    "ps": Design(partial(_draw_input,
-                         control=lambda prep, z: prep.spec.stratum_of(z)),
-                 _invert_ps, "iid"),
+    "cv": Design(_draw_input, _invert_cv, "iid"),
+    "ps": Design(_draw_input, _invert_ps, "iid"),
     "cs": Design(_draw_cs, _invert_weighted, "within_strata"),
     "acs": Design(_draw_acs, _invert_weighted, "within_strata"),
     "cis": Design(_draw_cis, _invert_cis, "weighted"),

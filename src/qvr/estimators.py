@@ -13,10 +13,12 @@ Quantile conventions (README "Quantile conventions"):
 
 The two differ only when alpha*n is an integer.  The ``*_rows`` functions
 invert every row of a (replications, n) array at once; the one-sample
-functions (``quantile_from_weighted_cdf``, ``empirical_quantile``,
-``cv_weights``) are one-row calls of them, so both give the same bits.  The
-``*_sorted_rows`` ones take rows already sorted by output, stably, as
-``weighted_cdf`` sorts.  A row sorted another way (the bootstrap sorts
+functions (``quantile_from_weighted_cdf``, ``empirical_quantile``) are
+one-row calls of them, so both give the same bits.  ``cv_weights`` are the
+``stratum_weights`` of the strata Z <= z_alpha and Z > z_alpha, as
+``stratified_quantile_sorted_rows`` weighs a cv row.  The ``*_sorted_rows``
+functions take rows already sorted by output, stably, as ``weighted_cdf``
+sorts.  A row sorted another way (the bootstrap sorts
 ranks) holds the same values, but points with tied outputs and different
 weights may sit in another order; the cumulative weights then differ by
 rounding only, which can change a result only when one falls within the
@@ -107,7 +109,8 @@ def weighted_quantile_sorted_rows(ys: np.ndarray, ws: np.ndarray,
     of accumulation error.
     """
     n = ys.shape[1]
-    cum = np.cumsum(ws / total, axis=1)
+    cum = ws / total
+    np.cumsum(cum, axis=1, out=cum)  # in place: a block allocates less
     tol = 16 * n * np.finfo(float).eps
     # searchsorted(cum, alpha + tol, "right") if strict, else (alpha - tol,
     # "left"), on nondecreasing rows.
@@ -161,27 +164,16 @@ def draw_paired_sample(pair: ModelPair, stream: RngStream, n: int) -> PairedSamp
 
 
 def cv_weights(z_values, z_alpha: float, alpha: float) -> tuple[np.ndarray, bool]:
-    """``cv_indicator_weight_rows`` of the one sample ``z_values``."""
-    w, degenerate = cv_indicator_weight_rows(
-        np.asarray(z_values, dtype=float).reshape(1, -1) <= z_alpha, alpha)
-    return w[0], bool(degenerate[0])
-
-
-def cv_indicator_weight_rows(below: np.ndarray, alpha: float
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Hesterberg weights for the indicator control 1{Z <= z_alpha} of every
-    row of a (B, n) array of control indicators ``below``.
-
-    Returns (weights, degenerate), where degenerate (shape (B,)) marks the
-    rows that fall back to uniform weights because every Z falls on one side
-    of z_alpha.
-    """
-    n = below.shape[1]
-    n0 = below.sum(axis=1, keepdims=True)
-    degenerate = (n0 == 0) | (n0 == n)
-    w_below = np.where(degenerate, 1.0 / n, alpha / np.maximum(n0, 1))
-    w_above = np.where(degenerate, 1.0 / n, (1 - alpha) / np.maximum(n - n0, 1))
-    return np.where(below, w_below, w_above), degenerate[:, 0]
+    """Hesterberg weights for the control 1{Z <= z_alpha}: the
+    ``stratum_weights`` of the strata Z <= z_alpha and Z > z_alpha (NaN
+    falls above), of widths alpha and 1 - alpha, and whether every Z falls
+    in one stratum, where the weights fall back to uniform."""
+    strat = (~(np.asarray(z_values, dtype=float).ravel() <= z_alpha)
+             ).astype(np.intp)
+    counts = np.bincount(strat, minlength=2)
+    if 0 in counts:
+        return np.full(len(strat), 1.0 / len(strat)), True
+    return stratum_weights(np.diff((0.0, alpha, 1.0)), counts)[strat], False
 
 
 def cv_cdf(sample: PairedSample, z_alpha: float, alpha: float) -> WeightedCdf:
@@ -246,9 +238,9 @@ def stratum_weights(widths: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return widths / np.maximum(counts, 1)
 
 
-def ps_quantile_sorted_rows(ys: np.ndarray, strat: np.ndarray,
-                            widths: np.ndarray, alpha: float
-                            ) -> tuple[np.ndarray, np.ndarray]:
+def stratified_quantile_sorted_rows(ys: np.ndarray, strat: np.ndarray,
+                                    widths: np.ndarray, alpha: float
+                                    ) -> tuple[np.ndarray, np.ndarray]:
     """Post-stratified quantile of every row of (B, n) outputs ``ys`` sorted
     ascending, with their stratum labels ``strat`` in the same order, and
     each row's first empty stratum (-1 if none; that row's quantile is
@@ -256,19 +248,19 @@ def ps_quantile_sorted_rows(ys: np.ndarray, strat: np.ndarray,
 
     Points weigh ``stratum_weights``, and each row is normalized by its
     weight total summed in stratum order, as the one-sample estimator pools
-    its points stratum by stratum.
+    its points stratum by stratum.  ps and cv (on two strata) invert with it.
     """
     B, n = strat.shape
     m = len(widths)
-    counts = np.bincount((strat + m * np.arange(B)[:, None]).ravel(),
-                         minlength=B * m).reshape(B, m)
-    w = stratum_weights(widths, counts)
-    pooled = np.repeat(np.tile(np.arange(m), B), counts.ravel()).reshape(B, n)
-    empty = counts == 0
-    values = weighted_quantile_sorted_rows(
-        ys, _take_rows(w, strat),
-        _take_rows(w, pooled).sum(axis=1, keepdims=True), alpha)
-    return values, np.where(empty.any(axis=1), empty.argmax(axis=1), -1)
+    at = strat + m * np.arange(B)[:, None]
+    counts = np.bincount(at.ravel(), minlength=B * m)
+    w = stratum_weights(widths, counts.reshape(B, m)).ravel()
+    ws = w[at]
+    del at  # one (B, n) array fewer while the inversion allocates its own
+    total = np.repeat(w, counts).reshape(B, n).sum(axis=1, keepdims=True)
+    empty = counts.reshape(B, m) == 0
+    return (weighted_quantile_sorted_rows(ys, ws, total, alpha),
+            np.where(empty.any(axis=1), empty.argmax(axis=1), -1))
 
 
 # ---------------------------------------------------------------------------

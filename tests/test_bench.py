@@ -66,6 +66,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             make_config(alpha=0.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", -0.2), ("alpha", 0.0), ("alpha", 1.5),
+        ("alpha", float("nan")), ("n", 1), ("replications", 0)])
+    def test_config_built_directly_is_checked(self, key, value):
+        # A config built without from_dict, as the library, the demos and
+        # perfbench build it, is refused where the schema would refuse it.
+        raw = dict(model="toy1d", estimator="ee", alpha=0.95, n=200,
+                   replications=5, seed=0)
+        raw[key] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**raw)
+
     def test_missing_required_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"model": "toy1d", "estimator": "ee"})

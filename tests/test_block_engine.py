@@ -9,6 +9,7 @@ rejection sampler and adaptive pipeline (``reference_sample_strata``,
 for bit, and every inversion is a copy in ``reference_inversions``.
 """
 
+import dataclasses
 import json
 import sys
 import textwrap
@@ -186,14 +187,40 @@ def test_estimates_do_not_depend_on_their_block(label):
 def test_weighted_inversions_match_reference(alpha, n):
     # alpha * n is an integer for n = 20, where the inversion tolerance
     # decides between two support points.
-    for label, over in (("cv", {}),
-                        ("cis", {"params": {"pilot_count": 20_000,
-                                            "mode": "self_normalized"}})):
-        config = make(label, 12, alpha=alpha, n=n, **over)
-        report = run_replications(config)
-        prep = bench._prepare(config, config.build_pair())
-        expected = [reference_estimate(config, prep, r) for r in range(12)]
-        assert report.estimates.tolist() == expected, label
+    config = make("cis", 12, alpha=alpha, n=n,
+                  params={"pilot_count": 20_000, "mode": "self_normalized"})
+    report = run_replications(config)
+    prep = bench._prepare(config, config.build_pair())
+    expected = [reference_estimate(config, prep, r) for r in range(12)]
+    assert report.estimates.tolist() == expected
+
+
+def test_cv_inversions_match_reference():
+    # cv on both toys over the n and alpha of the cv/ps census.  At small
+    # n and extreme alpha some samples have every Z on one side of
+    # z_alpha, where cv falls back to uniform weights; the grid must hold
+    # such samples, so that the fallback is compared too.  z_alpha does
+    # not depend on n, so one preparation serves every n.
+    fallbacks = 0
+    for model in ("toy1d", "toy2d"):
+        for alpha in (0.05, 0.5, 0.95, 0.99):
+            config = make("cv", 12, model=model, alpha=alpha)
+            prep = bench._prepare(config, config.build_pair())
+            for n in (2, 7, 20, 200, 1000):
+                config = make("cv", 12, model=model, alpha=alpha, n=n)
+                root = RngStream(config.seed)
+                results, errors = bench._run_block(
+                    config, dataclasses.replace(prep, n=n), root, range(12))
+                expected = [reference_estimate(config, prep, r)
+                            for r in range(12)]
+                assert not errors
+                assert [res["estimate"] for res in results] == expected, \
+                    (model, alpha, n)
+                fallbacks += sum(ref.cv_weights(
+                    estimators.draw_paired_sample(prep.pair, root.child(r),
+                                                  n).z,
+                    prep.z_alpha, alpha)[1] for r in range(12))
+    assert fallbacks
 
 
 def test_one_sample_primitives_match_the_engine():
