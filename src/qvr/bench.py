@@ -1,13 +1,13 @@
 """Replication engine, ground-truth oracles, bootstrap errors and presets.
 
-Turns the estimator modules into reproducible experiments: a JSON-validated
-config selects a model and an estimator, replications run on per-replication
-random streams (deterministic for a fixed master seed regardless of how
-they are grouped into blocks), and reports serialize byte-stably to JSON or
-CSV.  Both the replications and the bootstrap run each estimator's draw and
-inversion from ``qvr.designs``: a block of replications inverts its draw one
-row per replication, and the bootstrap draws replication 0 and inverts it
-and its resamples.
+Turns the estimator modules into reproducible experiments: a config,
+checked where it is built, selects a model and an estimator, replications
+run on per-replication random streams (deterministic for a fixed master
+seed regardless of how they are grouped into blocks), and reports
+serialize byte-stably to JSON or CSV.  Both the replications and the
+bootstrap run each estimator's draw and inversion from ``qvr.designs``: a
+block of replications inverts its draw one row per replication, and the
+bootstrap draws replication 0 and inverts it and its resamples.
 """
 
 from __future__ import annotations
@@ -20,111 +20,99 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimators, importance, strata
-from .designs import DESIGNS
-from .model import (
-    InputDistribution,
-    Lognormal,
-    ModelPair,
-    Normal,
-    builtin_model,
-    subprocess_pair,
-)
-from .sampling import (
-    BLOCK_POINTS,
-    AllocationPlan,
-    RngStream,
-    StrataSpec,
-    metamodel_quantiles,
-    sample_input,
-    strata_from_cutpoints,
-)
+from . import estimators
+from .designs import DESIGNS, ConfigError
+from .model import (InputDistribution, Lognormal, ModelPair, Normal,
+                    builtin_model, subprocess_pair)
+from .sampling import BLOCK_POINTS, RngStream, sample_input
 
 
-class ConfigError(Exception):
-    pass
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-_MARGINAL_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "family": {"const": "normal"},
-                "mean": {"type": "number"},
-                "stddev": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["family", "mean", "stddev"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "family": {"const": "lognormal"},
-                "log_mean": {"type": "number"},
-                "log_stddev": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["family", "log_mean", "log_stddev"],
-            "additionalProperties": False,
-        },
-    ],
+def _integer(low: int):
+    return ((lambda v: type(v) is int and v >= low),
+            f"an integer at least {low}")
+
+
+def _one_of(*values):
+    return (lambda v: v in values), f"one of {list(values)}"
+
+
+def _list_of(ok, least: int, what: str):
+    return (lambda v: isinstance(v, (list, tuple)) and len(v) >= least
+            and all(map(ok, v))), what
+
+
+# The rule of each field, external model key and param: (test, what it is).
+_STRING = (lambda v: isinstance(v, str)), "a string"
+_FIELDS = {
+    "model": ((lambda v: isinstance(v, (str, dict))), "a name or an object"),
+    "estimator": _one_of(*DESIGNS),
+    "alpha": ((lambda v: _number(v) and 0 < v < 1), "a number in (0, 1)"),
+    "n": _integer(2),
+    "replications": _integer(1),
+    "seed": _integer(0),
+    "params": ((lambda v: isinstance(v, dict)), "an object"),
+    "output": ((lambda v: v is None or isinstance(v, str)), "a string"),
 }
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "model": {
-            "oneOf": [
-                {"type": "string"},
-                {
-                    "type": "object",
-                    "properties": {
-                        "command": {"type": "string"},
-                        "metamodel_command": {"type": "string"},
-                        "input": {"type": "array", "items": _MARGINAL_SCHEMA,
-                                  "minItems": 1},
-                        "batch_size": {"type": "integer", "minimum": 1},
-                        "timeout": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["command", "metamodel_command", "input"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "estimator": {"enum": ["ee", "cv", "ps", "cs", "acs", "cis"]},
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "n": {"type": "integer", "minimum": 2},
-        "replications": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "params": {
-            "type": "object",
-            "properties": {
-                "cutpoints": {"type": "array", "items": {"type": "number"},
-                              "minItems": 3},
-                "allocation": {"type": "array",
-                               "items": {"type": "integer", "minimum": 0}},
-                "pilot_per_stratum": {"type": "integer", "minimum": 1},
-                "min_per_stratum": {"type": "integer", "minimum": 1},
-                "quantile_precision": {"enum": ["closed_form", "mc"]},
-                "family": {"enum": ["joint_gaussian", "componentwise_matched"]},
-                "pilot_count": {"type": "integer", "minimum": 1000},
-                "tail": {"enum": ["upper", "lower"]},
-                "selection": {"enum": ["variance", "moment"]},
-                "mode": {"enum": ["tail", "self_normalized"]},
-            },
-            "additionalProperties": False,
-        },
-        "output": {"type": "string"},
-    },
-    "required": ["model", "estimator", "alpha", "n", "replications", "seed"],
-    "additionalProperties": False,
+_REQUIRED = ("model", "estimator", "alpha", "n", "replications", "seed")
+_MARGINALS = {"normal": Normal, "lognormal": Lognormal}
+_EXTERNAL = {
+    "command": _STRING,
+    "metamodel_command": _STRING,
+    "input": _list_of(lambda m: isinstance(m, dict) and m.get("family") in
+                      tuple(_MARGINALS), 1, "a nonempty list of marginals"),
+    "batch_size": _integer(1),
+    "timeout": ((lambda v: _number(v) and v > 0), "a positive number"),
+}
+_PARAMS = {
+    "cutpoints": _list_of(_number, 3, "a list of 3 or more numbers"),
+    "allocation": _list_of(lambda a: type(a) is int and a >= 0, 0,
+                           "a list of integers at least 0"),
+    "pilot_per_stratum": _integer(1),
+    "min_per_stratum": _integer(1),
+    "quantile_precision": _one_of("closed_form", "mc"),
+    "family": _one_of("joint_gaussian", "componentwise_matched"),
+    "pilot_count": _integer(1000),
+    "tail": _one_of("upper", "lower"),
+    "selection": _one_of("variance", "moment"),
+    "mode": _one_of("tail", "self_normalized"),
 }
 
 
-def _marginal_from_dict(d: dict):
-    if d["family"] == "normal":
-        return Normal(d["mean"], d["stddev"])
-    return Lognormal(d["log_mean"], d["log_stddev"])
+def _check(raw: dict, rules: dict, where: str, required=(),
+           foreign="unknown key"):
+    """Refuse a missing ``required`` key, a key without a rule (as
+    ``foreign``) and a value that breaks its key's rule."""
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"invalid config: {where}{key!r} is missing")
+    for key, value in raw.items():
+        if key not in rules:
+            raise ConfigError(f"invalid config: {foreign} {where}{key!r}")
+        ok, what = rules[key]
+        if not ok(value):
+            raise ConfigError(f"invalid config: {where}{key}: {value!r} is "
+                              f"not {what}")
+
+
+def _external_input(model: dict) -> InputDistribution:
+    """The input distribution of a checked external model object; each
+    marginal checks its own keys and the ranges of its parameters."""
+    _check(model, _EXTERNAL, "model.", ("command", "metamodel_command",
+                                        "input"))
+    marginals = []
+    for i, raw in enumerate(model["input"]):
+        args = {k: v for k, v in raw.items() if k != "family"}
+        _check(args, dict.fromkeys(args, (_number, "a number")),
+               f"model.input[{i}].")
+        try:
+            marginals.append(_MARGINALS[raw["family"]](**args))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid config: model.input[{i}]: {e}") from e
+    return InputDistribution(tuple(marginals))
 
 
 @dataclass(frozen=True)
@@ -139,30 +127,28 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        # The checks of CONFIG_SCHEMA that a config built directly would
-        # skip, and without which the inversions index out of the sample.
-        if not 0 < self.alpha < 1:  # NaN too
-            raise ConfigError(f"alpha must be in (0, 1), not {self.alpha}")
-        if self.n < 2:
-            raise ConfigError(f"n must be at least 2, not {self.n}")
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1, not "
-                              f"{self.replications}")
+        """The one check of a config, however it is built: each value's type
+        and range, and that the estimator reads each param given."""
+        _check(vars(self), _FIELDS, "")
+        _check(self.params,
+               {k: _PARAMS[k] for k in DESIGNS[self.estimator].params},
+               "params.", foreign=f"{self.estimator} does not read")
+        if isinstance(self.model, dict):
+            _external_input(self.model)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        import jsonschema
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise ConfigError(f"invalid config: {e.message}") from e
+        """The config of a JSON object, which holds every required key and
+        no other."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"invalid config: {raw!r} is not an object")
+        _check(raw, _FIELDS, "", _REQUIRED)
         return ExperimentConfig(**raw)
 
     def build_pair(self) -> ModelPair:
         if isinstance(self.model, str):
             return builtin_model(self.model)
-        dist = InputDistribution(tuple(
-            _marginal_from_dict(m) for m in self.model["input"]))
+        dist = _external_input(self.model)
         from .model import SubprocessModel
         opts = {k: self.model[k] for k in ("batch_size", "timeout")
                 if k in self.model}
@@ -186,71 +172,6 @@ def ground_truth_quantile(pair: ModelPair, alpha: float, sample_count: int,
                                                     alpha)[0])
 
 
-# ---------------------------------------------------------------------------
-# Per-experiment preparation
-
-
-def _precision(pair: ModelPair, config: ExperimentConfig) -> str:
-    """How the metamodel quantiles of ``config`` are taken: the configured
-    ``quantile_precision``, by default "closed_form" when the model has one
-    and "mc" otherwise.  "closed_form" on a model without one is refused
-    (``ValueError``) by ``metamodel_quantiles``."""
-    return config.params.get(
-        "quantile_precision",
-        "closed_form" if pair.closed_form_z_quantile is not None else "mc")
-
-
-def _spec_for(pair: ModelPair, config: ExperimentConfig) -> StrataSpec:
-    cutpoints = config.params.get("cutpoints", [0.0, 0.5, 0.9, 0.95, 1.0])
-    return strata_from_cutpoints(pair, cutpoints,
-                                 precision=_precision(pair, config),
-                                 stream=RngStream(config.seed, (2**32,)))
-
-
-def _z_alpha_for(pair: ModelPair, config: ExperimentConfig) -> float:
-    return float(metamodel_quantiles(
-        pair, [config.alpha], _precision(pair, config),
-        stream=RngStream(config.seed, (2**32, 1)))[0])
-
-
-def _cs_plan(spec: StrataSpec, config: ExperimentConfig) -> AllocationPlan:
-    """The configured ``allocation``, by default the stratum widths times n
-    rounded by largest remainder, with at least one point per stratum (each
-    taken from the largest count, the first on ties): one count per
-    stratum, summing to n."""
-    alloc = config.params.get("allocation")
-    if alloc is None:
-        if config.n < spec.m:
-            raise ConfigError(f"n = {config.n} cannot give each of the "
-                              f"{spec.m} strata a point")
-        alloc = strata.largest_remainder(spec.widths * config.n)
-        for j in np.flatnonzero(alloc == 0):
-            alloc[np.argmax(alloc)] -= 1
-            alloc[j] = 1
-    if len(alloc) != spec.m:
-        raise ConfigError(f"allocation needs one count per stratum ({spec.m})")
-    if sum(alloc) != config.n:
-        raise ConfigError("allocation must sum to n")
-    return AllocationPlan(tuple(int(a) for a in alloc))
-
-
-@dataclass
-class _Prepared:
-    """Model-independent per-experiment state shared by all replications."""
-
-    pair: ModelPair
-    alpha: float
-    n: int
-    spec: StrataSpec | None = None
-    plan: AllocationPlan | None = None
-    acs_config: strata.AcsConfig | None = None
-    z_alpha: float | None = None
-    cis_family: importance.BiasedFamily | None = None
-    cis_params: importance.BiasedParams | None = None
-    cis_member: importance.JointGaussian | InputDistribution | None = None
-    cis_mode: str = "tail"
-
-
 @contextlib.contextmanager
 def _open_pair(config: ExperimentConfig):
     """The model pair of ``config``; on exit, whether its use failed or not,
@@ -267,47 +188,9 @@ def _open_pair(config: ExperimentConfig):
 
 @contextlib.contextmanager
 def _prepared(config: ExperimentConfig):
-    """``_prepare`` on the pair of ``_open_pair(config)``."""
+    """The design's preparation of ``config`` on ``_open_pair(config)``."""
     with _open_pair(config) as pair:
-        yield _prepare(config, pair)
-
-
-def _prepare(config: ExperimentConfig, pair: ModelPair) -> _Prepared:
-    prep = _Prepared(pair=pair, alpha=config.alpha, n=config.n)
-    est = config.estimator
-    if est in ("cv", "cis"):
-        prep.z_alpha = _z_alpha_for(pair, config)
-    if est == "cv":  # the strata of the control 1{Z <= z_alpha}
-        prep.spec = StrataSpec((0.0, config.alpha, 1.0),
-                               (-np.inf, prep.z_alpha, np.inf))
-    if est in ("ps", "cs", "acs"):
-        prep.spec = _spec_for(pair, config)
-    if est == "cs":
-        prep.plan = _cs_plan(prep.spec, config)
-        if 0 in prep.plan.counts:  # as cs_quantile refuses it
-            raise ConfigError(f"stratum {prep.plan.counts.index(0)} has "
-                              "positive weight but no points")
-    if est == "acs":
-        prep.acs_config = strata.AcsConfig(
-            spec=prep.spec,
-            n=config.n,
-            pilot_per_stratum=config.params.get("pilot_per_stratum"),
-            min_per_stratum=config.params.get("min_per_stratum", 1),
-        )
-    if est == "cis":
-        tag = config.params.get("family", "joint_gaussian")
-        base = pair.input if tag == "componentwise_matched" else None
-        prep.cis_family = importance.BiasedFamily(tag=tag, base=base)
-        prep.cis_mode = config.params.get("mode", "tail")
-        prep.cis_params, _ = importance.fit_biased_member(
-            pair, prep.cis_family, prep.z_alpha,
-            RngStream(config.seed, (2**32, 2)),
-            pilot_count=config.params.get("pilot_count", 200_000),
-            tail=config.params.get("tail", "upper"),
-            selection=config.params.get("selection", "variance"),
-        )
-        prep.cis_member = prep.cis_family.member(prep.cis_params)
-    return prep
+        yield DESIGNS[config.estimator].prepare(pair, config)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +236,7 @@ class ReplicationReport:
         return d
 
 
-def _run_block(config: ExperimentConfig, prep: _Prepared, root: RngStream,
+def _run_block(config: ExperimentConfig, prep, root: RngStream,
                rs: range) -> tuple[list[dict], list[tuple[int, str]]]:
     """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
 

@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from . import bench, estimators, strata
+from . import bench, designs, estimators, strata
 from .bench import ConfigError, ExperimentConfig
 from .designs import NON_CONVERGENCE_ERRORS
 from .model import ModelError, builtin_model
@@ -130,9 +130,9 @@ def diag(topic, config_path, samples):
     with _exit_codes():
         config = _load_config(config_path)
         with bench._open_pair(config) as pair:
-            spec = bench._spec_for(pair, config)
+            spec = designs.spec_for(pair, config)
             # beta_star does not depend on the allocation
-            plan = (bench._cs_plan(spec, config) if topic != "allocation"
+            plan = (designs.cs_plan(spec, config) if topic != "allocation"
                     else None)
             stream = RngStream(config.seed, (2**32, 9))
             s = estimators.draw_paired_sample(pair, stream, samples)
@@ -147,7 +147,7 @@ def diag(topic, config_path, samples):
                 "p_hat": [float(v) for v in p.p_hat],
             }
             if topic == "variance":
-                z_alpha = bench._z_alpha_for(pair, config)
+                z_alpha = designs.z_alpha_for(pair, config)
                 rho_i = estimators.indicator_correlation(s, y_alpha, z_alpha)
                 F = float((s.y <= y_alpha).mean())
                 payload.update({

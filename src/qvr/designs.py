@@ -1,6 +1,8 @@
-"""One draw-and-invert unit per estimator, shared by the replication engine
-and the bootstrap (``qvr.bench``).
+"""One unit per estimator, shared by the replication engine and the
+bootstrap (``qvr.bench``): its params, preparation, draw and inversion.
 
+``prepare(pair, config)`` computes, once per experiment, what the design's
+draw and inversion read of a config (a ``Prepared`` or one of its kin).
 ``draw(prep, streams)`` stacks the samples of replication streams, n records
 each, into (y, aux, runs): ``aux`` is what the inversion needs of a record
 besides y (for cv and ps the stratum of its metamodel output, as cv is ps
@@ -10,18 +12,20 @@ draw, or its (bootstrap groups, reported extras).
 ``invert(prep, y, aux, rows, by_y)`` maps (c, n) record indices, one sample
 per row, to c estimates and the {row: error} of rows that defeat the
 estimator; ``by_y(rows)`` sorts each row by y, stably, as the caller sorts
-best.  ``prep`` is ``qvr.bench._prepare``'s per-experiment state.  A draw
-calls f once (acs: once per phase); cs and acs route all their streams'
-rejection draws together (``sampling.sample_strata_rows``).
+best.  A draw calls f once (acs: once per phase); cs and acs route all
+their streams' rejection draws together (``sampling.sample_strata_rows``).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import estimators, importance, sampling, strata
+from .model import ModelPair
+from .sampling import AllocationPlan, RngStream, StrataSpec
 
 # Failures of an estimator on its own sample (the CLI's exit 3).  A
 # replication that raises one is recorded and skipped; any other exception,
@@ -30,12 +34,108 @@ NON_CONVERGENCE_ERRORS = (sampling.SamplingError, estimators.EstimatorError,
                           strata.StrataError, importance.ImportanceError)
 
 
-class Design(NamedTuple):
-    """Draw, inversion and bootstrap resampling scheme of one estimator."""
+class ConfigError(Exception):
+    """A config that cannot run (the CLI's exit 2)."""
 
-    draw: Callable
-    invert: Callable
-    scheme: str
+
+# What every replication reads: the pair, alpha, n and the design's own state.
+Prepared = namedtuple("Prepared", "pair alpha n")  # ee
+Stratified = namedtuple("Stratified", "pair alpha n spec")  # cv and ps
+Allocated = namedtuple("Allocated", "pair alpha n spec plan")  # cs
+Adaptive = namedtuple("Adaptive", "pair alpha n spec acs_config")  # acs
+Biased = namedtuple("Biased", "pair alpha n member mode")  # cis
+
+
+def _quantiles(pair: ModelPair, config, *path) -> dict:
+    """How the metamodel quantiles of ``config`` are taken, from the stream
+    (seed, 2**32, *path): with the configured ``quantile_precision``, by
+    default "closed_form" if the model has one and "mc" otherwise
+    ("closed_form" on a model without one is refused by
+    ``metamodel_quantiles``)."""
+    return dict(precision=config.params.get(
+        "quantile_precision",
+        "closed_form" if pair.closed_form_z_quantile is not None else "mc"),
+        stream=RngStream(config.seed, (2**32, *path)))
+
+
+def spec_for(pair: ModelPair, config) -> StrataSpec:
+    """The strata of ``config``'s cutpoints (default 0, .5, .9, .95, 1)."""
+    cutpoints = config.params.get("cutpoints", [0.0, 0.5, 0.9, 0.95, 1.0])
+    return sampling.strata_from_cutpoints(pair, cutpoints,
+                                          **_quantiles(pair, config))
+
+
+def z_alpha_for(pair: ModelPair, config) -> float:
+    """The metamodel alpha-quantile of ``config``."""
+    return float(sampling.metamodel_quantiles(
+        pair, [config.alpha], **_quantiles(pair, config, 1))[0])
+
+
+def cs_plan(spec: StrataSpec, config) -> AllocationPlan:
+    """The configured ``allocation``, by default the stratum widths times n
+    rounded by largest remainder, with at least one point per stratum (each
+    taken from the largest count, the first on ties): one count per
+    stratum, summing to n."""
+    alloc = config.params.get("allocation")
+    if alloc is None:
+        if config.n < spec.m:
+            raise ConfigError(f"n = {config.n} cannot give each of the "
+                              f"{spec.m} strata a point")
+        alloc = strata.largest_remainder(spec.widths * config.n)
+        for j in np.flatnonzero(alloc == 0):
+            alloc[np.argmax(alloc)] -= 1
+            alloc[j] = 1
+    if len(alloc) != spec.m:
+        raise ConfigError(f"allocation needs one count per stratum ({spec.m})")
+    if sum(alloc) != config.n:
+        raise ConfigError("allocation must sum to n")
+    return AllocationPlan(tuple(int(a) for a in alloc))
+
+
+def _prepare_ee(pair, config):
+    return Prepared(pair, config.alpha, config.n)
+
+
+def _prepare_cv(pair, config):
+    # the strata of the control 1{Z <= z_alpha}
+    z_alpha = z_alpha_for(pair, config)
+    return Stratified(pair, config.alpha, config.n, StrataSpec(
+        (0.0, config.alpha, 1.0), (-np.inf, z_alpha, np.inf)))
+
+
+def _prepare_ps(pair, config):
+    return Stratified(pair, config.alpha, config.n, spec_for(pair, config))
+
+
+def _prepare_cs(pair, config):
+    spec = spec_for(pair, config)
+    plan = cs_plan(spec, config)
+    if 0 in plan.counts:  # as cs_quantile refuses it
+        raise ConfigError(f"stratum {plan.counts.index(0)} has positive "
+                          "weight but no points")
+    return Allocated(pair, config.alpha, config.n, spec, plan)
+
+
+def _prepare_acs(pair, config):
+    spec = spec_for(pair, config)
+    return Adaptive(pair, config.alpha, config.n, spec, strata.AcsConfig(
+        spec=spec, n=config.n,
+        pilot_per_stratum=config.params.get("pilot_per_stratum"),
+        min_per_stratum=config.params.get("min_per_stratum", 1)))
+
+
+def _prepare_cis(pair, config):
+    get = config.params.get
+    tag = get("family", "joint_gaussian")
+    family = importance.BiasedFamily(
+        tag=tag, base=pair.input if tag == "componentwise_matched" else None)
+    params, _ = importance.fit_biased_member(
+        pair, family, z_alpha_for(pair, config),
+        RngStream(config.seed, (2**32, 2)),
+        pilot_count=get("pilot_count", 200_000), tail=get("tail", "upper"),
+        selection=get("selection", "variance"))
+    return Biased(pair, config.alpha, config.n, family.member(params),
+                  get("mode", "tail"))
 
 
 def _draw_input(prep, streams):
@@ -44,16 +144,15 @@ def _draw_input(prep, streams):
     x = np.concatenate([prep.pair.input.sample(g, prep.n)
                         for g in sampling.generators(streams)])
     y = prep.pair.eval_full(x)
-    aux = None if prep.spec is None else prep.spec.stratum_of(
-        prep.pair.eval_metamodel(x)).astype(np.min_scalar_type(prep.spec.m))
+    aux = (prep.spec.stratum_of(prep.pair.eval_metamodel(x))
+           if isinstance(prep, Stratified) else None)
     return y, aux, [([prep.n], {})] * len(streams)
 
 
 def _draw_cis(prep, streams):
-    member = prep.cis_member
-    x = np.concatenate([member.sample(g, prep.n) for g in
+    x = np.concatenate([prep.member.sample(g, prep.n) for g in
                         sampling.generators([s.child(1) for s in streams])])
-    w = importance.likelihood_ratio(prep.pair, member, x)
+    w = importance.likelihood_ratio(prep.pair, prep.member, x)
     return prep.pair.eval_full(x), w, [([prep.n], {})] * len(streams)
 
 
@@ -127,17 +226,34 @@ _CIS_MODES = {"tail": _invert_tail, "self_normalized": _invert_weighted}
 
 
 def _invert_cis(prep, y, aux, rows, by_y):
-    values, _ = _CIS_MODES[prep.cis_mode](prep, y, aux, rows, by_y)
+    values, _ = _CIS_MODES[prep.mode](prep, y, aux, rows, by_y)
     uncovered = np.flatnonzero((aux[rows] <= 0).any(axis=1))
     return values, {i: importance.ImportanceError(importance.UNCOVERED_SUPPORT)
                     for i in uncovered}
 
 
+class Design(NamedTuple):
+    """One estimator's params, preparation, draw, inversion and scheme."""
+
+    params: tuple[str, ...]
+    prepare: Callable
+    draw: Callable
+    invert: Callable
+    scheme: str
+
+
 DESIGNS = {
-    "ee": Design(_draw_input, _invert_ee, "iid"),
-    "cv": Design(_draw_input, _invert_cv, "iid"),
-    "ps": Design(_draw_input, _invert_ps, "iid"),
-    "cs": Design(_draw_cs, _invert_weighted, "within_strata"),
-    "acs": Design(_draw_acs, _invert_weighted, "within_strata"),
-    "cis": Design(_draw_cis, _invert_cis, "weighted"),
+    "ee": Design((), _prepare_ee, _draw_input, _invert_ee, "iid"),
+    "cv": Design(("quantile_precision",), _prepare_cv, _draw_input,
+                 _invert_cv, "iid"),
+    "ps": Design(("cutpoints", "quantile_precision"), _prepare_ps,
+                 _draw_input, _invert_ps, "iid"),
+    "cs": Design(("cutpoints", "allocation", "quantile_precision"),
+                 _prepare_cs, _draw_cs, _invert_weighted, "within_strata"),
+    "acs": Design(("cutpoints", "pilot_per_stratum", "min_per_stratum",
+                   "quantile_precision"), _prepare_acs, _draw_acs,
+                  _invert_weighted, "within_strata"),
+    "cis": Design(("quantile_precision", "family", "pilot_count", "tail",
+                   "selection", "mode"), _prepare_cis, _draw_cis,
+                  _invert_cis, "weighted"),
 }

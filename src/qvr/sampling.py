@@ -203,15 +203,15 @@ class StrataSpec:
     def stratum_of(self, z) -> np.ndarray:
         """0-based stratum index of each metamodel output: the number of
         interior cut values it exceeds (NaN exceeds them all), which is
-        ``searchsorted(cuts, z, "left")``.  One comparison pass per cut:
-        the cost grows linearly with the cut count, ahead of the binary
-        search up to about 200 cuts and behind it beyond."""
+        ``searchsorted(cuts, z, "left")``, in the narrowest integer type.
+        One comparison pass per cut: the cost grows linearly with the cut
+        count, ahead of the binary search up to about 200 cuts."""
         cuts = self.z_values[1:-1]
         z = np.asarray(z)
         out = np.zeros(z.shape, dtype=np.min_scalar_type(len(cuts)))
         for c in cuts:
             out += ~(z <= c)
-        return out.astype(np.intp)[()]
+        return out[()]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,27 @@
 ``searchsorted`` as qvr's one-sample estimators once were.  qvr now inverts
 one sample as one row of its row inversions, so these copies are the
 independent references that the engine, the bootstrap and the one-sample
-functions are compared against, bit for bit."""
+functions are compared against, bit for bit.  ``prepare`` and
+``joint_gaussian`` hand the engine's per-experiment state to them."""
 
 import math
 
 import numpy as np
+
+from qvr import importance
+from qvr.designs import DESIGNS
+
+
+def prepare(config):
+    """The design's preparation of ``config`` on a pair of its own."""
+    return DESIGNS[config.estimator].prepare(config.build_pair(), config)
+
+
+def joint_gaussian(prep):
+    """The family and parameters of a cis preparation's joint-Gaussian
+    member, as ``importance.draw_weighted_sample`` takes them."""
+    return (importance.BiasedFamily("joint_gaussian"),
+            importance.BiasedParams(prep.member.lam, prep.member.C))
 
 
 def weighted_quantile(y, w, alpha, strict=False):

@@ -12,7 +12,6 @@ from scipy.stats import norm
 
 from qvr import bench, estimators, importance, sampling, strata
 from qvr.bench import (
-    CONFIG_SCHEMA,
     ConfigError,
     ExperimentConfig,
     bootstrap_std,
@@ -99,10 +98,6 @@ class TestConfigValidation:
                 "surprise": True,
             })
 
-    def test_schema_is_self_consistent(self):
-        import jsonschema
-        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
-
 
 class TestGroundTruth:
     def test_identity_recovers_normal_quantile(self):
@@ -162,14 +157,18 @@ class TestRunReplications:
     def test_default_cs_plan_gives_every_stratum_a_point(self):
         # widths 0.5, 0.4, 0.05, 0.05: n = 7 rounds to [4, 3, 0, 0].
         config = make_config(estimator="cs", n=7, replications=30)
-        assert bench._prepare(config, config.build_pair()).plan.counts == \
-            (2, 3, 1, 1)
+        assert ref.prepare(config).plan.counts == (2, 3, 1, 1)
         rep = run_replications(config)
         assert len(rep.estimates) == 30 and not rep.errors
         payload = estimate_with_bootstrap(config, B=100)
         assert payload["estimate"] == rep.estimates[0]
         with pytest.raises(ConfigError, match="4 strata"):
             run_replications(make_config(estimator="cs", n=3))
+
+    def test_integral_float_replications_refused(self):
+        with pytest.raises(ConfigError, match="replications: 3.0 is not an "
+                           "integer"):
+            run_replications(make_config(replications=3.0))
 
     def test_different_seeds_differ(self):
         a = run_replications(make_config(replications=20, seed=1))
@@ -311,7 +310,7 @@ def reference_bootstrap(config, B, seen=None):
     """``estimate_with_bootstrap`` as ``bootstrap_std`` over the inversions
     of ``reference_inversions``: one closure per design, one resample at a
     time.  ``seen``, when given, collects the design's fallback flags."""
-    prep = bench._prepare(config, config.build_pair())
+    prep = ref.prepare(config)
     pair, est, alpha, n = prep.pair, config.estimator, config.alpha, config.n
     root = RngStream(config.seed)
     run_stream, boot_stream = root.child(0), root.child(1)
@@ -329,7 +328,8 @@ def reference_bootstrap(config, B, seen=None):
         data = (s.y, s.z)
 
         def fn(pick):
-            w, degenerate = ref.cv_weights(pick[1], prep.z_alpha, alpha)
+            w, degenerate = ref.cv_weights(pick[1], prep.spec.z_values[1],
+                                             alpha)
             seen["uniform_fallbacks"] = seen.get("uniform_fallbacks", 0) + degenerate
             return ref.weighted_quantile(pick[0], w, alpha)
     elif est == "ps":
@@ -359,13 +359,12 @@ def reference_bootstrap(config, B, seen=None):
                                           np.cumsum(rows.counts[0])[:-1]))
         fn = pooled_quantile
     else:
-        s = importance.draw_weighted_sample(pair, prep.cis_family,
-                                           prep.cis_params,
+        s = importance.draw_weighted_sample(pair, *ref.joint_gaussian(prep),
                                            run_stream.child(1), n)
         data = (s.y, s.w)
 
         def fn(pick):
-            if prep.cis_mode == "tail":
+            if prep.mode == "tail":
                 return ref.tail_quantile(*pick, alpha)
             return ref.weighted_quantile(*pick, alpha)
     scheme = bench.DESIGNS[est].scheme
@@ -454,7 +453,7 @@ class TestBootstrapEquivalence:
         messages, full_samples = set(), 0
         for seed in range(12):
             config = make_config(estimator="ps", n=14, seed=seed)
-            prep = bench._prepare(config, config.build_pair())
+            prep = ref.prepare(config)
             s = estimators.draw_paired_sample(
                 prep.pair, RngStream(seed).child(0), config.n)
             full_samples += len(set(prep.spec.stratum_of(s.z))) == prep.spec.m

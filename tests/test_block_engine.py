@@ -9,7 +9,6 @@ rejection sampler and adaptive pipeline (``reference_sample_strata``,
 for bit, and every inversion is a copy in ``reference_inversions``.
 """
 
-import dataclasses
 import json
 import sys
 import textwrap
@@ -145,7 +144,7 @@ def reference_estimate(config, prep, r):
         return ref.empirical_quantile(pair.eval_full(x), alpha)
     if est == "cv":
         s = estimators.draw_paired_sample(pair, stream, n)
-        w, _ = ref.cv_weights(s.z, prep.z_alpha, alpha)
+        w, _ = ref.cv_weights(s.z, prep.spec.z_values[1], alpha)
         return ref.weighted_quantile(s.y, w, alpha)
     if est == "ps":
         s = estimators.draw_paired_sample(pair, stream, n)
@@ -162,9 +161,9 @@ def reference_estimate(config, prep, r):
     if est == "acs":
         merged = reference_acs_sample(pair, prep.acs_config, alpha, stream)[0]
         return ref.stratified_quantile(merged.y, prep.spec.widths, alpha)
-    s = importance.draw_weighted_sample(pair, prep.cis_family, prep.cis_params,
+    s = importance.draw_weighted_sample(pair, *ref.joint_gaussian(prep),
                                         stream.child(1), n)
-    if prep.cis_mode == "tail":
+    if prep.mode == "tail":
         return ref.tail_quantile(s.y, s.w, alpha)
     return ref.weighted_quantile(s.y, s.w, alpha)
 
@@ -177,7 +176,7 @@ def test_estimates_do_not_depend_on_their_block(label):
     assert len(long.estimates) == SPANNING
     assert short.estimates.tolist() == long.estimates[:5].tolist()
     config = make(label, SPANNING)
-    prep = bench._prepare(config, config.build_pair())
+    prep = ref.prepare(config)
     for r in (0, BLOCK - 1, BLOCK, SPANNING - 1):
         assert long.estimates[r] == reference_estimate(config, prep, r), r
 
@@ -190,7 +189,7 @@ def test_weighted_inversions_match_reference(alpha, n):
     config = make("cis", 12, alpha=alpha, n=n,
                   params={"pilot_count": 20_000, "mode": "self_normalized"})
     report = run_replications(config)
-    prep = bench._prepare(config, config.build_pair())
+    prep = ref.prepare(config)
     expected = [reference_estimate(config, prep, r) for r in range(12)]
     assert report.estimates.tolist() == expected
 
@@ -205,12 +204,12 @@ def test_cv_inversions_match_reference():
     for model in ("toy1d", "toy2d"):
         for alpha in (0.05, 0.5, 0.95, 0.99):
             config = make("cv", 12, model=model, alpha=alpha)
-            prep = bench._prepare(config, config.build_pair())
+            prep = ref.prepare(config)
             for n in (2, 7, 20, 200, 1000):
                 config = make("cv", 12, model=model, alpha=alpha, n=n)
                 root = RngStream(config.seed)
                 results, errors = bench._run_block(
-                    config, dataclasses.replace(prep, n=n), root, range(12))
+                    config, prep._replace(n=n), root, range(12))
                 expected = [reference_estimate(config, prep, r)
                             for r in range(12)]
                 assert not errors
@@ -219,7 +218,7 @@ def test_cv_inversions_match_reference():
                 fallbacks += sum(ref.cv_weights(
                     estimators.draw_paired_sample(prep.pair, root.child(r),
                                                   n).z,
-                    prep.z_alpha, alpha)[1] for r in range(12))
+                    prep.spec.z_values[1], alpha)[1] for r in range(12))
     assert fallbacks
 
 
@@ -232,7 +231,7 @@ def test_one_sample_primitives_match_the_engine():
         config = bench.preset_configs(preset, replications=20)[label]
         report = run_replications(config)
         assert not report.errors
-        prep = bench._prepare(config, config.build_pair())
+        prep = ref.prepare(config)
         for r in range(20):
             stream = RngStream(config.seed).child(r)
             if label == "acs3":
@@ -243,7 +242,7 @@ def test_one_sample_primitives_match_the_engine():
             else:
                 estimate = importance.tail_quantile(
                     importance.draw_weighted_sample(
-                        prep.pair, prep.cis_family, prep.cis_params,
+                        prep.pair, *ref.joint_gaussian(prep),
                         stream.child(1), config.n), config.alpha)
             assert estimate == report.estimates[r], (label, r)
 
@@ -251,7 +250,7 @@ def test_one_sample_primitives_match_the_engine():
 def test_ps_empty_strata_recorded_per_replication():
     config = make("ps", 60, n=20)
     report = run_replications(config)
-    prep = bench._prepare(config, config.build_pair())
+    prep = ref.prepare(config)
     expected_errors, expected = [], []
     for r in range(60):
         try:

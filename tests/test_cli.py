@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.stats import norm
 
-from qvr import bench
+from qvr import bench, designs
 from qvr.bench import ConfigError, ExperimentConfig
 from qvr.cli import main
 from qvr.estimators import EstimatorError
@@ -36,15 +36,17 @@ def write_config(tmp_path, **over):
     return str(path)
 
 
-# Each command with the one library call (an attribute of ``qvr.bench``) that
+# Each command with the one library call (a module and its attribute) that
 # a test replaces to make the command fail.
 COMMANDS = [
-    ("ground_truth_quantile", lambda cfg: [
+    (bench, "ground_truth_quantile", lambda cfg: [
         "truth", "--model", "toy1d", "--alpha", "0.95",
         "--samples", "2000000"]),
-    ("estimate_with_bootstrap", lambda cfg: ["estimate", "--config", cfg]),
-    ("run_preset", lambda cfg: ["bench", "--preset", "fig1", "--reps", "2"]),
-    ("_spec_for", lambda cfg: ["diag", "variance", "--config", cfg]),
+    (bench, "estimate_with_bootstrap",
+     lambda cfg: ["estimate", "--config", cfg]),
+    (bench, "run_preset",
+     lambda cfg: ["bench", "--preset", "fig1", "--reps", "2"]),
+    (designs, "spec_for", lambda cfg: ["diag", "variance", "--config", cfg]),
 ]
 
 
@@ -100,6 +102,21 @@ class TestEstimate:
         cfg = write_config(tmp_path, bogus=True)
         res = runner.invoke(main, ["estimate", "--config", cfg])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("over", [
+        {"n": 200.0}, {"seed": 1.0}, {"n": True},
+        {"model": "toy2d", "estimator": "cis",
+         "params": {"pilot_count": 20000.0}}])
+    def test_non_integer_count_is_one_config_error_line(self, runner,
+                                                        tmp_path, over):
+        # JSON's 200.0 is a float: a count must be written as an integer.
+        cfg = write_config(tmp_path, **over)
+        res = runner.invoke(main, ["estimate", "--config", cfg,
+                                   "--bootstrap", "100"])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2
+        [line] = res.output.splitlines()
+        assert line.startswith("error: invalid config: ")
 
     def test_malformed_json(self, runner, tmp_path):
         path = tmp_path / "broken.json"
@@ -216,9 +233,9 @@ class TestBench:
             raise error
 
         cfg = write_config(tmp_path, estimator="cs")
-        for call, args in COMMANDS:
+        for module, call, args in COMMANDS:
             with monkeypatch.context() as m:
-                m.setattr(bench, call, fail)
+                m.setattr(module, call, fail)
                 res = runner.invoke(main, args(cfg))
             assert res.exit_code == code, args(cfg)[0]
             assert f"error: {error}" in res.output, args(cfg)[0]
@@ -236,7 +253,8 @@ class TestBench:
         res = runner.invoke(main, ["bench", "--preset", "fig1",
                                    "--reps", "1", "--seed", "-1"])
         assert res.exit_code == 2
-        assert "error: expected non-negative integer" in res.output
+        assert "error: invalid config: seed: -1 is not an integer at " \
+            "least 0" in res.output
 
     def test_workers_option_rejected(self, runner):
         res = runner.invoke(main, ["bench", "--preset", "table2",

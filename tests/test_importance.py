@@ -24,7 +24,8 @@ from qvr.importance import (
     tail_quantile,
     variance_optimal_params,
 )
-from qvr.bench import ConfigError, ExperimentConfig, _prepare
+from qvr.bench import ConfigError, ExperimentConfig
+from qvr.designs import DESIGNS, z_alpha_for
 from qvr.model import (
     InputDistribution,
     Lognormal,
@@ -467,15 +468,16 @@ class TestChiSquareFit:
     @pytest.mark.parametrize("seed", range(5))
     def test_gate_fit_bit_identical_to_lapack_reference(self, seed):
         # The fits behind the cis byte gates: `qvr estimate` on toy2d at
-        # seeds 0-4, with _prepare's fit stream and metamodel quantile.
+        # seeds 0-4, with the cis preparation's fit stream and metamodel
+        # quantile.
         config = ExperimentConfig(model="toy2d", estimator="cis", alpha=0.95,
                                   n=2000, replications=1, seed=seed)
-        prep = _prepare(config, config.build_pair())
+        prep = DESIGNS["cis"].prepare(config.build_pair(), config)
         lam, C = _ref_variance_optimal(
-            prep.pair, prep.z_alpha, 200_000,
+            prep.pair, z_alpha_for(prep.pair, config), 200_000,
             RngStream(seed, (2**32, 2)).child(0), "upper")
-        assert np.array_equal(prep.cis_params.lam, lam)
-        assert np.array_equal(prep.cis_params.C, C)
+        assert np.array_equal(prep.member.lam, lam)
+        assert np.array_equal(prep.member.C, C)
 
     def test_fit_evaluates_the_pilot_once(self):
         base = toy2d()

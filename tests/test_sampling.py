@@ -131,7 +131,7 @@ class TestStrataSpec:
             z = np.concatenate([edges, np.asarray(inner),
                                 np.random.default_rng(0).normal(0, 3, 1000)])
             got = spec.stratum_of(z)
-            assert got.dtype == np.intp
+            assert got.dtype == np.min_scalar_type(len(inner))
             assert np.array_equal(got, np.searchsorted(inner, z, side="left"))
             for v in edges:
                 one = spec.stratum_of(float(v))

@@ -1,5 +1,6 @@
 """qvr starts without scipy: ``import qvr`` loads numpy and nothing heavier,
-and a design imports scipy only when it needs it."""
+a design imports scipy only when it needs it, and a config is checked
+without a schema library."""
 
 import json
 import os
@@ -26,6 +27,18 @@ def loaded_after(code: str) -> list[str]:
 
 def test_import_loads_neither_scipy_nor_jsonschema():
     assert loaded_after("import qvr, qvr.cli") == []
+
+
+def test_config_check_loads_neither_scipy_nor_jsonschema():
+    # A config file is checked by the config itself, with no schema library.
+    assert loaded_after(
+        "from qvr.bench import ExperimentConfig\n"
+        "ExperimentConfig.from_dict({'model': {'command': 'sim f',"
+        " 'metamodel_command': 'sim fr', 'input': [{'family': 'normal',"
+        " 'mean': 0.0, 'stddev': 1.0}, {'family': 'lognormal',"
+        " 'log_mean': 0.0, 'log_stddev': 0.5}], 'batch_size': 64},"
+        " 'estimator': 'ee', 'alpha': 0.95, 'n': 200, 'replications': 3,"
+        " 'seed': 0})") == []
 
 
 @pytest.mark.parametrize("estimator", ["ee", "cv", "cs", "acs", "ps"])
