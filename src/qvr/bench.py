@@ -13,6 +13,7 @@ bootstrap draws replication 0 and inverts it and its resamples.
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -128,7 +129,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """The one check of a config, however it is built: each value's type
-        and range, and that the estimator reads each param given."""
+        and range, and that the estimator reads each param given.  The
+        config keeps copies of the ``model`` and ``params`` it is given, so
+        that a change to the caller's objects cannot skip this check."""
+        for key in ("model", "params"):
+            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
         _check(vars(self), _FIELDS, "")
         _check(self.params,
                {k: _PARAMS[k] for k in DESIGNS[self.estimator].params},
@@ -242,9 +247,11 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream,
 
     The design draws the block at once, so that f runs once per block (acs:
     once per phase) and f_r once per rejection pass, and inverts one row per
-    replication, sorted by a stable argsort.  Returns the results of the
-    replications that succeeded, in order of r, and the (r, message) of
-    every one that failed.
+    replication, sorted by ``estimators.argsort_rows``: numpy's SIMD
+    argsort, which is the stable order on a row without ties, and a stable
+    argsort of the rows with ties, so the bits are a stable sort's.
+    Returns the results of the replications that succeeded, in order of r,
+    and the (r, message) of every one that failed.
     """
     design = DESIGNS[config.estimator]
     y, aux, runs = design.draw(prep, [root.child(r) for r in rs])
@@ -255,7 +262,7 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream,
     values, fails = design.invert(
         prep, y, aux, np.arange(len(y)).reshape(len(drawn), config.n),
         lambda rows: estimators._take_rows(
-            rows, np.argsort(y[rows], axis=1, kind="stable")))
+            rows, estimators.argsort_rows(y[rows])))
     errors += [(drawn[i][0], str(e)) for i, e in fails.items()]
     return [{"estimate": float(v), **extras}
             for i, (v, (_, extras)) in enumerate(zip(values, drawn))
@@ -384,7 +391,7 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
         raise run
     sizes, extras = run
     # y is sorted once; a resample then sorts its records' ranks, small ints.
-    order = np.argsort(y, kind="stable")
+    order = estimators.argsort_rows(y)
     rank = np.argsort(order).astype(np.int32)
 
     def invert(rows):

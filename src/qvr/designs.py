@@ -12,8 +12,11 @@ draw, or its (bootstrap groups, reported extras).
 ``invert(prep, y, aux, rows, by_y)`` maps (c, n) record indices, one sample
 per row, to c estimates and the {row: error} of rows that defeat the
 estimator; ``by_y(rows)`` sorts each row by y, stably, as the caller sorts
-best.  A draw calls f once (acs: once per phase); cs and acs route all
-their streams' rejection draws together (``sampling.sample_strata_rows``).
+best (the engine: ``estimators.argsort_rows``, a SIMD argsort that is
+stable on rows without ties and falls back to a stable sort on the others;
+the bootstrap: a sort of the records' ranks).  A draw calls f once (acs:
+once per phase); cs and acs route all their streams' rejection draws
+together (``sampling.sample_strata_rows``).
 """
 
 from __future__ import annotations

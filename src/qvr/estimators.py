@@ -17,8 +17,8 @@ functions (``quantile_from_weighted_cdf``, ``empirical_quantile``) are
 one-row calls of them, so both give the same bits.  ``cv_weights`` are the
 ``stratum_weights`` of the strata Z <= z_alpha and Z > z_alpha, as
 ``stratified_quantile_sorted_rows`` weighs a cv row.  The ``*_sorted_rows``
-functions take rows already sorted by output, stably, as ``weighted_cdf``
-sorts.  A row sorted another way (the bootstrap sorts
+functions take rows already sorted by output, stably, as ``argsort_rows``
+sorts them.  A row sorted another way (the bootstrap sorts
 ranks) holds the same values, but points with tied outputs and different
 weights may sit in another order; the cumulative weights then differ by
 rounding only, which can change a result only when one falls within the
@@ -70,11 +70,29 @@ class WeightedCdf:
         return float(out) if np.isscalar(y) else out
 
 
+def argsort_rows(a: np.ndarray) -> np.ndarray:
+    """The stable argsort of each row of ``a`` (1-D or (B, n)).
+
+    numpy's default argsort (SIMD, not stable) orders every row; a row
+    whose sorted values then increase strictly has one sorting permutation
+    only, the stable one.  The other rows, those with ties, NaN or both
+    signed zeros, are sorted again stably.
+    """
+    rows = np.atleast_2d(a)
+    order = np.argsort(rows, axis=1)
+    s = _take_rows(rows, order)
+    ties = ~(s[:, 1:] > s[:, :-1]).all(axis=1)
+    del s  # one (B, n) array fewer while the fallback sorts
+    if ties.any():
+        order[ties] = np.argsort(rows[ties], axis=1, kind="stable")
+    return order.reshape(np.shape(a))
+
+
 def weighted_cdf(y_values, weights, uniform_fallback=False) -> WeightedCdf:
     """Sort (y, w) pairs by y and normalize into a WeightedCdf."""
     y = np.asarray(y_values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    order = np.argsort(y, kind="stable")
+    order = argsort_rows(y)
     return WeightedCdf(y[order], w[order] / w.sum(), uniform_fallback)
 
 

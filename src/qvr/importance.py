@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import _take_rows
+from .estimators import _take_rows, argsort_rows
 from .model import InputDistribution, Lognormal, ModelPair, Normal
 from .sampling import RngStream
 
@@ -386,7 +386,7 @@ def fit_biased_member(pair: ModelPair, family: BiasedFamily, z_alpha: float,
 def tail_quantile(weighted: WeightedSample, alpha: float) -> float:
     """``tail_quantile_sorted_rows`` of the one sample ``weighted``, sorted
     by output, stably."""
-    order = np.argsort(weighted.y, kind="stable")
+    order = argsort_rows(weighted.y)
     return float(tail_quantile_sorted_rows(
         weighted.y[order][None], weighted.w[order][None], alpha)[0])
 

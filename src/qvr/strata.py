@@ -8,8 +8,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import (quantile_from_weighted_cdf, stratum_weights,
-                         weighted_cdf, weighted_quantile_sorted_rows)
+from .estimators import (argsort_rows, quantile_from_weighted_cdf,
+                         stratum_weights, weighted_cdf,
+                         weighted_quantile_sorted_rows)
 from .model import ModelPair
 from .sampling import (
     AllocationPlan,
@@ -255,7 +256,7 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
     # point above the generalized inverse whenever the pilot mass hits alpha
     # exactly (routine when a cutpoint equals alpha).
     w = np.repeat(stratum_weights(widths, pilot), pilot)
-    order = np.argsort(y1, axis=1, kind="stable")
+    order = argsort_rows(y1)
     at = weighted_quantile_sorted_rows(
         np.take_along_axis(y1, order, axis=1), w[order], w.sum(), alpha,
         strict=True)

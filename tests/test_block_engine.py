@@ -289,6 +289,47 @@ def _counting_factory(name, counts, fail_after=None, rows=None):
     return factory
 
 
+def _coarse_factory(name):
+    """Builtin pair ``name`` whose ``f`` rounds its outputs to a 0.1 grid,
+    so that a sample of n=200 outputs holds ties."""
+    original = BUILTIN_MODELS[name]
+
+    def factory():
+        pair = original()
+        return ModelPair(f=lambda x: np.round(pair.f(x), 1), f_r=pair.f_r,
+                         input=pair.input, name=pair.name,
+                         closed_form_z_quantile=pair.closed_form_z_quantile)
+    return factory
+
+
+@pytest.mark.parametrize("label,mode", [("ps", None), ("cs", None),
+                                        ("acs", None), ("cis", "tail"),
+                                        ("cis", "self_normalized")])
+def test_tied_outputs_match_the_stable_references(label, mode, monkeypatch):
+    # Rows with tied outputs take argsort_rows' stable fallback; the
+    # engine's estimates stay those of the stable-sort references.
+    model = CONFIGS[label]["model"]
+    monkeypatch.setitem(BUILTIN_MODELS, model, _coarse_factory(model))
+    sorted_rows, tied_rows, argsort_rows = [], [], estimators.argsort_rows
+
+    def spy(a):
+        ties = (np.diff(np.sort(a, axis=-1), axis=-1) == 0).any(axis=-1)
+        sorted_rows.append(ties.size)
+        tied_rows.append(int(ties.sum()))
+        return argsort_rows(a)
+    monkeypatch.setattr(estimators, "argsort_rows", spy)
+    params = dict(CONFIGS[label].get("params", {}))
+    if mode is not None:
+        params["mode"] = mode
+    config = make(label, 12, params=params)
+    report = run_replications(config)
+    assert not report.errors
+    assert sum(sorted_rows) == 12 and sum(tied_rows) > 0.9 * 12
+    prep = ref.prepare(config)
+    assert report.estimates.tolist() == [
+        reference_estimate(config, prep, r) for r in range(12)]
+
+
 @pytest.mark.parametrize("label", list(CONFIGS))
 def test_f_receives_n_points_per_replication(label, monkeypatch):
     counts = {"f": 0}

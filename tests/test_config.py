@@ -3,10 +3,12 @@
 be built directly, by ``ExperimentConfig(**raw)``."""
 
 import copy
+import sys
+from pathlib import Path
 
 import pytest
 
-from qvr.bench import ConfigError, ExperimentConfig
+from qvr.bench import ConfigError, ExperimentConfig, run_replications
 
 BASE = {"model": "toy1d", "estimator": "ee", "alpha": 0.95, "n": 200,
         "replications": 5, "seed": 0}
@@ -201,3 +203,29 @@ def test_a_non_object_is_refused():
     for raw in ([BASE], "toy1d", None):
         with pytest.raises(ConfigError, match="^invalid config: "):
             ExperimentConfig.from_dict(raw)
+
+
+TOY1D_SIM = Path(__file__).resolve().parents[1] / "tools" / "toy1d_sim.py"
+
+
+def test_caller_changes_after_the_check_do_not_reach_the_run():
+    # A config keeps copies of its params and model: an invalid cutpoint
+    # list or an invalid marginal written into the caller's dicts after the
+    # check is neither seen in the config nor run.
+    sim = f'"{sys.executable}" "{TOY1D_SIM}"'
+    cs = config(**CS, params={"cutpoints": [0.0, 0.5, 0.9, 0.95, 1.0],
+                              "allocation": [50, 50, 50, 50]})
+    ee = external(command=f"{sim} f", metamodel_command=f"{sim} fr",
+                  input=[dict(NORMAL)])
+    for raw, spoil in (
+            (cs, lambda raw: raw["params"]["cutpoints"].insert(0, 2.0)),
+            (ee, lambda raw: raw["model"]["input"][0].update(stddev=-1.0))):
+        pristine = copy.deepcopy(raw)
+        built = ExperimentConfig(**raw)
+        spoil(raw)
+        assert raw != pristine
+        assert built.params == pristine.get("params", {})
+        assert built.model == pristine["model"]
+        assert (run_replications(built).estimates.tolist()
+                == run_replications(
+                    ExperimentConfig(**pristine)).estimates.tolist())

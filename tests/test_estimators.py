@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qvr.estimators import (
     EstimatorError,
     PairedSample,
+    argsort_rows,
     correlation_report,
     cv_cdf,
     cv_cdf_general,
@@ -49,6 +50,50 @@ class TestEmpiricalCdf:
     def test_median_of_normal_draws(self):
         y = np.random.default_rng(0).standard_normal(10**6)
         assert empirical_cdf(y).evaluate(0.0) == pytest.approx(0.5, abs=0.002)
+
+
+# A small value set, so that rows tie often, with the values a SIMD sort and
+# a strict comparison treat apart from the rest: NaN, both zeros, infinities.
+TIE_PRONE = (0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5)
+
+
+@st.composite
+def rows_to_sort(draw):
+    """A 1-D array, or B rows of n values: drawn from ``TIE_PRONE``, or
+    normals rounded to 0-4 decimals (mostly tied rows at 0, mostly rows
+    without ties at 4)."""
+    shape = draw(st.one_of(st.tuples(st.integers(0, 40)),
+                           st.tuples(st.just(0), st.integers(0, 40)),
+                           st.tuples(st.integers(1, 6), st.just(1)),
+                           st.tuples(st.integers(1, 6), st.integers(2, 40))))
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from(TIE_PRONE), min_size=size,
+                               max_size=size))
+        return np.array(values, dtype=float).reshape(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.round(rng.normal(size=shape), draw(st.integers(0, 4)))
+
+
+class TestArgsortRows:
+    @given(rows_to_sort())
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_stable_argsort(self, a):
+        got = argsort_rows(a)
+        want = np.argsort(a, axis=-1, kind="stable")
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_rows_with_and_without_ties_in_one_block(self):
+        # Rows long enough that numpy's default argsort leaves insertion
+        # sort, and so stable order, on the tied rows.
+        i = np.arange(64)
+        a = np.array([np.random.default_rng(0).permutation(64), i % 2,
+                      np.where(i % 3 == 0, np.nan, i % 5)], dtype=float)
+        want = np.argsort(a, axis=-1, kind="stable")
+        assert (np.argsort(a, axis=-1) != want).any(axis=-1).tolist() == [
+            False, True, True]
+        assert np.array_equal(argsort_rows(a), want)
 
 
 class TestQuantileInversion:
