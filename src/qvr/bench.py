@@ -13,7 +13,6 @@ bootstrap draws replication 0 and inverts it and its resamples.
 from __future__ import annotations
 
 import contextlib
-import copy
 import csv
 import io
 import json
@@ -25,7 +24,7 @@ from . import estimators
 from .designs import DESIGNS, ConfigError
 from .model import (InputDistribution, Lognormal, ModelPair, Normal,
                     builtin_model, subprocess_pair)
-from .sampling import BLOCK_POINTS, RngStream, sample_input
+from .sampling import BLOCK_POINTS, RngStream, StreamBlock, sample_input
 
 
 def _number(v) -> bool:
@@ -116,6 +115,42 @@ def _external_input(model: dict) -> InputDistribution:
     return InputDistribution(tuple(marginals))
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a built config cannot change")
+
+
+class _FrozenDict(dict):
+    """A dict that refuses every change once built; it compares equal to,
+    and serializes to JSON as, the dict it copies."""
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+class _FrozenList(list):
+    """A list that refuses every change once built, as ``_FrozenDict``."""
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = _read_only
+    pop = remove = reverse = sort = _read_only
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+def _frozen(value):
+    """A read-only deep copy of a JSON-like value."""
+    if isinstance(value, dict):
+        return _FrozenDict((k, _frozen(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return (_FrozenList if isinstance(value, list) else tuple)(
+            map(_frozen, value))
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: str | dict
@@ -130,10 +165,11 @@ class ExperimentConfig:
     def __post_init__(self):
         """The one check of a config, however it is built: each value's type
         and range, and that the estimator reads each param given.  The
-        config keeps copies of the ``model`` and ``params`` it is given, so
-        that a change to the caller's objects cannot skip this check."""
+        config keeps read-only copies of the ``model`` and ``params`` it is
+        given, so that no later change, to the caller's objects or to the
+        config's, can skip this check."""
         for key in ("model", "params"):
-            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
+            object.__setattr__(self, key, _frozen(getattr(self, key)))
         _check(vars(self), _FIELDS, "")
         _check(self.params,
                {k: _PARAMS[k] for k in DESIGNS[self.estimator].params},
@@ -246,15 +282,18 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream,
     """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
 
     The design draws the block at once, so that f runs once per block (acs:
-    once per phase) and f_r once per rejection pass, and inverts one row per
-    replication, sorted by ``estimators.argsort_rows``: numpy's SIMD
-    argsort, which is the stable order on a row without ties, and a stable
-    argsort of the rows with ties, so the bits are a stable sort's.
+    once per phase) and f_r once per rejection pass.  Its streams are a
+    ``StreamBlock``: their keys come in one numpy pass, and each draw call
+    re-keys one Philox per stream, which draws the bits of a new generator.
+    The design inverts one row per replication, sorted by
+    ``estimators.argsort_rows``: numpy's SIMD argsort, which is the stable
+    order on a row without ties, and a stable argsort of the rows with
+    ties, so the bits are a stable sort's.
     Returns the results of the replications that succeeded, in order of r,
     and the (r, message) of every one that failed.
     """
     design = DESIGNS[config.estimator]
-    y, aux, runs = design.draw(prep, [root.child(r) for r in rs])
+    y, aux, runs = design.draw(prep, StreamBlock(root, rs))
     errors = [(r, str(run)) for r, run in zip(rs, runs)
               if isinstance(run, Exception)]
     drawn = [(r, run[1]) for r, run in zip(rs, runs)
@@ -386,7 +425,7 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     design = DESIGNS[config.estimator]
     root = RngStream(config.seed)
     with _prepared(config) as prep:  # the inversions call no model
-        y, aux, (run,) = design.draw(prep, [root.child(0)])
+        y, aux, (run,) = design.draw(prep, StreamBlock(root, range(1)))
     if isinstance(run, Exception):
         raise run
     sizes, extras = run

@@ -3,8 +3,9 @@ bootstrap (``qvr.bench``): its params, preparation, draw and inversion.
 
 ``prepare(pair, config)`` computes, once per experiment, what the design's
 draw and inversion read of a config (a ``Prepared`` or one of its kin).
-``draw(prep, streams)`` stacks the samples of replication streams, n records
-each, into (y, aux, runs): ``aux`` is what the inversion needs of a record
+``draw(prep, block)`` stacks the samples of a ``sampling.StreamBlock`` (the
+streams of some replications, keyed together), n records per stream, into
+(y, aux, runs): ``aux`` is what the inversion needs of a record
 besides y (for cv and ps the stratum of its metamodel output, as cv is ps
 on two strata split at z_alpha; the cs/acs pooled weight or the cis
 likelihood ratio); ``runs`` holds per stream the error that stopped its
@@ -145,7 +146,7 @@ def _draw_input(prep, streams):
     """n input points per stream and one f call; with strata (cv, ps), aux
     is each point's metamodel stratum, in the narrowest integer type."""
     x = np.concatenate([prep.pair.input.sample(g, prep.n)
-                        for g in sampling.generators(streams)])
+                        for g in sampling.each_generator(streams)])
     y = prep.pair.eval_full(x)
     aux = (prep.spec.stratum_of(prep.pair.eval_metamodel(x))
            if isinstance(prep, Stratified) else None)
@@ -154,7 +155,7 @@ def _draw_input(prep, streams):
 
 def _draw_cis(prep, streams):
     x = np.concatenate([prep.member.sample(g, prep.n) for g in
-                        sampling.generators([s.child(1) for s in streams])])
+                        sampling.each_generator(streams.child(1))])
     w = importance.likelihood_ratio(prep.pair, prep.member, x)
     return prep.pair.eval_full(x), w, [([prep.n], {})] * len(streams)
 

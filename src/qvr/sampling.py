@@ -23,9 +23,10 @@ class RngStream:
 
     Identical keys reproduce identical draw sequences; distinct paths give
     statistically independent streams regardless of scheduling, which keeps
-    multi-phase pipelines deterministic.  A block's stream keys are derived
-    together (``generators``) and equal numpy's
-    ``SeedSequence(master_seed, spawn_key=path)`` bit for bit.
+    multi-phase pipelines deterministic.  Keys equal numpy's
+    ``SeedSequence(master_seed, spawn_key=path)`` bit for bit; the keys of
+    many streams (a ``StreamBlock`` or a list of streams) are derived
+    together, in one numpy pass (``stream_keys``).
     """
 
     master_seed: int
@@ -36,6 +37,44 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return generators([self])[0]
+
+
+@dataclass(frozen=True)
+class StreamBlock:
+    """The streams ``root.child(r, *suffix)`` of the replications ``ids``
+    (each below 2**32), in order: what a design draws a block from, keyed
+    in one numpy pass without an ``RngStream`` per replication."""
+
+    root: RngStream
+    ids: Sequence[int]
+    suffix: tuple[int, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def child(self, *ids: int) -> "StreamBlock":
+        return StreamBlock(self.root, self.ids,
+                           self.suffix + tuple(map(operator.index, ids)))
+
+    def take(self, rows) -> "StreamBlock":
+        """The block of the streams at positions ``rows``."""
+        ids = tuple(np.asarray(self.ids)[rows].tolist())
+        return StreamBlock(self.root, ids, self.suffix)
+
+    def keys(self) -> np.ndarray:
+        """The (R, 2) Philox keys: the path words are the root's, one id
+        word, then the suffix's."""
+        ids = np.asarray(self.ids)
+        if ids.size and not (ids.dtype.kind in "iu" and ids.min() >= 0
+                             and ids.max() <= _MASK):
+            raise ValueError("replication ids must be integers in [0, 2**32)")
+        head = [w for p in self.root.path for w in _words(p)]
+        tail = [w for p in self.suffix for w in _words(p)]
+        words = np.empty((len(ids), len(head) + 1 + len(tail)), np.uint32)
+        words[:, :len(head)] = head
+        words[:, len(head)] = ids
+        words[:, len(head) + 1:] = tail
+        return _keys(self.root.master_seed, words)
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator), pool size 4.
@@ -116,8 +155,44 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     return pool, k + 4 * (len(words) - 4)
 
 
+def _keys(seed: int, words: np.ndarray) -> np.ndarray:
+    """The Philox keys (R, 2) of the streams of master seed ``seed`` whose
+    paths split into the uint32 words ``words`` (R, w), each as
+    ``SeedSequence(seed, spawn_key=path).generate_state(2, uint64)``: the
+    path words are mixed into that seed's pool (cached: every stream of a
+    run shares it).  SeedSequence zero-pads the seed's words to the pool
+    size when a path is present, and without one the padding does not
+    change the pool."""
+    pool, k = _seed_pool(seed)
+    pool = _absorb(pool.repeat(len(words), axis=0), words, k)
+    state = (pool ^ _STATE_XOR) * _STATE_MUL
+    state ^= state >> 16
+    # generate_state(2, uint64) reads its uint32 words little-endian.
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+def stream_keys(streams) -> np.ndarray:
+    """The (R, 2) Philox keys of a ``StreamBlock`` or of a sequence of
+    ``RngStream``, in order; the streams of a sequence are grouped by seed
+    and path word count, one ``_keys`` pass per group."""
+    if isinstance(streams, StreamBlock):
+        return streams.keys()
+    groups: dict = {}
+    for i, s in enumerate(streams):
+        words = [w for p in s.path for w in _words(p)]
+        rows, block = groups.setdefault(
+            (operator.index(s.master_seed), len(words)), ([], []))
+        rows.append(i)
+        block.append(words)
+    out = np.empty((len(streams), 2), dtype=np.uint64)
+    for (seed, width), (rows, block) in groups.items():
+        out[rows] = _keys(seed, np.array(block, dtype=np.uint32).reshape(
+            len(rows), width))
+    return out
+
+
 class _Key(ISeedSequence):
-    """A Philox key derived by ``generators``, handed to ``Philox`` as its
+    """A Philox key derived by ``stream_keys``, handed to ``Philox`` as its
     seed sequence: ``Philox`` asks it for ``generate_state(2, uint64)``
     once.  (``Philox(key=...)`` would also draw OS entropy for a
     SeedSequence it never uses.)  It cannot ``spawn``: child streams come
@@ -132,33 +207,40 @@ class _Key(ISeedSequence):
 
 def generators(streams) -> list[np.random.Generator]:
     """One Philox generator per stream, in order, each keyed exactly as
-    ``Philox(SeedSequence(master_seed, spawn_key=path))``.
+    ``Philox(SeedSequence(master_seed, spawn_key=path))``."""
+    return [np.random.Generator(np.random.Philox(_Key(key)))
+            for key in stream_keys(streams)]
 
-    The keys of all streams with one seed and one path word count are
-    derived in one numpy pass over their path words, from that seed's pool
-    (cached: every stream of a run shares it); SeedSequence zero-pads the
-    seed's words to the pool size when a path is present, and without one
-    the padding does not change the pool.
-    """
-    groups: dict = {}
-    for i, s in enumerate(streams):
-        words = [w for p in s.path for w in _words(p)]
-        rows, block = groups.setdefault(
-            (operator.index(s.master_seed), len(words)), ([], []))
-        rows.append(i)
-        block.append(words)
-    out: list = [None] * len(streams)
-    for (seed, width), (rows, block) in groups.items():
-        pool, k = _seed_pool(seed)
-        pool = _absorb(pool.repeat(len(rows), axis=0),
-                       np.array(block, dtype=np.uint32), k)
-        state = (pool ^ _STATE_XOR) * _STATE_MUL
-        state ^= state >> 16
-        # generate_state(2, uint64) reads its uint32 words little-endian.
-        keys = state.astype("<u4", copy=False).view("<u8")
-        for i, key in zip(rows, keys):
-            out[i] = np.random.Generator(np.random.Philox(_Key(key)))
-    return out
+
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.flags.writeable = False
+
+
+def _fresh(key) -> dict:
+    """The state of a new Philox with ``key``, as ``_Key(key)`` seeds one:
+    counter 0 and an empty buffer."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": _ZEROS, "key": key}, "buffer": _ZEROS,
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _rekeyable() -> tuple[np.random.Generator, np.random.Philox]:
+    """A generator whose Philox is re-keyed per stream (``bits.state =
+    _fresh(key)``), which draws what a new one would, about 4 times
+    cheaper.  Each call makes its own, so that threads share none."""
+    bits = np.random.Philox(_Key(_ZEROS[:2]))
+    return np.random.Generator(bits), bits
+
+
+def each_generator(streams):
+    """Yield one generator per stream (see ``stream_keys``), in order, each
+    drawing what ``generators(streams)`` would: one Philox, re-keyed
+    before each yield, so a generator must be done with before the next is
+    taken."""
+    rng, bits = _rekeyable()
+    for key in stream_keys(streams):
+        bits.state = _fresh(key)
+        yield rng
 
 
 def sample_input(dist, stream: RngStream, count: int) -> np.ndarray:
@@ -332,14 +414,15 @@ def _positions(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def sample_strata_rows(pair: ModelPair, spec: StrataSpec, need, streams,
                        max_draws=None, batch: int = 1 << 20
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Pooled rejection for R streams: row r draws X ~ q_ori from
-    ``streams[r]`` and keeps each draw whose stratum quota ``need[r, j]`` is
-    unmet.  Returns (x, z, N, errors): the records of the rows that met
-    their quotas, row after row, each row's in stratum order; every row's
-    metamodel evaluations N_r; and per row None or the ``SamplingError`` of
-    a row that reached ``max_draws`` (default 1000 times its quota).
+    """Pooled rejection for R streams (a ``StreamBlock`` or a sequence of
+    ``RngStream``): row r draws X ~ q_ori from the r-th stream and keeps
+    each draw whose stratum quota ``need[r, j]`` is unmet.  Returns (x, z,
+    N, errors): the records of the rows that met their quotas, row after
+    row, each row's in stratum order; every row's metamodel evaluations
+    N_r; and per row None or the ``SamplingError`` of a row that reached
+    ``max_draws`` (default 1000 times its quota).
 
-    Each row draws from its own generator in batches sized from its open
+    Each row draws from its own stream in batches sized from its open
     quotas (at most ``batch`` draws), as if drawn alone; a pass stacks the
     next open rows' batches, up to ``BLOCK_POINTS`` draws, and evaluates
     f_r once.  Draws past the one that completes a row's last quota are not
@@ -361,7 +444,10 @@ def sample_strata_rows(pair: ModelPair, spec: StrataSpec, need, streams,
     slot = (np.cumsum(need) - need.ravel()).reshape(need.shape)
     x_out = np.empty((int(total.sum()), pair.dimension))
     z_out = np.empty(len(x_out))
-    rngs = generators(streams)
+    # One Philox for every row: a row's first batch starts from its key, a
+    # later one from the state its last batch left.
+    rng, bits = _rekeyable()
+    states = [_fresh(key) for key in stream_keys(streams)]
     draws = np.zeros(R, dtype=int)
     errors: list = [None] * R
     live = total > 0
@@ -371,7 +457,11 @@ def sample_strata_rows(pair: ModelPair, spec: StrataSpec, need, streams,
                        limit[rows] - draws[rows])
         g = max(1, int(np.searchsorted(np.cumsum(k), BLOCK_POINTS, "right")))
         rows, k = rows[:g], k[:g]
-        parts = [pair.input.sample(rngs[r], int(kr)) for r, kr in zip(rows, k)]
+        parts = []
+        for r, kr in zip(rows, k):
+            bits.state = states[r]
+            parts.append(pair.input.sample(rng, int(kr)))
+            states[r] = bits.state
         x = parts[0] if g == 1 else np.concatenate(parts)
         z = pair.eval_metamodel(x)
         strat = spec.stratum_of(z)

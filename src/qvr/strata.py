@@ -17,6 +17,7 @@ from .sampling import (
     RngStream,
     StrataSpec,
     StratifiedSample,
+    StreamBlock,
     _positions,
     sample_strata_rows,
 )
@@ -234,10 +235,19 @@ class AcsRows(NamedTuple):
     errors: list
 
 
+def _children(streams, rows, i: int):
+    """The streams ``child(i)`` of the streams at positions ``rows``: of a
+    ``StreamBlock``, a block; of a sequence of ``RngStream``, a list."""
+    if isinstance(streams, StreamBlock):
+        return streams.take(rows).child(i)
+    return [streams[r].child(i) for r in rows]
+
+
 def acs_rows(pair: ModelPair, config: AcsConfig, streams,
              alpha: float) -> AcsRows:
-    """Two-phase adaptive stratified samples, one row per stream: a pilot on
-    ``stream.child(0)``; the optimal allocation at the pilot's conditional
+    """Two-phase adaptive stratified samples, one row per stream of
+    ``streams`` (a ``StreamBlock`` or a sequence of ``RngStream``): a pilot
+    on ``stream.child(0)``; the optimal allocation at the pilot's conditional
     probabilities at the strict inverse of the pilot's alpha-quantile
     (proportional when no indicator varies); phase two on
     ``stream.child(1)``, which keeps the pilot points.  Each phase draws its
@@ -249,7 +259,7 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
     P = int(pilot.sum())
     x1, _, d1, errors = sample_strata_rows(
         pair, spec, np.tile(pilot, (len(streams), 1)),
-        [s.child(0) for s in streams])
+        _children(streams, range(len(streams)), 0))
     ok = [r for r, e in enumerate(errors) if e is None]
     y1 = (pair.eval_full(x1) if ok else np.empty(0)).reshape(len(ok), P)
     # The strict inverse of the pilot's stratified cdf sits one support
@@ -268,7 +278,7 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
            for b in beta]
     extra = np.array([e for e, _ in two], dtype=int).reshape(len(ok), spec.m)
     x2, _, d2, errors2 = sample_strata_rows(
-        pair, spec, extra, [streams[r].child(1) for r in ok])
+        pair, spec, extra, _children(streams, ok, 1))
     y2 = pair.eval_full(x2) if len(x2) else np.empty(0)
     done = np.array([e is None for e in errors2], dtype=bool)
     for r, e in zip(ok, errors2):

@@ -482,13 +482,19 @@ def test_sample_strata_rows_matches_per_stream_draws(model, batch):
                                        batch=batch) == 0
 
 
+@pytest.mark.parametrize("model", ["toy1d", "toy2d"])
 @pytest.mark.parametrize("points", [1, 5000])
-def test_rows_need_more_passes_when_a_pass_is_small(points, monkeypatch):
-    # One row per pass, or a few; rows short of a quota draw again later.
+def test_rows_need_more_passes_when_a_pass_is_small(points, model,
+                                                    monkeypatch):
+    # One row per pass, or a few; rows short of a quota draw again later,
+    # from where their last batch left their stream (toy2d: a batch draws
+    # one input column after the other).
     from qvr import sampling
     monkeypatch.setattr(sampling, "BLOCK_POINTS", points)
-    pair = toy1d()
-    spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0])
+    pair = BUILTIN_MODELS[model]()
+    spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0],
+                                 precision="mc", sample_count=10**4,
+                                 stream=RngStream(3))
     streams = [RngStream(9, (r,)) for r in range(len(PLANS))]
     assert assert_rows_match_reference(pair, spec, PLANS, streams,
                                        batch=300) == 0

@@ -3,6 +3,8 @@
 be built directly, by ``ExperimentConfig(**raw)``."""
 
 import copy
+import json
+import pickle
 import sys
 from pathlib import Path
 
@@ -229,3 +231,41 @@ def test_caller_changes_after_the_check_do_not_reach_the_run():
         assert (run_replications(built).estimates.tolist()
                 == run_replications(
                     ExperimentConfig(**pristine)).estimates.tolist())
+
+
+def test_a_built_config_cannot_change():
+    # Its params and model are read-only all the way down, and still
+    # serialize to the JSON bytes of the objects it was given.
+    cs_raw = config(**CS, params={"cutpoints": [0.0, 0.5, 0.9, 0.95, 1.0],
+                                  "allocation": [50, 50, 50, 50]})
+    ee_raw = external()
+    cs, ee = ExperimentConfig(**cs_raw), ExperimentConfig(**ee_raw)
+    for change in (lambda: cs.params.__setitem__("foo", 1),
+                   lambda: cs.params.update(allocation=[200, 0, 0, 0]),
+                   lambda: cs.params.pop("allocation"),
+                   lambda: cs.params.__delitem__("cutpoints"),
+                   lambda: cs.params["cutpoints"].insert(0, 2.0),
+                   lambda: cs.params["allocation"].__setitem__(0, 51),
+                   lambda: cs.params["allocation"].sort(reverse=True),
+                   lambda: ee.model.setdefault("timeout", 0),
+                   lambda: ee.model.clear(),
+                   lambda: ee.model["input"].append(NORMAL),
+                   lambda: ee.model["input"][0].update(stddev=-1.0)):
+        with pytest.raises(TypeError, match="a built config cannot change"):
+            change()
+    with pytest.raises(TypeError, match="a built config cannot change"):
+        cs.params["cutpoints"] += [1.0]
+    for built, raw in ((cs, cs_raw), (ee, ee_raw)):
+        assert built.params == raw.get("params", {})
+        assert built.model == raw["model"]
+        for indent in (None, 2):
+            assert json.dumps(vars(built), sort_keys=True, indent=indent) == \
+                json.dumps({**raw, "params": raw.get("params", {}),
+                            "output": None}, sort_keys=True, indent=indent)
+        # A copy, a pickle and a rebuilt config are the same config, and as
+        # read-only.
+        for again in (copy.deepcopy(built), pickle.loads(pickle.dumps(built)),
+                      ExperimentConfig(**vars(built))):
+            assert again == built
+            with pytest.raises(TypeError):
+                again.params["foo"] = 1

@@ -10,6 +10,8 @@ from qvr.sampling import (
     RngStream,
     SamplingError,
     StrataSpec,
+    StreamBlock,
+    each_generator,
     evaluate_full,
     expected_rejection_cost,
     generators,
@@ -82,6 +84,65 @@ class TestRngStream:
     def test_negative_keys_raise(self, stream):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             stream.generator()
+
+
+def seed_sequence_key(seed, path):
+    return np.random.Philox(np.random.SeedSequence(
+        seed, spawn_key=path)).state["state"]["key"]
+
+
+class TestStreamBlock:
+    @given(st.one_of(st.integers(0, 2**32), st.integers(0, 2**80)),
+           st.lists(st.one_of(st.integers(0, 3),
+                              st.integers(2**32 - 2, 2**32 + 1),
+                              st.integers(0, 2**70)), max_size=3),
+           st.lists(st.one_of(st.integers(0, 5),
+                              st.integers(2**32 - 4, 2**32 - 1)), max_size=6),
+           st.sampled_from([(), (0,), (1,)]))
+    @settings(max_examples=200, deadline=None)
+    def test_keys_equal_seed_sequence_property(self, seed, root, ids, suffix):
+        root = RngStream(seed, tuple(root))
+        block = StreamBlock(root, ids).child(*suffix)
+        assert block == StreamBlock(root, ids, suffix)
+        keys = block.keys()
+        assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
+        for r, key in zip(ids, keys):
+            assert np.array_equal(
+                key, seed_sequence_key(seed, root.path + (r,) + suffix))
+        rows = list(range(len(ids)))[::-2]
+        assert block.take(rows) == StreamBlock(
+            root, tuple(ids[r] for r in rows), suffix)
+        assert np.array_equal(block.take(rows).keys(), keys[rows])
+
+    def test_engine_ids_as_a_range(self):
+        block = StreamBlock(RngStream(21), range(3, 84)).child(1)
+        assert len(block) == 81
+        assert np.array_equal(block.keys(), [
+            seed_sequence_key(21, (r, 1)) for r in range(3, 84)])
+
+    @pytest.mark.parametrize("ids", [[2**32], [0, 2**32 + 5], [-1],
+                                     range(2**32 - 1, 2**32 + 1), [2**70]])
+    def test_ids_outside_one_word_are_refused(self, ids):
+        with pytest.raises(ValueError, match=r"in \[0, 2\*\*32\)"):
+            StreamBlock(RngStream(0), ids).keys()
+
+    def test_each_generator_draws_what_new_generators_draw(self):
+        # Each draw leaves a different state behind (a half-used buffer, a
+        # spare 32-bit word after three); the next stream must not see it.
+        draws = [lambda g: g.standard_normal(7),
+                 lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                 lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                 lambda g: g.random(5)]
+        streams = [RngStream(5, (r,)) for r in range(8)]
+        blocks = StreamBlock(RngStream(5), range(8))
+        for source in (streams, blocks):
+            got = [draws[i % 4](g)
+                   for i, g in enumerate(each_generator(source))]
+            want = [draws[i % 4](g)
+                    for i, g in enumerate(generators(streams))]
+            assert len(got) == len(want) == 8
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def assert_keys_equal(streams):

@@ -1,13 +1,22 @@
 """Microbenchmark: microseconds per random-stream generator.
 
 For R = 1, 8 and 81 streams (one generator, an n=2000 block of
-replications, an n=200 block), times two ways of building one Philox
-generator per stream of the engine's paths ``(seed, (r,))``:
+replications, an n=200 block), times four ways of getting a Philox
+generator keyed for each stream of the engine's paths ``(seed, (r,))``:
 
+- ``block``: ``qvr.sampling.each_generator`` on ``StreamBlock(RngStream(seed),
+  range(R))``, the engine's path: the keys in one numpy pass, then one
+  Philox re-keyed per stream;
+- ``rekeyed``: ``each_generator`` on the R ``RngStream`` objects, whose
+  keys are derived through ``stream_keys``' grouping;
 - ``generators``: ``qvr.sampling.generators`` on the R streams at once
-  (``RngStream.generator()`` when R = 1), the engine's path;
+  (``RngStream.generator()`` when R = 1): the same keys, and a new
+  generator per stream;
 - ``seedsequence``: ``Generator(Philox(SeedSequence(seed, spawn_key=path)))``
   once per stream, numpy's own key derivation.
+
+``generators`` minus ``rekeyed`` is what re-keying saves against a new
+generator per stream.
 
 The process pins itself to one CPU, the lowest it may run on.  Each run
 times enough calls for about 0.2 s, after one warm-up call; the tool
@@ -32,7 +41,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qvr.sampling import RngStream, generators  # noqa: E402
+from qvr.sampling import (RngStream, StreamBlock,  # noqa: E402
+                          each_generator, generators)
 
 SEED = 11
 SIZES = (1, 8, 81)
@@ -46,6 +56,20 @@ def _seedsequence(streams):
 
 def _kernel(streams):
     return streams[0].generator() if len(streams) == 1 else generators(streams)
+
+
+def _rekeyed(streams):
+    for _ in each_generator(streams):
+        pass
+
+
+def _block(streams):
+    for _ in each_generator(StreamBlock(RngStream(SEED), range(len(streams)))):
+        pass
+
+
+WAYS = (("block", _block), ("rekeyed", _rekeyed), ("generators", _kernel),
+        ("seedsequence", _seedsequence))
 
 
 def _runs(build, streams, runs: int) -> list[float]:
@@ -79,17 +103,16 @@ def main() -> int:
         result["sizes"][R] = {
             name: {"median": round(statistics.median(runs), 2),
                    "runs": [round(t, 2) for t in runs]}
-            for name, build in (("generators", _kernel),
-                                ("seedsequence", _seedsequence))
+            for name, build in WAYS
             for runs in [_runs(build, streams, args.runs)]}
     if args.json:
         print(json.dumps(result, indent=1))
         return 0
     print(f"us per generator, median of {args.runs} runs, CPU {cpu}")
-    print(f"{'R':>4} {'generators':>11} {'seedsequence':>13}")
+    print(f"{'R':>4}" + "".join(f" {name:>13}" for name, _ in WAYS))
     for R, ways in result["sizes"].items():
-        print(f"{R:>4} {ways['generators']['median']:>11.2f} "
-              f"{ways['seedsequence']['median']:>13.2f}")
+        print(f"{R:>4}" + "".join(f" {ways[name]['median']:>13.2f}"
+                                  for name, _ in WAYS))
     return 0
 
 
