@@ -147,7 +147,12 @@ def diag(topic, config_path, samples):
                 "p_hat": [float(v) for v in p.p_hat],
             }
             if topic == "variance":
-                z_alpha = designs.z_alpha_for(pair, config)
+                # z_alpha from the strata's own sample when alpha is a
+                # cutpoint, not from a second one
+                cuts = spec.cutpoints
+                z_alpha = (spec.z_values[cuts.index(config.alpha)]
+                           if config.alpha in cuts
+                           else designs.z_alpha_for(pair, config))
                 rho_i = estimators.indicator_correlation(s, y_alpha, z_alpha)
                 F = float((s.y <= y_alpha).mean())
                 payload.update({

@@ -242,6 +242,61 @@ def _log_second_moment(t: np.ndarray, xt: np.ndarray, base: np.ndarray,
     return mx + math.log(np.exp(r - mx).sum())
 
 
+def _nelder_mead(fun, x0: np.ndarray, args=(), maxiter: int = 4000
+                 ) -> tuple[np.ndarray, int]:
+    """Minimize ``fun(x, *args)`` from ``x0``; return the best vertex and
+    the number of evaluations.  A port of scipy.optimize's non-adaptive,
+    unbounded ``_minimize_neldermead`` at xatol 1e-6 and fatol 1e-9, step
+    for step: its initial simplex (each coordinate x0_k scaled by 1.05, or
+    0.00025 where it is 0), its reflection/expansion/contraction/shrink
+    coefficients (1, 2, 1/2, 1/2), its ``np.argsort`` reordering and its
+    convergence test, so its result bit for bit."""
+    N = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([fun(v, *args) for v in sim])
+    nfev = N + 1
+    for _ in range(2):  # scipy orders the first simplex twice
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    for _ in range(1, maxiter):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-9):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr, *args)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe, *args)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = fun(xc, *args)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fun(xc, *args)
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j], *args)
+                nfev += N
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], nfev
+
+
 def variance_optimal_params(pair: ModelPair, threshold: float,
                             pilot_count: int, stream: RngStream,
                             tail: str = "upper") -> BiasedParams:
@@ -251,22 +306,22 @@ def variance_optimal_params(pair: ModelPair, threshold: float,
     E[1_event * q_ori/q]; this minimizes its pilot estimate over all
     Gaussian members (Nelder-Mead on the mean and the log-Cholesky of the
     covariance), starting from the moment-matched member of the same
-    pilot, which is drawn once.  The objective uses forward substitution,
+    pilot, which is drawn once.  ``_nelder_mead`` is a port of
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` at maxiter 4000,
+    xatol 1e-6 and fatol 1e-9, bit for bit, so the fit does not depend
+    on the installed scipy.  The objective uses forward substitution,
     not LAPACK, so the fit does not depend on the BLAS build; should an
     evaluation differ from a LAPACK solve in the last ulp and flip a
     Nelder-Mead comparison, the optimum moves by less than ``xatol``.
     """
-    from scipy.optimize import minimize
     xe = _event_pilot(pair, threshold, pilot_count, stream, tail)
     start = _matched_moments(xe)
     base = np.log(pair.input.density(xe))
     d = xe.shape[1]
-    res = minimize(_log_second_moment, _pack(start.lam, start.C),
-                   args=(np.ascontiguousarray(xe.T), base,
-                         0.5 * d * math.log(2 * math.pi)),
-                   method="Nelder-Mead",
-                   options=dict(maxiter=4000, xatol=1e-6, fatol=1e-9))
-    lam, L = _unpack(res.x, d)
+    t, _ = _nelder_mead(_log_second_moment, _pack(start.lam, start.C),
+                        args=(np.ascontiguousarray(xe.T), base,
+                              0.5 * d * math.log(2 * math.pi)))
+    lam, L = _unpack(t, d)
     return BiasedParams(lam=lam, C=L @ L.T)
 
 

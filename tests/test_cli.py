@@ -276,6 +276,27 @@ class TestDiag:
         # stratification never beats the optimal-allocation bound
         assert out["sigma2_ocs"] <= out["sigma2_cs"] + 1e-12
 
+    @pytest.mark.parametrize("alpha, second_sample", [(0.95, False),
+                                                      (0.97, True)])
+    def test_variance_takes_z_alpha_from_the_strata_at_a_cutpoint(
+            self, runner, tmp_path, monkeypatch, alpha, second_sample):
+        # toy2d has no closed form: a second metamodel sample would give
+        # another z_alpha than the stratum edge at the same probability
+        calls = []
+        z_alpha_for = designs.z_alpha_for
+
+        def counting(pair, config):
+            calls.append(config.alpha)
+            return z_alpha_for(pair, config)
+
+        monkeypatch.setattr(designs, "z_alpha_for", counting)
+        cfg = write_config(tmp_path, model="toy2d", estimator="cs",
+                           alpha=alpha)
+        res = runner.invoke(main, ["diag", "variance", "--config", cfg,
+                                   "--samples", "20000"])
+        assert res.exit_code == 0
+        assert calls == ([alpha] if second_sample else [])
+
     def test_allocation_topic(self, runner, tmp_path):
         cfg = write_config(tmp_path, estimator="cs",
                            params={"cutpoints": [0.0, 0.85, 0.95, 1.0]})

@@ -15,6 +15,7 @@ from qvr.importance import (
     ImportanceError,
     WeightedSample,
     _log_second_moment,
+    _nelder_mead,
     draw_weighted_sample,
     fit_biased_member,
     is_cdf,
@@ -425,6 +426,9 @@ def _ref_objective(t, xe, log_w0, log_qori):
     return mx + math.log(np.exp(r - mx).sum())
 
 
+NELDER_MEAD_OPTIONS = dict(maxiter=4000, xatol=1e-6, fatol=1e-9)
+
+
 def _ref_variance_optimal(pair, threshold, pilot_count, stream, tail):
     xe, p, p0 = _ref_pilot(pair, threshold, pilot_count, stream, tail)
     log_w0 = np.log(p) - np.log(p0)
@@ -432,7 +436,7 @@ def _ref_variance_optimal(pair, threshold, pilot_count, stream, tail):
     start = _ref_moment_match(pair, threshold, pilot_count, stream, tail)
     res = minimize(_ref_objective, _ref_pack(*start),
                    args=(xe, log_w0, log_qori), method="Nelder-Mead",
-                   options=dict(maxiter=4000, xatol=1e-6, fatol=1e-9))
+                   options=NELDER_MEAD_OPTIONS)
     lam, L = _ref_unpack(res.x, xe.shape[1])
     return lam, L @ L.T
 
@@ -478,6 +482,52 @@ class TestChiSquareFit:
             RngStream(seed, (2**32, 2)).child(0), "upper")
         assert np.array_equal(prep.member.lam, lam)
         assert np.array_equal(prep.member.C, C)
+
+    @pytest.mark.parametrize("make_pair, threshold", [
+        (identity1d, 1.6), (toy2d, 2.6), (_sum3_pair, 2.8)])
+    @pytest.mark.parametrize("seed", [34, 35, 36])
+    def test_nelder_mead_equals_scipy_on_the_cis_objective(
+            self, make_pair, threshold, seed):
+        pair = make_pair()
+        xe, p, _ = _ref_pilot(pair, threshold, 20_000, RngStream(seed),
+                              "upper")
+        d = xe.shape[1]
+        args = (np.ascontiguousarray(xe.T), np.log(p),
+                0.5 * d * math.log(2 * math.pi))
+        t0 = _ref_pack(*_ref_moment_match(pair, threshold, 20_000,
+                                          RngStream(seed), "upper"))
+        x, nfev = _nelder_mead(_log_second_moment, t0, args)
+        want = minimize(_log_second_moment, t0, args=args,
+                        method="Nelder-Mead", options=NELDER_MEAD_OPTIONS)
+        assert np.array_equal(x, want.x) and nfev == want.nfev
+
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], [1.0, -2.0, 0.5],
+                                    [0.0, 0.0, 0.0, 0.0]])
+    def test_nelder_mead_equals_scipy_through_shrink_steps(self, x0):
+        # A plateau objective: contractions fail and the simplex shrinks,
+        # and tied values go through the argsort reordering.
+        def plateaus(x):
+            return float(np.floor(4 * np.abs(x - 0.3)).sum())
+
+        x0 = np.array(x0)
+        x, nfev = _nelder_mead(plateaus, x0)
+        want = minimize(plateaus, x0, method="Nelder-Mead",
+                        options=NELDER_MEAD_OPTIONS)
+        assert np.array_equal(x, want.x) and nfev == want.nfev
+        # Without a shrink an iteration makes at most 2 evaluations.
+        assert nfev - (len(x0) + 1) > 2 * (want.nit - 1)
+
+    def test_nelder_mead_stops_at_maxiter_as_scipy_does(self):
+        def rosen(x):
+            return float(np.sum(100.0 * (x[1:] - x[:-1]**2)**2
+                                + (1 - x[:-1])**2))
+
+        x0 = np.array([1.3, 0.7, 0.8, 1.9, 1.2])
+        x, nfev = _nelder_mead(rosen, x0, maxiter=40)
+        want = minimize(rosen, x0, method="Nelder-Mead",
+                        options=dict(NELDER_MEAD_OPTIONS, maxiter=40))
+        assert want.nit == 40 and not want.success
+        assert np.array_equal(x, want.x) and nfev == want.nfev
 
     def test_fit_evaluates_the_pilot_once(self):
         base = toy2d()

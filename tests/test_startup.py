@@ -1,6 +1,6 @@
 """qvr starts without scipy: ``import qvr`` loads numpy and nothing heavier,
-a design imports scipy only when it needs it, and a config is checked
-without a schema library."""
+no design but cis imports scipy (cis: ``scipy.linalg`` alone), and a config
+is checked without a schema library."""
 
 import json
 import os
@@ -41,12 +41,56 @@ def test_config_check_loads_neither_scipy_nor_jsonschema():
         " 'seed': 0})") == []
 
 
-@pytest.mark.parametrize("estimator", ["ee", "cv", "cs", "acs", "ps"])
-def test_toy2d_replications_load_no_scipy(estimator):
-    loaded = loaded_after(
+def loaded_by_replications(model: str, estimator: str) -> list[str]:
+    """``loaded_after`` two replications of ``estimator`` on ``model``."""
+    return loaded_after(
         "from qvr.bench import ExperimentConfig, run_replications\n"
-        "r = run_replications(ExperimentConfig(model='toy2d',"
+        f"r = run_replications(ExperimentConfig(model={model!r},"
         f" estimator={estimator!r}, alpha=0.95, n=200, replications=2,"
         " seed=0))\n"
         "assert len(r.estimates) == 2 and not r.errors")
+
+
+@pytest.mark.parametrize("estimator", ["ee", "cv", "cs", "acs", "ps"])
+def test_toy2d_replications_load_no_scipy(estimator):
+    loaded = loaded_by_replications("toy2d", estimator)
     assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+@pytest.mark.parametrize("estimator", ["ee", "cv", "cs", "acs", "ps"])
+def test_toy1d_replications_load_no_scipy(estimator):
+    # toy1d's closed-form metamodel quantiles need the normal quantile.
+    loaded = loaded_by_replications("toy1d", estimator)
+    assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+def test_toy1d_bootstrap_loads_no_scipy():
+    loaded = loaded_after(
+        "from qvr.bench import ExperimentConfig, estimate_with_bootstrap\n"
+        "out = estimate_with_bootstrap(ExperimentConfig(model='toy1d',"
+        " estimator='cs', alpha=0.95, n=200, replications=1, seed=0),"
+        " B=100)\n"
+        "assert out['bootstrap_std'] > 0")
+    assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+@pytest.mark.parametrize("topic", ["variance", "allocation", "cost"])
+def test_toy1d_diag_loads_no_scipy(topic, tmp_path):
+    path = tmp_path / "toy1d-cs.json"
+    path.write_text(json.dumps({"model": "toy1d", "estimator": "cs",
+                                "alpha": 0.95, "n": 200, "replications": 1,
+                                "seed": 0}))
+    loaded = loaded_after(
+        "from qvr.cli import main\n"
+        f"main(['diag', {topic!r}, '--config', {str(path)!r}],"
+        " standalone_mode=False)")
+    assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+def test_toy2d_cis_loads_scipy_linalg_alone():
+    # The joint-Gaussian member's eigh is scipy's; its fit is not.
+    loaded = loaded_by_replications("toy2d", "cis")
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m.startswith(
+        ("scipy.optimize", "scipy.special", "scipy.sparse",
+         "scipy.stats"))] == []

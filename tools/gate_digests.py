@@ -29,9 +29,12 @@ interpreter with ``PYTHONPATH`` set to that ``src/``.  Run from anywhere:
 ``--check`` exits 1 when any digest differs from the file, or a gate is
 missing from either side.  The digests in ``tools/gate_digests.txt`` were
 taken on one host (x86-64 with AVX-512, Python 3.11.7, numpy 2.4.6,
-scipy 1.17.1, OpenBLAS); another CPU or BLAS build can move last bits, so
-compare two commits on the same host.  ``--check`` takes about 20 s on a
-shared 2-core x86-64 host, of which the four demos take about 10 s.
+OpenBLAS); another CPU or BLAS build can move last bits, so compare two
+commits on the same host.  Only the cis gates depend on the scipy build
+(1.17.1 here), through ``scipy.linalg.eigh`` in the joint-Gaussian member;
+the normal quantile and the Nelder-Mead fit are qvr's own code.
+``--check`` takes about 20 s on a shared 2-core x86-64 host, of which the
+four demos take about 10 s.
 """
 
 from __future__ import annotations
