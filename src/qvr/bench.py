@@ -277,8 +277,8 @@ class ReplicationReport:
         return d
 
 
-def _run_block(config: ExperimentConfig, prep, root: RngStream,
-               rs: range) -> tuple[list[dict], list[tuple[int, str]]]:
+def _run_block(config: ExperimentConfig, prep, root: RngStream, rs: range
+               ) -> tuple[np.ndarray, dict, list[tuple[int, str]]]:
     """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
 
     The design draws the block at once, so that f runs once per block (acs:
@@ -289,23 +289,22 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream,
     ``estimators.argsort_rows``: numpy's SIMD argsort, which is the stable
     order on a row without ties, and a stable argsort of the rows with
     ties, so the bits are a stable sort's.
-    Returns the results of the replications that succeeded, in order of r,
-    and the (r, message) of every one that failed.
+    Returns the estimates of the replications that succeeded, in order of
+    r, the design's extras of the same replications (name -> array, one
+    entry per replication), and the (r, message) of every one that failed.
     """
     design = DESIGNS[config.estimator]
-    y, aux, runs = design.draw(prep, StreamBlock(root, rs))
-    errors = [(r, str(run)) for r, run in zip(rs, runs)
-              if isinstance(run, Exception)]
-    drawn = [(r, run[1]) for r, run in zip(rs, runs)
-             if not isinstance(run, Exception)]
+    y, aux, _, failed, extras = design.draw(prep, StreamBlock(root, rs))
+    drawn = [r for i, r in enumerate(rs) if i not in failed]
     values, fails = design.invert(
         prep, y, aux, np.arange(len(y)).reshape(len(drawn), config.n),
         lambda rows: estimators._take_rows(
             rows, estimators.argsort_rows(y[rows])))
-    errors += [(drawn[i][0], str(e)) for i, e in fails.items()]
-    return [{"estimate": float(v), **extras}
-            for i, (v, (_, extras)) in enumerate(zip(values, drawn))
-            if i not in fails], errors
+    keep = np.ones(len(drawn), dtype=bool)
+    keep[list(fails)] = False
+    errors = ([(rs[i], str(e)) for i, e in failed.items()]
+              + [(drawn[i], str(e)) for i, e in fails.items()])
+    return values[keep], {k: v[keep] for k, v in extras.items()}, errors
 
 
 def _std(a: np.ndarray) -> np.ndarray:
@@ -327,12 +326,13 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
               for start in range(0, config.replications, size)]
     with _prepared(config) as prep:
         outcomes = [_run_block(config, prep, root, rs) for rs in blocks]
-    ok = [res for results, _ in outcomes for res in results]
-    errors = sorted(e for _, errs in outcomes for e in errs)
-    if not ok:
+    est = np.concatenate([values for values, _, _ in outcomes])
+    extras = {k: np.concatenate([ex[k] for _, ex, _ in outcomes])
+              for k in outcomes[0][1]}
+    errors = sorted(e for _, _, errs in outcomes for e in errs)
+    if not len(est):
         raise ConfigError("every replication failed; first error: "
                           + errors[0][1])
-    est = np.array([res["estimate"] for res in ok])
     std = float(_std(est))
     report = ReplicationReport(
         config=config,
@@ -342,15 +342,14 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
         sem=float(std / np.sqrt(len(est))),
         errors=errors,
     )
-    if "beta_tilde" in ok[0]:
-        bt = np.array([res["beta_tilde"] for res in ok])
-        rf = np.array([res["realized_fractions"] for res in ok])
+    if "beta_tilde" in extras:
+        bt, rf = extras["beta_tilde"], extras["realized_fractions"]
         report.beta_tilde_mean = [float(v) for v in bt.mean(axis=0)]
         report.beta_tilde_std = [float(v) for v in _std(bt)]
         report.realized_mean = [float(v) for v in rf.mean(axis=0)]
         report.realized_std = [float(v) for v in _std(rf)]
-    if "n_r" in ok[0]:
-        report.n_r_mean = float(np.mean([res["n_r"] for res in ok]))
+    if "n_r" in extras:
+        report.n_r_mean = float(extras["n_r"].mean())
     edges = np.histogram_bin_edges(est, bins="fd")
     counts, _ = np.histogram(est, bins=edges)
     report.histogram_edges = [float(e) for e in edges]
@@ -425,10 +424,11 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     design = DESIGNS[config.estimator]
     root = RngStream(config.seed)
     with _prepared(config) as prep:  # the inversions call no model
-        y, aux, (run,) = design.draw(prep, StreamBlock(root, range(1)))
-    if isinstance(run, Exception):
-        raise run
-    sizes, extras = run
+        y, aux, sizes, failed, extras = design.draw(
+            prep, StreamBlock(root, range(1)))
+    if failed:
+        raise failed[0]
+    sizes = sizes[0]
     # y is sorted once; a resample then sorts its records' ranks, small ints.
     order = estimators.argsort_rows(y)
     rank = np.argsort(order).astype(np.int32)
@@ -458,7 +458,8 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     return {"estimator": config.estimator, "alpha": config.alpha,
             "n": config.n, "estimate": float(invert(np.arange(n)[None])[0]),
             "bootstrap_std": float(vals.std(ddof=1)), "resamples": B,
-            "scheme": design.scheme, **extras}
+            "scheme": design.scheme,
+            **{k: v[0].tolist() for k, v in extras.items()}}
 
 
 # ---------------------------------------------------------------------------

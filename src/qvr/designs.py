@@ -5,11 +5,14 @@ bootstrap (``qvr.bench``): its params, preparation, draw and inversion.
 draw and inversion read of a config (a ``Prepared`` or one of its kin).
 ``draw(prep, block)`` stacks the samples of a ``sampling.StreamBlock`` (the
 streams of some replications, keyed together), n records per stream, into
-(y, aux, runs): ``aux`` is what the inversion needs of a record
-besides y (for cv and ps the stratum of its metamodel output, as cv is ps
-on two strata split at z_alpha; the cs/acs pooled weight or the cis
-likelihood ratio); ``runs`` holds per stream the error that stopped its
-draw, or its (bootstrap groups, reported extras).
+(y, aux, sizes, errors, extras): ``aux`` is what the inversion needs of a
+record besides y (for cv and ps the stratum of its metamodel output, as cv
+is ps on two strata split at z_alpha; the cs/acs pooled weight or the cis
+likelihood ratio); ``errors`` maps the position of each stream whose draw
+failed to its error; ``sizes`` (one row per drawn stream) holds the sizes
+of the groups the bootstrap resamples within, and ``extras`` maps each
+reported name to an array with one entry per drawn stream (cs: ``n_r``;
+acs: ``n_r``, ``beta_tilde`` and ``realized_fractions``).
 ``invert(prep, y, aux, rows, by_y)`` maps (c, n) record indices, one sample
 per row, to c estimates and the {row: error} of rows that defeat the
 estimator; ``by_y(rows)`` sorts each row by y, stably, as the caller sorts
@@ -150,42 +153,41 @@ def _draw_input(prep, streams):
     y = prep.pair.eval_full(x)
     aux = (prep.spec.stratum_of(prep.pair.eval_metamodel(x))
            if isinstance(prep, Stratified) else None)
-    return y, aux, [([prep.n], {})] * len(streams)
+    return y, aux, np.full((len(streams), 1), prep.n), {}, {}
 
 
 def _draw_cis(prep, streams):
     x = np.concatenate([prep.member.sample(g, prep.n) for g in
                         sampling.each_generator(streams.child(1))])
     w = importance.likelihood_ratio(prep.pair, prep.member, x)
-    return prep.pair.eval_full(x), w, [([prep.n], {})] * len(streams)
+    return (prep.pair.eval_full(x), w, np.full((len(streams), 1), prep.n),
+            {}, {})
 
 
-def _pooled(prep, counts, y, errors, extras):
-    """The draw of a stratified design: ``counts[i]`` (stratum counts) and
-    ``extras[i]`` belong to the i-th stream without an error; ``aux`` is
-    the weight width_j / N_j of a record."""
+def _pooled(prep, y, counts, errors, extras):
+    """The draw of a stratified design from its per-stream ``errors`` (None
+    or the error): ``counts`` (stratum counts) and ``extras`` cover the
+    streams without one; ``aux`` is the weight width_j / N_j of a record."""
     w = estimators.stratum_weights(prep.spec.widths, counts)
-    ok = iter(zip(counts.tolist(), extras))
-    return y, np.repeat(w.ravel(), counts.ravel()), [
-        e if e is not None else next(ok) for e in errors]
+    return y, np.repeat(w.ravel(), counts.ravel()), counts, {
+        i: e for i, e in enumerate(errors) if e is not None}, extras
 
 
 def _draw_cs(prep, streams):
     need = np.tile(prep.plan.counts, (len(streams), 1))
     x, _, draws, errors = sampling.sample_strata_rows(prep.pair, prep.spec,
                                                       need, streams)
-    ok = [e is None for e in errors]
+    ok = np.array([e is None for e in errors], dtype=bool)
     y = prep.pair.eval_full(x) if len(x) else np.empty(0)
-    return _pooled(prep, need[ok], y, errors,
-                   [{"n_r": int(d)} for d, o in zip(draws, ok) if o])
+    return _pooled(prep, y, need[ok], errors, {"n_r": draws[ok]})
 
 
 def _draw_acs(prep, streams):
     rows = strata.acs_rows(prep.pair, prep.acs_config, streams, prep.alpha)
-    return _pooled(prep, rows.counts, rows.y, rows.errors, [
-        {"n_r": int(d), "beta_tilde": b.tolist(),
-         "realized_fractions": (c / c.sum()).tolist()}
-        for d, b, c in zip(rows.draws, rows.beta_tilde, rows.counts)])
+    return _pooled(prep, rows.y, rows.counts, rows.errors, {
+        "n_r": rows.draws, "beta_tilde": rows.beta_tilde,
+        "realized_fractions": rows.counts / rows.counts.sum(
+            axis=1, keepdims=True)})
 
 
 def _invert_weighted(prep, y, aux, rows, by_y):

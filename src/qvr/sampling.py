@@ -25,8 +25,8 @@ class RngStream:
     statistically independent streams regardless of scheduling, which keeps
     multi-phase pipelines deterministic.  Keys equal numpy's
     ``SeedSequence(master_seed, spawn_key=path)`` bit for bit; the keys of
-    many streams (a ``StreamBlock`` or a list of streams) are derived
-    together, in one numpy pass (``stream_keys``).
+    a ``StreamBlock``'s streams are derived together, in one numpy pass
+    (``stream_keys``).
     """
 
     master_seed: int
@@ -36,7 +36,10 @@ class RngStream:
         return RngStream(self.master_seed, self.path + tuple(map(operator.index, ids)))
 
     def generator(self) -> np.random.Generator:
-        return generators([self])[0]
+        """A new Philox generator of this stream's key, as
+        ``Philox(SeedSequence(master_seed, spawn_key=path))``."""
+        return np.random.Generator(np.random.Philox(
+            _Key(stream_keys([self])[0])))
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,7 @@ class StreamBlock:
         if ids.size and not (ids.dtype.kind in "iu" and ids.min() >= 0
                              and ids.max() <= _MASK):
             raise ValueError("replication ids must be integers in [0, 2**32)")
-        head = [w for p in self.root.path for w in _words(p)]
-        tail = [w for p in self.suffix for w in _words(p)]
+        head, tail = _path_words(self.root.path), _path_words(self.suffix)
         words = np.empty((len(ids), len(head) + 1 + len(tail)), np.uint32)
         words[:, :len(head)] = head
         words[:, len(head)] = ids
@@ -99,6 +101,11 @@ def _words(v) -> list[int]:
         v >>= 32
         out.append(v & _MASK)
     return out
+
+
+def _path_words(path) -> list[int]:
+    """The uint32 words of a stream path: each id's ``_words``, in order."""
+    return [w for p in path for w in _words(p)]
 
 
 @lru_cache(maxsize=64)
@@ -172,23 +179,15 @@ def _keys(seed: int, words: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(streams) -> np.ndarray:
-    """The (R, 2) Philox keys of a ``StreamBlock`` or of a sequence of
-    ``RngStream``, in order; the streams of a sequence are grouped by seed
-    and path word count, one ``_keys`` pass per group."""
+    """The (R, 2) Philox keys of a ``StreamBlock`` (one ``_keys`` pass) or
+    of a sequence of ``RngStream`` (one ``_keys`` call per stream), in
+    order."""
     if isinstance(streams, StreamBlock):
         return streams.keys()
-    groups: dict = {}
-    for i, s in enumerate(streams):
-        words = [w for p in s.path for w in _words(p)]
-        rows, block = groups.setdefault(
-            (operator.index(s.master_seed), len(words)), ([], []))
-        rows.append(i)
-        block.append(words)
-    out = np.empty((len(streams), 2), dtype=np.uint64)
-    for (seed, width), (rows, block) in groups.items():
-        out[rows] = _keys(seed, np.array(block, dtype=np.uint32).reshape(
-            len(rows), width))
-    return out
+    return np.array([
+        _keys(operator.index(s.master_seed),
+              np.array([_path_words(s.path)], dtype=np.uint32))[0]
+        for s in streams], dtype=np.uint64).reshape(len(streams), 2)
 
 
 class _Key(ISeedSequence):
@@ -203,13 +202,6 @@ class _Key(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.key
-
-
-def generators(streams) -> list[np.random.Generator]:
-    """One Philox generator per stream, in order, each keyed exactly as
-    ``Philox(SeedSequence(master_seed, spawn_key=path))``."""
-    return [np.random.Generator(np.random.Philox(_Key(key)))
-            for key in stream_keys(streams)]
 
 
 _ZEROS = np.zeros(4, dtype=np.uint64)
@@ -234,9 +226,9 @@ def _rekeyable() -> tuple[np.random.Generator, np.random.Philox]:
 
 def each_generator(streams):
     """Yield one generator per stream (see ``stream_keys``), in order, each
-    drawing what ``generators(streams)`` would: one Philox, re-keyed
-    before each yield, so a generator must be done with before the next is
-    taken."""
+    drawing what the stream's ``RngStream.generator()`` would: one Philox,
+    re-keyed before each yield, so a generator must be done with before the
+    next is taken."""
     rng, bits = _rekeyable()
     for key in stream_keys(streams):
         bits.state = _fresh(key)

@@ -177,53 +177,50 @@ class AcsResult:
 
 
 def largest_remainder(targets: np.ndarray) -> np.ndarray:
-    """Round nonnegative reals to integers preserving their (rounded) sum."""
+    """Round each row (last axis) of nonnegative reals to integers that sum
+    to the row's sum rounded half to even: the floors, plus one for the
+    largest remainders of the row that it needs, the first on ties."""
     t = np.asarray(targets, dtype=float)
     if np.any(t < 0):
         raise ValueError("targets must be nonnegative")
     floors = np.floor(t).astype(int)
-    short = int(round(t.sum())) - int(floors.sum())
-    if short > 0:
-        order = np.argsort(-(t - floors), kind="stable")
-        floors[order[:short]] += 1
-    return floors
+    short = (np.rint(t.sum(axis=-1, keepdims=True)).astype(int)
+             - floors.sum(axis=-1, keepdims=True))
+    rank = np.argsort(np.argsort(floors - t, axis=-1, kind="stable"), axis=-1)
+    return floors + (rank < short)
 
 
-def phase_two_counts(beta_tilde: np.ndarray, pilot: np.ndarray, n: int,
-                     min_per_stratum: int, widths: np.ndarray
-                     ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Phase-two allocation toward targets beta_tilde * n.
+def phase_two_rows(beta_tilde: np.ndarray, pilot: np.ndarray, n: int,
+                   min_per_stratum: int, widths: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-two counts (R, m) of the allocations ``beta_tilde`` (R, m),
+    toward targets beta_tilde * n, and the (R, m) flags of floored strata.
 
     Pilot points are kept, so a stratum whose pilot already exceeds its
     target contributes no phase-two points; its surplus is redistributed to
-    the other strata proportionally to their deficits.  Positive-width strata
-    are floored at min_per_stratum total points; floored strata are reported.
-    """
+    the other strata proportionally to their deficits (to ``widths`` in a
+    row without one).  Positive-width strata are floored at min_per_stratum
+    total points.  A row's rounding gap goes to its largest count, the
+    first on ties.  The pilot must leave a budget (``AcsConfig``)."""
     targets = largest_remainder(beta_tilde * n)
-    floored = []
-    for j in range(len(targets)):
-        if widths[j] > 0 and targets[j] < min_per_stratum:
-            floored.append(j)
-            targets[j] = min_per_stratum
+    floored = (widths > 0) & (targets < min_per_stratum)
+    targets[floored] = min_per_stratum
     budget = n - int(pilot.sum())
-    if budget < 0:
-        raise StrataError("pilot already exceeds the total budget")
     deficits = np.maximum(targets - pilot, 0).astype(float)
-    if deficits.sum() > 0:
-        extra = largest_remainder(budget * deficits / deficits.sum())
-    else:
-        extra = largest_remainder(budget * widths / widths.sum())
-    gap = budget - int(extra.sum())
-    if gap != 0:
-        extra[int(np.argmax(extra))] += gap
-    return extra.astype(int), tuple(floored)
+    total = deficits.sum(axis=1, keepdims=True)
+    extra = largest_remainder(np.where(
+        total > 0, budget * deficits / np.maximum(total, 1.0),
+        budget * widths / widths.sum()))
+    extra[np.arange(len(extra)), extra.argmax(axis=1)] += (
+        budget - extra.sum(axis=1))
+    return extra, floored
 
 
 class AcsRows(NamedTuple):
     """``errors`` holds each stream's ``SamplingError`` or None; the other
     fields cover the rows without one: ``y`` their outputs row after row
     (each in stratum order, a stratum's pilot records first), the others one
-    entry per row."""
+    entry per row (``floored``: a row of ``phase_two_rows``' flags)."""
 
     y: np.ndarray
     counts: np.ndarray
@@ -231,7 +228,7 @@ class AcsRows(NamedTuple):
     beta_tilde: np.ndarray
     draws: np.ndarray
     fallback: np.ndarray
-    floored: list
+    floored: np.ndarray
     errors: list
 
 
@@ -274,9 +271,8 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
     p = np.add.reduceat(y1 <= at[:, None], np.cumsum(pilot) - pilot, axis=1,
                         dtype=int) / pilot
     beta, fallback = optimal_allocation_rows(p, widths)
-    two = [phase_two_counts(b, pilot, n, config.min_per_stratum, widths)
-           for b in beta]
-    extra = np.array([e for e, _ in two], dtype=int).reshape(len(ok), spec.m)
+    extra, floored = phase_two_rows(beta, pilot, n, config.min_per_stratum,
+                                    widths)
     x2, _, d2, errors2 = sample_strata_rows(
         pair, spec, extra, _children(streams, ok, 1))
     y2 = pair.eval_full(x2) if len(x2) else np.empty(0)
@@ -292,8 +288,8 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
     y[to_pilot] = y1[done].ravel()
     y[to_two] = y2
     return AcsRows(y, counts, at[done], beta[done],
-                   d1[ok][done] + d2[done], fallback[done],
-                   [f for (_, f), d in zip(two, done) if d], errors)
+                   d1[ok][done] + d2[done], fallback[done], floored[done],
+                   errors)
 
 
 def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
@@ -310,7 +306,8 @@ def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
     return AcsResult(quantile_from_weighted_cdf(cdf, alpha),
                      rows.beta_tilde[0], counts, counts / counts.sum(),
                      float(rows.y_tilde[0]), int(rows.draws[0]),
-                     bool(rows.fallback[0]), rows.floored[0])
+                     bool(rows.fallback[0]),
+                     tuple(np.flatnonzero(rows.floored[0]).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import textwrap
 import numpy as np
 import pytest
 import reference_inversions as ref
+import reference_phase_two
 from click.testing import CliRunner
 
 from qvr import bench, estimators, importance, strata
@@ -121,9 +122,8 @@ def reference_acs_sample(pair, config, alpha, stream):
         beta, fallback = strata.optimal_allocation(p, spec), False
     except strata.StrataError:
         beta, fallback = spec.widths.copy(), True
-    extra, floored = strata.phase_two_counts(beta, pilot, config.n,
-                                             config.min_per_stratum,
-                                             spec.widths)
+    extra, floored = reference_phase_two.phase_two_counts(
+        beta, pilot, config.n, config.min_per_stratum, spec.widths)
     second, d2 = reference_sample_strata(
         pair, spec, AllocationPlan(tuple(int(c) for c in extra)),
         stream.child(1))
@@ -208,13 +208,12 @@ def test_cv_inversions_match_reference():
             for n in (2, 7, 20, 200, 1000):
                 config = make("cv", 12, model=model, alpha=alpha, n=n)
                 root = RngStream(config.seed)
-                results, errors = bench._run_block(
+                estimates, extras, errors = bench._run_block(
                     config, prep._replace(n=n), root, range(12))
                 expected = [reference_estimate(config, prep, r)
                             for r in range(12)]
-                assert not errors
-                assert [res["estimate"] for res in results] == expected, \
-                    (model, alpha, n)
+                assert not errors and extras == {}
+                assert estimates.tolist() == expected, (model, alpha, n)
                 fallbacks += sum(ref.cv_weights(
                     estimators.draw_paired_sample(prep.pair, root.child(r),
                                                   n).z,
@@ -260,6 +259,67 @@ def test_ps_empty_strata_recorded_per_replication():
     assert expected_errors
     assert report.errors == expected_errors
     assert report.estimates.tolist() == expected
+
+
+# A stratum of width 5e-4 leaves about a fifth of the acs pilots (one point
+# per stratum, 3000 draws) without its point.
+FAILING_PILOTS = dict(model="identity1d", params={
+    "cutpoints": [0.0, 0.5, 0.9995, 1.0], "pilot_per_stratum": 1})
+
+
+@pytest.mark.parametrize("label,over", [("cs", {}), ("acs", {}),
+                                        ("acs", FAILING_PILOTS)],
+                         ids=["cs", "acs", "acs-failing-pilots"])
+def test_extras_stay_aligned_across_blocks(label, over):
+    # The report's n_r, beta_tilde and realized fractions are those of the
+    # per-stream reference pipeline over the replications that succeed, bit
+    # for bit, over three blocks.
+    config = make(label, SPANNING, **over)
+    report = run_replications(config)
+    prep = ref.prepare(config)
+    n_r, beta, realized, errors = [], [], [], []
+    for r in range(SPANNING):
+        stream = RngStream(config.seed).child(r)
+        try:
+            if label == "cs":
+                _, draws = reference_sample_strata(prep.pair, prep.spec,
+                                                   prep.plan, stream)
+            else:
+                merged, _, b, draws, _, _ = reference_acs_sample(
+                    prep.pair, prep.acs_config, config.alpha, stream)
+                beta.append(b.tolist())
+                realized.append((merged.counts
+                                 / merged.counts.sum()).tolist())
+        except SamplingError as e:
+            errors.append((r, str(e)))
+            continue
+        n_r.append(draws)
+    assert report.errors == errors
+    assert (0 < len(errors) < SPANNING // 2) == (over is FAILING_PILOTS)
+    assert report.n_r_mean == float(np.mean(n_r))
+    if label == "cs":
+        assert report.beta_tilde_mean is report.realized_mean is None
+        return
+    for name, rows in (("beta_tilde", beta), ("realized", realized)):
+        rows = np.array(rows)
+        assert getattr(report, f"{name}_mean") == [
+            float(v) for v in rows.mean(axis=0)]
+        assert getattr(report, f"{name}_std") == [
+            float(v) for v in rows.std(axis=0, ddof=1)]
+
+
+@pytest.mark.parametrize("label,extras", [
+    ("cs", {"n_r"}), ("acs", {"n_r", "beta_tilde", "realized_fractions"})])
+def test_bootstrap_payload_is_plain_json(label, extras):
+    # A design's extras are arrays; the bootstrap reports replication 0's
+    # as plain Python numbers.
+    out = bench.estimate_with_bootstrap(make(label, 1), B=100)
+    assert json.loads(json.dumps(out)) == out
+    assert set(out) - {"estimator", "alpha", "n", "estimate",
+                       "bootstrap_std", "resamples", "scheme"} == extras
+    assert type(out["n_r"]) is int
+    assert all(type(v) is float for v in out.get("beta_tilde", [])
+               + out.get("realized_fractions", []))
 
 
 def _counting_factory(name, counts, fail_after=None, rows=None):
@@ -533,7 +593,8 @@ def assert_acs_matches_reference(pair, config, alpha, streams):
         assert rows.counts[i].tolist() == merged.counts.tolist(), r
         assert rows.y_tilde[i] == y_tilde, r
         assert rows.beta_tilde[i].tolist() == beta.tolist(), r
-        assert (rows.draws[i], rows.fallback[i], rows.floored[i]) == (
+        assert (rows.draws[i], rows.fallback[i],
+                tuple(np.flatnonzero(rows.floored[i]).tolist())) == (
             draws, fallback, floored), r
         outcome["ok"] += 1
         outcome["fallback"] += fallback

@@ -14,11 +14,11 @@ from qvr.sampling import (
     each_generator,
     evaluate_full,
     expected_rejection_cost,
-    generators,
     metamodel_quantiles,
     sample_input,
     sample_strata,
     strata_from_cutpoints,
+    stream_keys,
 )
 
 
@@ -55,6 +55,7 @@ class TestRngStream:
             (3, (2,)), (0, (7, 0)), (3, ()), (2**32, (2**32, 2)),
             (3, (0,))]]
         assert_keys_equal(streams)
+        assert stream_keys([]).shape == (0, 2)
 
     def test_numpy_integer_path_ids(self):
         streams = [RngStream(np.uint64(9), (np.int64(4), np.uint32(1))),
@@ -138,23 +139,25 @@ class TestStreamBlock:
         for source in (streams, blocks):
             got = [draws[i % 4](g)
                    for i, g in enumerate(each_generator(source))]
-            want = [draws[i % 4](g)
-                    for i, g in enumerate(generators(streams))]
+            want = [draws[i % 4](s.generator())
+                    for i, s in enumerate(streams)]
             assert len(got) == len(want) == 8
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def assert_keys_equal(streams):
-    """Each stream's Philox key is numpy's SeedSequence key, in order."""
-    got = [g.bit_generator.state["state"]["key"]
-           for g in generators(streams)]
+    """Each stream's Philox key is numpy's SeedSequence key, in order: in
+    ``stream_keys`` of the list and in the stream's own generator."""
+    keys = stream_keys(streams)
+    got = [s.generator().bit_generator.state["state"]["key"]
+           for s in streams]
     want = [np.random.Philox(np.random.SeedSequence(
         s.master_seed, spawn_key=s.path)).state["state"]["key"]
         for s in streams]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    assert keys.shape == (len(want), 2) and keys.dtype == np.uint64
+    for k, g, w in zip(keys, got, want, strict=True):
+        assert np.array_equal(k, w) and np.array_equal(g, w)
 
 
 class TestStrataSpec:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import reference_phase_two as ref
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qvr.model import ModelPair, standard_normal_input, toy1d
 from qvr.sampling import (
@@ -23,7 +26,7 @@ from qvr.strata import (
     largest_remainder,
     ocs_variance,
     optimal_allocation,
-    phase_two_counts,
+    phase_two_rows,
     ps_form_variance,
     two_strata_acs_factor,
 )
@@ -249,29 +252,128 @@ class TestLargestRemainder:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             largest_remainder(np.array([-1.0, 2.0]))
+        with pytest.raises(ValueError):
+            largest_remainder(np.array([[1.0, 2.0], [0.5, -0.5]]))
+
+    def test_ties_go_to_the_first_and_sums_round_half_to_even(self):
+        assert largest_remainder([[2.5, 2.5, 2.5, 2.5]]).tolist() == [
+            [3, 3, 2, 2]]
+        # Row sums 1.5, 0.5 and 2.5 round to 2, 0 and 2.
+        assert largest_remainder([[0.5, 0.5, 0.5], [0.25, 0.25, 0.0],
+                                  [1.25, 1.25, 0.0]]).tolist() == [
+            [1, 1, 0], [0, 0, 0], [1, 1, 0]]
+
+    # Rows of quarters (ties, sums at .5), of small and of large reals.
+    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+        st.lists(st.one_of(st.integers(0, 40).map(lambda k: k / 4),
+                           st.floats(0, 1e6), st.floats(0, 1e17)),
+                 min_size=m, max_size=m), max_size=6))))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_per_row_reference(self, case):
+        m, rows = case
+        t = np.array(rows, dtype=float).reshape(len(rows), m)
+        got = largest_remainder(t)
+        assert got.shape == t.shape and got.dtype == int
+        for row, out in zip(t, got):
+            want = ref.largest_remainder(row)
+            assert out.tolist() == want.tolist()
+            assert largest_remainder(row).tolist() == want.tolist()
+
+
+def _phase_two_rows_equal_reference(beta, pilot, n, least, widths):
+    """``phase_two_rows`` against the per-row reference, row by row; the
+    reference's rounding gap of each row."""
+    extra, floored = phase_two_rows(beta, pilot, n, least, widths)
+    assert extra.shape == floored.shape == beta.shape
+    assert extra.dtype == int and floored.dtype == bool
+    gaps = []
+    for b, e, f in zip(beta, extra, floored):
+        want, want_floored = ref.phase_two_counts(b, pilot, n, least, widths)
+        assert e.tolist() == want.tolist()
+        assert tuple(np.flatnonzero(f).tolist()) == want_floored
+        targets = ref.largest_remainder(b * n)
+        targets[list(want_floored)] = least
+        deficits = np.maximum(targets - pilot, 0).astype(float)
+        budget = n - int(pilot.sum())
+        shares = (budget * deficits / deficits.sum() if deficits.sum()
+                  else budget * widths / widths.sum())
+        gaps.append(budget - int(ref.largest_remainder(shares).sum()))
+    return extra, floored, gaps
+
+
+@st.composite
+def _phase_two_case(draw):
+    m = draw(st.integers(1, 6))
+    fraction = st.one_of(st.integers(0, 8).map(lambda k: k / 8),
+                         st.floats(0, 1))
+    beta = draw(st.lists(st.lists(fraction, min_size=m, max_size=m),
+                         max_size=5))
+    pilot = draw(st.lists(st.integers(1, 50), min_size=m, max_size=m))
+    budget = draw(st.one_of(st.integers(1, 10**4),
+                            st.integers(10**15, 10**17)))
+    widths = draw(st.lists(st.one_of(st.just(0.0), fraction), min_size=m,
+                           max_size=m).filter(lambda w: sum(w) > 0))
+    return (np.array(beta, dtype=float).reshape(len(beta), m),
+            np.array(pilot), sum(pilot) + budget, draw(st.integers(1, 60)),
+            np.array(widths))
 
 
 class TestPhaseTwoCounts:
     def test_simple_split(self):
-        extra, floored = phase_two_counts(
-            np.array([0.86, 0.14]), np.array([200, 200]), 2000, 1,
+        extra, floored = phase_two_rows(
+            np.array([[0.86, 0.14]]), np.array([200, 200]), 2000, 1,
             np.array([0.95, 0.05]))
         assert extra.sum() == 1600
-        assert extra.tolist() == [1520, 80]
-        assert floored == ()
+        assert extra.tolist() == [[1520, 80]]
+        assert not floored.any()
 
     def test_pilot_exceeds_target_keeps_pilot(self):
-        extra, floored = phase_two_counts(
-            np.array([0.0, 0.6, 0.4]), np.array([20, 20, 20]), 200, 1,
+        extra, floored = phase_two_rows(
+            np.array([[0.0, 0.6, 0.4]]), np.array([20, 20, 20]), 200, 1,
             np.array([0.85, 0.10, 0.05]))
-        assert extra[0] == 0
+        assert extra[0, 0] == 0
         assert extra.sum() == 140
-        assert 0 in floored
+        assert floored[0, 0]
 
     def test_budget_violation(self):
-        with pytest.raises(StrataError):
-            phase_two_counts(np.array([1.0]), np.array([10]), 5, 1,
-                             np.array([1.0]))
+        # phase_two_rows assumes a budget left after the pilot; AcsConfig
+        # refuses a pilot of n or more points.
+        for per_stratum in (5, 6):
+            config = AcsConfig(spec=_spec([0.0, 0.5, 1.0]), n=10,
+                               pilot_per_stratum=per_stratum)
+            with pytest.raises(ValueError, match="entire budget"):
+                config.pilot_counts()
+        assert AcsConfig(spec=_spec([0.0, 0.5, 1.0]), n=10,
+                         pilot_per_stratum=4).pilot_counts().sum() == 8
+
+    def test_cases_the_rows_must_cover(self):
+        # Row 0 has zero deficits (its floored targets 4, 0, 4 are at most
+        # the pilot), so its budget goes by widths; only positive widths
+        # are floored.  Row 1's targets 8, 4, 4 reach the floor.
+        extra, floored, gaps = _phase_two_rows_equal_reference(
+            np.array([[0.0, 0.0, 0.0], [0.5, 0.25, 0.25]]),
+            np.array([5, 5, 5]), 16, 4, np.array([0.5, 0.0, 0.5]))
+        assert extra.tolist() == [[1, 0, 0], [1, 0, 0]]
+        assert floored.tolist() == [[True, False, True], [False, False, False]]
+        assert gaps == [0, 0]
+        # A budget of 10**16 points leaves a rounding gap of -1.
+        extra, _, gaps = _phase_two_rows_equal_reference(
+            np.array([[0.1, 0.2, 0.7]]), np.array([3, 3, 3]), 10**16, 1,
+            np.full(3, 1 / 3))
+        assert gaps == [-1] and extra.sum() == 10**16 - 9
+        # No rows.
+        extra, floored = phase_two_rows(np.empty((0, 3)), np.array([3, 3, 3]),
+                                        20, 1, np.full(3, 1 / 3))
+        assert extra.shape == floored.shape == (0, 3)
+
+    @given(_phase_two_case())
+    @example((np.array([[0.1, 0.2, 0.7]]), np.array([3, 3, 3]), 10**16, 1,
+              np.full(3, 1 / 3)))
+    @example((np.array([[0.0, 0.0], [0.25, 0.75]]), np.array([4, 4]), 12, 5,
+              np.array([0.25, 0.75])))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_per_row_reference(self, case):
+        _phase_two_rows_equal_reference(*case)
 
 
 def _perfect_pair():

@@ -19,6 +19,13 @@ and summary there.  A run that exits non-zero or reports
 ``correct: false`` stops the tool with exit 1.  It imports nothing from
 either checkout.
 
+Before the first pair the tool byte-compiles ``src/qvr`` in both
+checkouts (``python3 -m compileall``), so that neither side's
+``setup_s`` pays for compiling qvr while the other's reads a bytecode
+cache: with a cache in the parent's checkout only, external-sim read
+``setup_s`` 0.143 s (parent) against 0.166 s (change) in 10 of 10 pairs,
+and 0.164 against 0.165 s once neither side held one.
+
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload rep-small \\
         [--workload rep-large ...] --pairs 10 [--seconds 15] \\
         [--first-seed 1] [--json out.json]
@@ -32,6 +39,15 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def compile_sources(checkout: Path) -> None:
+    """Write the bytecode cache of the checkout's ``src/qvr``."""
+    cmd = ["python3", "-m", "compileall", "-q", "src/qvr"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"error: {' '.join(cmd)} in {checkout} exited "
+                 f"{out.returncode}:\n{out.stdout[-2000:]}{out.stderr[-2000:]}")
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -92,6 +108,8 @@ def main() -> int:
     args = p.parse_args()
     sides = ("parent", "change")
     higher = better_higher(args.change)
+    for side in sides:
+        compile_sources(getattr(args, side))
     results = {}
     for workload in args.workload:
         pairs = []

@@ -8,10 +8,9 @@ generator keyed for each stream of the engine's paths ``(seed, (r,))``:
   range(R))``, the engine's path: the keys in one numpy pass, then one
   Philox re-keyed per stream;
 - ``rekeyed``: ``each_generator`` on the R ``RngStream`` objects, whose
-  keys are derived through ``stream_keys``' grouping;
-- ``generators``: ``qvr.sampling.generators`` on the R streams at once
-  (``RngStream.generator()`` when R = 1): the same keys, and a new
-  generator per stream;
+  keys ``stream_keys`` derives one stream at a time;
+- ``generators``: ``RngStream.generator()`` of each of the R streams: the
+  same keys, and a new generator per stream;
 - ``seedsequence``: ``Generator(Philox(SeedSequence(seed, spawn_key=path)))``
   once per stream, numpy's own key derivation.
 
@@ -41,8 +40,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qvr.sampling import (RngStream, StreamBlock,  # noqa: E402
-                          each_generator, generators)
+from qvr.sampling import RngStream, StreamBlock, each_generator  # noqa: E402
 
 SEED = 11
 SIZES = (1, 8, 81)
@@ -55,7 +53,7 @@ def _seedsequence(streams):
 
 
 def _kernel(streams):
-    return streams[0].generator() if len(streams) == 1 else generators(streams)
+    return [s.generator() for s in streams]
 
 
 def _rekeyed(streams):
