@@ -282,9 +282,10 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream, rs: range
     """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
 
     The design draws the block at once, so that f runs once per block (acs:
-    once per phase) and f_r once per rejection pass.  Its streams are a
-    ``StreamBlock``: their keys come in one numpy pass, and each draw call
-    re-keys one Philox per stream, which draws the bits of a new generator.
+    once per phase) and f_r once per rejection pass.  Its streams are
+    ``StreamBlock.of(root, rs)``: their keys come in one numpy pass, and
+    each draw call re-keys one Philox per stream, which draws the bits of
+    the stream's own generator.
     The design inverts one row per replication, sorted by
     ``estimators.argsort_rows``: numpy's SIMD argsort, which is the stable
     order on a row without ties, and a stable argsort of the rows with
@@ -294,7 +295,7 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream, rs: range
     entry per replication), and the (r, message) of every one that failed.
     """
     design = DESIGNS[config.estimator]
-    y, aux, _, failed, extras = design.draw(prep, StreamBlock(root, rs))
+    y, aux, _, failed, extras = design.draw(prep, StreamBlock.of(root, rs))
     drawn = [r for i, r in enumerate(rs) if i not in failed]
     values, fails = design.invert(
         prep, y, aux, np.arange(len(y)).reshape(len(drawn), config.n),
@@ -425,7 +426,7 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     root = RngStream(config.seed)
     with _prepared(config) as prep:  # the inversions call no model
         y, aux, sizes, failed, extras = design.draw(
-            prep, StreamBlock(root, range(1)))
+            prep, StreamBlock.of(root, range(1)))
     if failed:
         raise failed[0]
     sizes = sizes[0]

@@ -4,15 +4,16 @@ bootstrap (``qvr.bench``): its params, preparation, draw and inversion.
 ``prepare(pair, config)`` computes, once per experiment, what the design's
 draw and inversion read of a config (a ``Prepared`` or one of its kin).
 ``draw(prep, block)`` stacks the samples of a ``sampling.StreamBlock`` (the
-streams of some replications, keyed together), n records per stream, into
-(y, aux, sizes, errors, extras): ``aux`` is what the inversion needs of a
-record besides y (for cv and ps the stratum of its metamodel output, as cv
-is ps on two strata split at z_alpha; the cs/acs pooled weight or the cis
-likelihood ratio); ``errors`` maps the position of each stream whose draw
-failed to its error; ``sizes`` (one row per drawn stream) holds the sizes
-of the groups the bootstrap resamples within, and ``extras`` maps each
-reported name to an array with one entry per drawn stream (cs: ``n_r``;
-acs: ``n_r``, ``beta_tilde`` and ``realized_fractions``).
+streams of some replications, or one stream, keyed together), n records per
+stream, into (y, aux, sizes, errors, extras): ``aux`` is what the inversion
+needs of a record besides y (for cv and ps the stratum of its metamodel
+output, as cv is ps on two strata split at z_alpha; the cs/acs pooled
+weight or the cis likelihood ratio); ``errors`` maps the position of each
+stream whose draw failed to its error; ``sizes`` (one row per drawn stream)
+holds the sizes of the groups the bootstrap resamples within, and
+``extras`` maps each reported name to an array with one entry per drawn
+stream (cs: ``n_r``; acs: ``n_r``, ``beta_tilde`` and
+``realized_fractions``).
 ``invert(prep, y, aux, rows, by_y)`` maps (c, n) record indices, one sample
 per row, to c estimates and the {row: error} of rows that defeat the
 estimator; ``by_y(rows)`` sorts each row by y, stably, as the caller sorts
@@ -145,22 +146,22 @@ def _prepare_cis(pair, config):
                   get("mode", "tail"))
 
 
-def _draw_input(prep, streams):
+def _draw_input(prep, block):
     """n input points per stream and one f call; with strata (cv, ps), aux
     is each point's metamodel stratum, in the narrowest integer type."""
     x = np.concatenate([prep.pair.input.sample(g, prep.n)
-                        for g in sampling.each_generator(streams)])
+                        for g in sampling.each_generator(block)])
     y = prep.pair.eval_full(x)
     aux = (prep.spec.stratum_of(prep.pair.eval_metamodel(x))
            if isinstance(prep, Stratified) else None)
-    return y, aux, np.full((len(streams), 1), prep.n), {}, {}
+    return y, aux, np.full((len(block), 1), prep.n), {}, {}
 
 
-def _draw_cis(prep, streams):
+def _draw_cis(prep, block):
     x = np.concatenate([prep.member.sample(g, prep.n) for g in
-                        sampling.each_generator(streams.child(1))])
+                        sampling.each_generator(block.child(1))])
     w = importance.likelihood_ratio(prep.pair, prep.member, x)
-    return (prep.pair.eval_full(x), w, np.full((len(streams), 1), prep.n),
+    return (prep.pair.eval_full(x), w, np.full((len(block), 1), prep.n),
             {}, {})
 
 
@@ -173,17 +174,17 @@ def _pooled(prep, y, counts, errors, extras):
         i: e for i, e in enumerate(errors) if e is not None}, extras
 
 
-def _draw_cs(prep, streams):
-    need = np.tile(prep.plan.counts, (len(streams), 1))
+def _draw_cs(prep, block):
+    need = np.tile(prep.plan.counts, (len(block), 1))
     x, _, draws, errors = sampling.sample_strata_rows(prep.pair, prep.spec,
-                                                      need, streams)
+                                                      need, block)
     ok = np.array([e is None for e in errors], dtype=bool)
     y = prep.pair.eval_full(x) if len(x) else np.empty(0)
     return _pooled(prep, y, need[ok], errors, {"n_r": draws[ok]})
 
 
-def _draw_acs(prep, streams):
-    rows = strata.acs_rows(prep.pair, prep.acs_config, streams, prep.alpha)
+def _draw_acs(prep, block):
+    rows = strata.acs_rows(prep.pair, prep.acs_config, block, prep.alpha)
     return _pooled(prep, rows.y, rows.counts, rows.errors, {
         "n_r": rows.draws, "beta_tilde": rows.beta_tilde,
         "realized_fractions": rows.counts / rows.counts.sum(

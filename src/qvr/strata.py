@@ -232,31 +232,21 @@ class AcsRows(NamedTuple):
     errors: list
 
 
-def _children(streams, rows, i: int):
-    """The streams ``child(i)`` of the streams at positions ``rows``: of a
-    ``StreamBlock``, a block; of a sequence of ``RngStream``, a list."""
-    if isinstance(streams, StreamBlock):
-        return streams.take(rows).child(i)
-    return [streams[r].child(i) for r in rows]
-
-
-def acs_rows(pair: ModelPair, config: AcsConfig, streams,
+def acs_rows(pair: ModelPair, config: AcsConfig, block: StreamBlock,
              alpha: float) -> AcsRows:
     """Two-phase adaptive stratified samples, one row per stream of
-    ``streams`` (a ``StreamBlock`` or a sequence of ``RngStream``): a pilot
-    on ``stream.child(0)``; the optimal allocation at the pilot's conditional
-    probabilities at the strict inverse of the pilot's alpha-quantile
-    (proportional when no indicator varies); phase two on
-    ``stream.child(1)``, which keeps the pilot points.  Each phase draws its
-    rows with one ``sample_strata_rows`` call and one f call."""
+    ``block``: a pilot on ``stream.child(0)``; the optimal allocation at
+    the pilot's conditional probabilities at the strict inverse of the
+    pilot's alpha-quantile (proportional when no indicator varies); phase
+    two on ``stream.child(1)``, which keeps the pilot points.  Each phase
+    draws its rows with one ``sample_strata_rows`` call and one f call."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     spec, widths, n = config.spec, config.spec.widths, config.n
     pilot = config.pilot_counts()
     P = int(pilot.sum())
     x1, _, d1, errors = sample_strata_rows(
-        pair, spec, np.tile(pilot, (len(streams), 1)),
-        _children(streams, range(len(streams)), 0))
+        pair, spec, np.tile(pilot, (len(block), 1)), block.child(0))
     ok = [r for r, e in enumerate(errors) if e is None]
     y1 = (pair.eval_full(x1) if ok else np.empty(0)).reshape(len(ok), P)
     # The strict inverse of the pilot's stratified cdf sits one support
@@ -274,7 +264,7 @@ def acs_rows(pair: ModelPair, config: AcsConfig, streams,
     extra, floored = phase_two_rows(beta, pilot, n, config.min_per_stratum,
                                     widths)
     x2, _, d2, errors2 = sample_strata_rows(
-        pair, spec, extra, _children(streams, ok, 1))
+        pair, spec, extra, block.take(ok).child(1))
     y2 = pair.eval_full(x2) if len(x2) else np.empty(0)
     done = np.array([e is None for e in errors2], dtype=bool)
     for r, e in zip(ok, errors2):
@@ -297,7 +287,7 @@ def acs_quantile(pair: ModelPair, config: AcsConfig, alpha: float,
     """Adaptive stratified quantile of one row of ``acs_rows``, which
     raises its ``SamplingError``: the pooled weighted cdf of ``cs_quantile``
     over the row's outputs."""
-    rows = acs_rows(pair, config, [stream], alpha)
+    rows = acs_rows(pair, config, stream.block(), alpha)
     if rows.errors[0] is not None:
         raise rows.errors[0]
     counts = rows.counts[0]

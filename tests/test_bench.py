@@ -354,7 +354,8 @@ def reference_bootstrap(config, B, seen=None):
         extras.update(n_r=res.draw_count, beta_tilde=res.beta_tilde.tolist(),
                       realized_fractions=res.realized_fractions.tolist())
         seen["floored_strata"] = res.floored_strata
-        rows = strata.acs_rows(pair, prep.acs_config, [run_stream], alpha)
+        rows = strata.acs_rows(pair, prep.acs_config, run_stream.block(),
+                               alpha)
         data = SimpleNamespace(y=np.split(rows.y,
                                           np.cumsum(rows.counts[0])[:-1]))
         fn = pooled_quantile

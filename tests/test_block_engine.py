@@ -29,6 +29,7 @@ from qvr.sampling import (
     SamplingError,
     StrataSpec,
     StratifiedSample,
+    StreamBlock,
     evaluate_full,
     sample_input,
     sample_strata,
@@ -502,12 +503,16 @@ def test_dead_simulator_is_fatal(tmp_path):
 # Row-wise rejection and adaptive pipeline against the per-stream copies
 
 
-def assert_rows_match_reference(pair, spec, plans, streams, max_draws=None,
+def assert_rows_match_reference(pair, spec, plans, root, max_draws=None,
                                 batch=1 << 20):
-    x, z, draws, errors = sample_strata_rows(pair, spec, plans, streams,
+    """The rows of the block of ``root``'s children 0, 1, ... against the
+    per-stream sampler; returns the number of rows that failed."""
+    block = StreamBlock.of(root, range(len(plans)))
+    x, z, draws, errors = sample_strata_rows(pair, spec, plans, block,
                                              max_draws, batch)
     at, failed = 0, 0
-    for r, (plan, stream) in enumerate(zip(plans, streams)):
+    for r, plan in enumerate(plans):
+        stream = root.child(r)
         limit = max_draws if np.ndim(max_draws) == 0 else max_draws[r]
         try:
             ref, ref_draws = reference_sample_strata(
@@ -537,8 +542,7 @@ def test_sample_strata_rows_matches_per_stream_draws(model, batch):
     spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0],
                                  precision="mc", sample_count=10**4,
                                  stream=RngStream(3))
-    streams = [RngStream(8, (r,)) for r in range(len(PLANS))]
-    assert assert_rows_match_reference(pair, spec, PLANS, streams,
+    assert assert_rows_match_reference(pair, spec, PLANS, RngStream(8),
                                        batch=batch) == 0
 
 
@@ -555,8 +559,7 @@ def test_rows_need_more_passes_when_a_pass_is_small(points, model,
     spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0],
                                  precision="mc", sample_count=10**4,
                                  stream=RngStream(3))
-    streams = [RngStream(9, (r,)) for r in range(len(PLANS))]
-    assert assert_rows_match_reference(pair, spec, PLANS, streams,
+    assert assert_rows_match_reference(pair, spec, PLANS, RngStream(9),
                                        batch=300) == 0
 
 
@@ -565,24 +568,28 @@ def test_rows_that_reach_max_draws_fail_alone():
     spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0])
     plans = [(5, 5, 5, 5)] * 12
     limit = np.array([20, 4000, 150, 20000] * 3)
-    streams = [RngStream(10, (r,)) for r in range(12)]
-    failed = assert_rows_match_reference(pair, spec, plans, streams, limit,
+    root = RngStream(10)
+    failed = assert_rows_match_reference(pair, spec, plans, root, limit,
                                          batch=64)
     assert 0 < failed < 12
-    assert assert_rows_match_reference(pair, spec, plans, streams, 130,
+    assert assert_rows_match_reference(pair, spec, plans, root, 130,
                                        batch=37) > 0
     with pytest.raises(ValueError):
-        sample_strata_rows(pair, spec, plans, streams, 19)
+        sample_strata_rows(pair, spec, plans,
+                           StreamBlock.of(root, range(12)), 19)
 
 
-def assert_acs_matches_reference(pair, config, alpha, streams):
-    rows = strata.acs_rows(pair, config, streams, alpha)
+def assert_acs_matches_reference(pair, config, alpha, root, R):
+    """``acs_rows`` on the block of ``root``'s children 0 .. R - 1 against
+    the per-stream pipeline; returns the count of each outcome."""
+    rows = strata.acs_rows(pair, config, StreamBlock.of(root, range(R)),
+                           alpha)
     i = at = 0
     outcome = {"ok": 0, "failed": 0, "fallback": 0, "floored": 0}
-    for r, stream in enumerate(streams):
+    for r in range(R):
         try:
             merged, y_tilde, beta, draws, fallback, floored = (
-                reference_acs_sample(pair, config, alpha, stream))
+                reference_acs_sample(pair, config, alpha, root.child(r)))
         except SamplingError as e:
             assert str(rows.errors[r]) == str(e), r
             outcome["failed"] += 1
@@ -606,23 +613,24 @@ def assert_acs_matches_reference(pair, config, alpha, streams):
 
 def test_acs_rows_match_per_stream_pipeline():
     pair = toy1d()
-    streams = [RngStream(11, (r,)) for r in range(40)]
+    root = RngStream(11)
     # Floored strata in every row (the table2 acs3 setting).
     spec = strata_from_cutpoints(pair, [0.0, 0.85, 0.95, 1.0])
     config = strata.AcsConfig(spec=spec, n=200, pilot_per_stratum=20)
-    out = assert_acs_matches_reference(pair, config, 0.95, streams)
+    out = assert_acs_matches_reference(pair, config, 0.95, root, 40)
     assert out["floored"] == out["ok"] == 40
     # Some rows fall back to the proportional allocation, others do not.
     spec = strata_from_cutpoints(pair, [0.0, 0.94, 1.0])
     config = strata.AcsConfig(spec=spec, n=40, pilot_per_stratum=5)
-    out = assert_acs_matches_reference(pair, config, 0.95, streams)
+    out = assert_acs_matches_reference(pair, config, 0.95, root, 40)
     assert 0 < out["fallback"] < out["ok"] == 40
     # f = f_r: the pilot mass below the cutpoint is exactly alpha, where
     # the strict inverse and the generalized inverse differ.
     pair = BUILTIN_MODELS["identity1d"]()
     spec = strata_from_cutpoints(pair, [0.0, 0.95, 1.0])
     config = strata.AcsConfig(spec=spec, n=200, pilot_per_stratum=20)
-    assert assert_acs_matches_reference(pair, config, 0.95, streams)["ok"] == 40
+    out = assert_acs_matches_reference(pair, config, 0.95, root, 40)
+    assert out["ok"] == 40
 
 
 def test_acs_rows_keep_the_rows_whose_phases_succeed():
@@ -631,10 +639,38 @@ def test_acs_rows_keep_the_rows_whose_phases_succeed():
     pair = BUILTIN_MODELS["identity1d"]()
     spec = StrataSpec((0.0, 0.5, 1.0), (-np.inf, 3.3, np.inf))
     config = strata.AcsConfig(spec=spec, n=40, pilot_per_stratum=1)
-    streams = [RngStream(6, (r,)) for r in range(30)]
-    rows = strata.acs_rows(pair, config, streams, 0.95)
+    root = RngStream(6)
+    rows = strata.acs_rows(pair, config, StreamBlock.of(root, range(30)),
+                           0.95)
     messages = [str(e) for e in rows.errors if e is not None]
     pilot_failures = sum("after 2000 draws" in m for m in messages)
-    assert 0 < pilot_failures < len(messages) < len(streams)
-    out = assert_acs_matches_reference(pair, config, 0.95, streams)
+    assert 0 < pilot_failures < len(messages) < 30
+    out = assert_acs_matches_reference(pair, config, 0.95, root, 30)
     assert out["failed"] == len(messages)
+
+
+@pytest.mark.parametrize("path", [(), (2**32, 9)])
+def test_one_stream_draws_match_the_per_stream_references(path):
+    # Streams that only RngStream.block() builds: an empty path, and a path
+    # whose head takes two words, unlike any root.child(r) of the engine.
+    stream = RngStream(12, path)
+    pair = toy1d()
+    spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0])
+    plan = AllocationPlan((50, 50, 50, 50))
+    got, draws = sample_strata(pair, spec, plan, stream)
+    want, want_draws = reference_sample_strata(pair, spec, plan, stream)
+    assert draws == want_draws
+    for a, b in zip(got.x + got.z, want.x + want.z, strict=True):
+        assert np.array_equal(a, b)
+    spec = strata_from_cutpoints(pair, [0.0, 0.85, 0.95, 1.0])
+    config = strata.AcsConfig(spec=spec, n=200, pilot_per_stratum=20)
+    res = strata.acs_quantile(pair, config, 0.95, stream)
+    merged, y_tilde, beta, draws, fallback, floored = reference_acs_sample(
+        pair, config, 0.95, stream)
+    assert res.estimate == ref.stratified_quantile(merged.y, spec.widths,
+                                                   0.95)
+    assert res.final_counts.tolist() == merged.counts.tolist()
+    assert res.pilot_quantile == y_tilde
+    assert res.beta_tilde.tolist() == beta.tolist()
+    assert (res.draw_count, res.proportional_fallback,
+            res.floored_strata) == (draws, fallback, floored)

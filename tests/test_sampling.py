@@ -18,7 +18,6 @@ from qvr.sampling import (
     sample_input,
     sample_strata,
     strata_from_cutpoints,
-    stream_keys,
 )
 
 
@@ -47,23 +46,23 @@ class TestRngStream:
         (2**130 + 7, (3,)), (5, (2**64 + 1, 9)),
     ])
     def test_key_equals_seed_sequence(self, seed, path):
-        assert_keys_equal([RngStream(seed, path)])
+        assert_keys_equal(RngStream(seed, path))
 
-    def test_mixed_seeds_and_paths_keep_their_order(self):
-        streams = [RngStream(s, p) for s, p in [
-            (3, (1,)), (0, ()), (3, (2**32, 1)), (2**64 + 1, (4,)),
-            (3, (2,)), (0, (7, 0)), (3, ()), (2**32, (2**32, 2)),
-            (3, (0,))]]
-        assert_keys_equal(streams)
-        assert stream_keys([]).shape == (0, 2)
+    def test_mixed_seeds_and_paths_key_as_one_row_blocks(self):
+        for s, p in [(3, (1,)), (0, ()), (3, (2**32, 1)), (2**64 + 1, (4,)),
+                     (3, (2,)), (0, (7, 0)), (3, ()), (2**32, (2**32, 2)),
+                     (3, (0,))]:
+            assert_keys_equal(RngStream(s, p))
 
     def test_numpy_integer_path_ids(self):
-        streams = [RngStream(np.uint64(9), (np.int64(4), np.uint32(1))),
-                   RngStream(9, (np.uint64(2**40),))]
-        assert_keys_equal(streams)
-        assert np.array_equal(
-            streams[0].generator().bit_generator.state["state"]["key"],
-            RngStream(9, (4, 1)).generator().bit_generator.state["state"]["key"])
+        stream = RngStream(np.uint64(9), (np.int64(4), np.uint32(1)))
+        assert_keys_equal(stream)
+        assert_keys_equal(RngStream(9, (np.uint64(2**40),)))
+        want = RngStream(9, (4, 1)).block().keys()
+        assert np.array_equal(stream.block().keys(), want)
+        assert np.array_equal(StreamBlock.of(
+            RngStream(np.uint64(9)), np.array([4], dtype=np.uint32)).child(
+                np.int64(1)).keys(), want)
 
     def test_draws_equal_seed_sequence(self):
         ref = np.random.Generator(np.random.Philox(
@@ -78,13 +77,23 @@ class TestRngStream:
                  max_size=4)), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_keys_equal_seed_sequence_property(self, cases):
-        assert_keys_equal([RngStream(s, tuple(p)) for s, p in cases])
+        for s, p in cases:
+            assert_keys_equal(RngStream(s, tuple(p)))
 
     @pytest.mark.parametrize("stream", [RngStream(-1), RngStream(1, (-2,)),
                                         RngStream(1, (3, -2**40))])
     def test_negative_keys_raise(self, stream):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             stream.generator()
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            stream.block().keys()
+
+    def test_seed_must_be_an_integer(self):
+        # SeedSequence(None) would draw fresh entropy from the OS.
+        for make in (RngStream(None).generator, RngStream(None).block,
+                     RngStream(1.0).generator, RngStream(1.0).block):
+            with pytest.raises(TypeError):
+                make()
 
 
 def seed_sequence_key(seed, path):
@@ -99,33 +108,35 @@ class TestStreamBlock:
                               st.integers(0, 2**70)), max_size=3),
            st.lists(st.one_of(st.integers(0, 5),
                               st.integers(2**32 - 4, 2**32 - 1)), max_size=6),
-           st.sampled_from([(), (0,), (1,)]))
+           st.sampled_from([(), (0,), (1,), (2**40, 3)]))
     @settings(max_examples=200, deadline=None)
     def test_keys_equal_seed_sequence_property(self, seed, root, ids, suffix):
         root = RngStream(seed, tuple(root))
-        block = StreamBlock(root, ids).child(*suffix)
-        assert block == StreamBlock(root, ids, suffix)
+        block = StreamBlock.of(root, ids).child(*suffix)
         keys = block.keys()
+        assert len(block) == len(ids)
         assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
         for r, key in zip(ids, keys):
             assert np.array_equal(
                 key, seed_sequence_key(seed, root.path + (r,) + suffix))
         rows = list(range(len(ids)))[::-2]
-        assert block.take(rows) == StreamBlock(
-            root, tuple(ids[r] for r in rows), suffix)
         assert np.array_equal(block.take(rows).keys(), keys[rows])
+        assert np.array_equal(
+            StreamBlock.of(root, ids).take(rows).child(*suffix).keys(),
+            keys[rows])
 
     def test_engine_ids_as_a_range(self):
-        block = StreamBlock(RngStream(21), range(3, 84)).child(1)
+        block = StreamBlock.of(RngStream(21), range(3, 84)).child(1)
         assert len(block) == 81
         assert np.array_equal(block.keys(), [
             seed_sequence_key(21, (r, 1)) for r in range(3, 84)])
+        assert StreamBlock.of(RngStream(21), []).keys().shape == (0, 2)
 
     @pytest.mark.parametrize("ids", [[2**32], [0, 2**32 + 5], [-1],
                                      range(2**32 - 1, 2**32 + 1), [2**70]])
     def test_ids_outside_one_word_are_refused(self, ids):
         with pytest.raises(ValueError, match=r"in \[0, 2\*\*32\)"):
-            StreamBlock(RngStream(0), ids).keys()
+            StreamBlock.of(RngStream(0), ids)
 
     def test_each_generator_draws_what_new_generators_draw(self):
         # Each draw leaves a different state behind (a half-used buffer, a
@@ -135,29 +146,26 @@ class TestStreamBlock:
                  lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
                  lambda g: g.random(5)]
         streams = [RngStream(5, (r,)) for r in range(8)]
-        blocks = StreamBlock(RngStream(5), range(8))
-        for source in (streams, blocks):
-            got = [draws[i % 4](g)
-                   for i, g in enumerate(each_generator(source))]
-            want = [draws[i % 4](s.generator())
-                    for i, s in enumerate(streams)]
+        want = [draws[i % 4](s.generator()) for i, s in enumerate(streams)]
+        for gens in (each_generator(StreamBlock.of(RngStream(5), range(8))),
+                     (g for s in streams for g in each_generator(s.block()))):
+            got = [draws[i % 4](g) for i, g in enumerate(gens)]
             assert len(got) == len(want) == 8
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def assert_keys_equal(streams):
-    """Each stream's Philox key is numpy's SeedSequence key, in order: in
-    ``stream_keys`` of the list and in the stream's own generator."""
-    keys = stream_keys(streams)
-    got = [s.generator().bit_generator.state["state"]["key"]
-           for s in streams]
-    want = [np.random.Philox(np.random.SeedSequence(
-        s.master_seed, spawn_key=s.path)).state["state"]["key"]
-        for s in streams]
-    assert keys.shape == (len(want), 2) and keys.dtype == np.uint64
-    for k, g, w in zip(keys, got, want, strict=True):
-        assert np.array_equal(k, w) and np.array_equal(g, w)
+def assert_keys_equal(stream):
+    """The stream's Philox key is numpy's SeedSequence key: in its one-row
+    block and in its own generator."""
+    want = seed_sequence_key(stream.master_seed, stream.path)
+    block = stream.block()
+    keys = block.keys()
+    assert len(block) == 1
+    assert keys.shape == (1, 2) and keys.dtype == np.uint64
+    assert np.array_equal(keys[0], want)
+    assert np.array_equal(
+        stream.generator().bit_generator.state["state"]["key"], want)
 
 
 class TestStrataSpec:

@@ -1,27 +1,20 @@
 """Microbenchmark: microseconds per random-stream generator.
 
 For R = 1, 8 and 81 streams (one generator, an n=2000 block of
-replications, an n=200 block), times four ways of getting a Philox
+replications, an n=200 block), times two ways of getting a Philox
 generator keyed for each stream of the engine's paths ``(seed, (r,))``:
 
-- ``block``: ``qvr.sampling.each_generator`` on ``StreamBlock(RngStream(seed),
-  range(R))``, the engine's path: the keys in one numpy pass, then one
-  Philox re-keyed per stream;
-- ``rekeyed``: ``each_generator`` on the R ``RngStream`` objects, whose
-  keys ``stream_keys`` derives one stream at a time;
-- ``generators``: ``RngStream.generator()`` of each of the R streams: the
-  same keys, and a new generator per stream;
-- ``seedsequence``: ``Generator(Philox(SeedSequence(seed, spawn_key=path)))``
-  once per stream, numpy's own key derivation.
-
-``generators`` minus ``rekeyed`` is what re-keying saves against a new
-generator per stream.
+- ``block``: ``qvr.sampling.each_generator`` on
+  ``StreamBlock.of(RngStream(seed), range(R))``, the engine's path: the
+  keys in one numpy pass, then one Philox re-keyed per stream;
+- ``generators``: ``RngStream.generator()`` of each of the R streams, a new
+  generator per stream.
 
 The process pins itself to one CPU, the lowest it may run on.  Each run
 times enough calls for about 0.2 s, after one warm-up call; the tool
 prints the median of the runs in microseconds per generator (``--json``:
-every run).  qvr is imported from ``src/`` next to
-this directory.  Not part of the test suite:
+every run).  qvr is imported from ``src/`` next to this directory.  Not
+part of the test suite:
 
     python tools/rng_bench.py [--runs 7] [--json]
 """
@@ -36,8 +29,6 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qvr.sampling import RngStream, StreamBlock, each_generator  # noqa: E402
@@ -47,27 +38,17 @@ SIZES = (1, 8, 81)
 RUN_S = 0.2
 
 
-def _seedsequence(streams):
-    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        s.master_seed, spawn_key=s.path))) for s in streams]
-
-
-def _kernel(streams):
+def _generators(streams):
     return [s.generator() for s in streams]
 
 
-def _rekeyed(streams):
-    for _ in each_generator(streams):
-        pass
-
-
 def _block(streams):
-    for _ in each_generator(StreamBlock(RngStream(SEED), range(len(streams)))):
+    for _ in each_generator(StreamBlock.of(RngStream(SEED),
+                                           range(len(streams)))):
         pass
 
 
-WAYS = (("block", _block), ("rekeyed", _rekeyed), ("generators", _kernel),
-        ("seedsequence", _seedsequence))
+WAYS = (("block", _block), ("generators", _generators))
 
 
 def _runs(build, streams, runs: int) -> list[float]:
