@@ -7,7 +7,8 @@ seed regardless of how they are grouped into blocks), and reports
 serialize byte-stably to JSON or CSV.  Both the replications and the
 bootstrap run each estimator's draw and inversion from ``qvr.designs``: a
 block of replications inverts its draw one row per replication, and the
-bootstrap draws replication 0 and inverts it and its resamples.
+bootstrap draws replication 0 and inverts it and its resamples.  The
+presets of ``qvr bench`` are one table, ``PRESETS``: label -> config.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import estimators
 from .designs import DESIGNS, ConfigError
 from .model import (InputDistribution, Lognormal, ModelPair, Normal,
-                    builtin_model, subprocess_pair)
+                    SubprocessModel, builtin_model, subprocess_pair)
 from .sampling import BLOCK_POINTS, RngStream, StreamBlock, sample_input
 
 
@@ -190,7 +191,6 @@ class ExperimentConfig:
         if isinstance(self.model, str):
             return builtin_model(self.model)
         dist = _external_input(self.model)
-        from .model import SubprocessModel
         opts = {k: self.model[k] for k in ("batch_size", "timeout")
                 if k in self.model}
         meta = SubprocessModel(self.model["metamodel_command"], **opts)
@@ -255,25 +255,13 @@ class ReplicationReport:
     histogram_counts: list[int] | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "estimator": self.config.estimator,
-            "model": self.config.model,
-            "alpha": self.config.alpha,
-            "n": self.config.n,
-            "replications": self.config.replications,
-            "seed": self.config.seed,
-            "mean": self.mean,
-            "std": self.std,
-            "sem": self.sem,
-            "estimates": [float(e) for e in self.estimates],
-            "errors": [list(e) for e in self.errors],
-        }
-        for key in ("beta_tilde_mean", "beta_tilde_std", "realized_mean",
-                    "realized_std", "n_r_mean", "histogram_edges",
-                    "histogram_counts"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
+        """The config's required keys and every report field that is set."""
+        d = {key: getattr(self.config, key) for key in _REQUIRED}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.name != "config" and val is not None:
+                d[f.name] = (val.tolist() if isinstance(val, np.ndarray)
+                             else val)
         return d
 
 
@@ -499,51 +487,43 @@ def emit_report(reports, fmt: str, path: str | None = None) -> str:
     return text
 
 
-_TOY1D_CUTS = [0.0, 0.5, 0.9, 0.95, 1.0]
 _ACS3_CUTS = [0.0, 0.85, 0.95, 1.0]
+_CS4 = {"cutpoints": [0.0, 0.5, 0.9, 0.95, 1.0], "allocation": [50] * 4}
+
+# The suites replicating the published toy benchmarks, all at alpha 0.95:
+# label -> (model, estimator, n, replications, params).
+PRESETS = {
+    "fig1": {"ee": ("toy1d", "ee", 200, 10**4, {}),
+             "cv": ("toy1d", "cv", 200, 10**4, {}),
+             "cs": ("toy1d", "cs", 200, 10**4, _CS4)},
+    "table1": {"ee": ("toy1d", "ee", 2000, 10**4, {}),
+               "cv": ("toy1d", "cv", 2000, 10**4, {}),
+               "acs2": ("toy1d", "acs", 2000, 10**4,
+                        {"cutpoints": [0.0, 0.95, 1.0]}),
+               "acs3": ("toy1d", "acs", 2000, 10**4,
+                        {"cutpoints": _ACS3_CUTS})},
+    "table2": {"ee": ("toy1d", "ee", 200, 10**4, {}),
+               "cv": ("toy1d", "cv", 200, 10**4, {}),
+               "acs3": ("toy1d", "acs", 200, 10**4,
+                        {"cutpoints": _ACS3_CUTS})},
+    "fig2": {"ee": ("toy2d", "ee", 200, 5000, {}),
+             "cv": ("toy2d", "cv", 200, 5000, {}),
+             "cs": ("toy2d", "cs", 200, 5000, _CS4),
+             "cis": ("toy2d", "cis", 200, 5000, {})},
+}
 
 
 def preset_configs(name: str, replications: int | None = None,
                    seed: int = 0) -> dict[str, ExperimentConfig]:
-    """Named experiment suites replicating the published toy benchmarks;
-    ``replications``, when given, overrides every suite's count."""
-
-    def cfg(model, est, n, reps, **params):
-        return ExperimentConfig(
-            model=model, estimator=est, alpha=0.95, n=n,
-            replications=reps if replications is None else replications,
-            seed=seed, params=params)
-
-    if name == "fig1":
-        return {
-            "ee": cfg("toy1d", "ee", 200, 10**4),
-            "cv": cfg("toy1d", "cv", 200, 10**4),
-            "cs": cfg("toy1d", "cs", 200, 10**4, cutpoints=_TOY1D_CUTS,
-                      allocation=[50, 50, 50, 50]),
-        }
-    if name == "table1":
-        return {
-            "ee": cfg("toy1d", "ee", 2000, 10**4),
-            "cv": cfg("toy1d", "cv", 2000, 10**4),
-            "acs2": cfg("toy1d", "acs", 2000, 10**4,
-                        cutpoints=[0.0, 0.95, 1.0]),
-            "acs3": cfg("toy1d", "acs", 2000, 10**4, cutpoints=_ACS3_CUTS),
-        }
-    if name == "table2":
-        return {
-            "ee": cfg("toy1d", "ee", 200, 10**4),
-            "cv": cfg("toy1d", "cv", 200, 10**4),
-            "acs3": cfg("toy1d", "acs", 200, 10**4, cutpoints=_ACS3_CUTS),
-        }
-    if name == "fig2":
-        return {
-            "ee": cfg("toy2d", "ee", 200, 5000),
-            "cv": cfg("toy2d", "cv", 200, 5000),
-            "cs": cfg("toy2d", "cs", 200, 5000, cutpoints=_TOY1D_CUTS,
-                      allocation=[50, 50, 50, 50]),
-            "cis": cfg("toy2d", "cis", 200, 5000),
-        }
-    raise ConfigError(f"unknown preset {name!r}")
+    """The configs of preset ``name`` of ``PRESETS``; ``replications``, when
+    given, overrides every config's count."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    return {label: ExperimentConfig(
+        model=model, estimator=est, alpha=0.95, n=n,
+        replications=reps if replications is None else replications,
+        seed=seed, params=params)
+        for label, (model, est, n, reps, params) in PRESETS[name].items()}
 
 
 def run_preset(name: str, replications: int | None = None,

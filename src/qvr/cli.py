@@ -102,7 +102,7 @@ def estimate(config_path, resamples):
 
 @main.command(name="bench")
 @click.option("--preset", required=True,
-              type=click.Choice(["fig1", "fig2", "table1", "table2"]))
+              type=click.Choice(list(bench.PRESETS)))
 @click.option("--reps", type=click.IntRange(min=1), default=None,
               help="Override the preset replication count.")
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -124,24 +124,27 @@ def _prepare_cs(pair, config):
     return Allocated(pair, config.alpha, config.n, spec, plan)
 
 
+def _given(config, *keys) -> dict:
+    """The params of ``keys`` that ``config`` sets; the library call they
+    feed holds the default of each other one."""
+    return {k: config.params[k] for k in keys if k in config.params}
+
+
 def _prepare_acs(pair, config):
     spec = spec_for(pair, config)
     return Adaptive(pair, config.alpha, config.n, spec, strata.AcsConfig(
         spec=spec, n=config.n,
-        pilot_per_stratum=config.params.get("pilot_per_stratum"),
-        min_per_stratum=config.params.get("min_per_stratum", 1)))
+        **_given(config, "pilot_per_stratum", "min_per_stratum")))
 
 
 def _prepare_cis(pair, config):
     get = config.params.get
-    tag = get("family", "joint_gaussian")
-    family = importance.BiasedFamily(
-        tag=tag, base=pair.input if tag == "componentwise_matched" else None)
+    family = importance.BiasedFamily(get("family", "joint_gaussian"),
+                                     pair.input)
     params, _ = importance.fit_biased_member(
         pair, family, z_alpha_for(pair, config),
         RngStream(config.seed, (2**32, 2)),
-        pilot_count=get("pilot_count", 200_000), tail=get("tail", "upper"),
-        selection=get("selection", "variance"))
+        **_given(config, "pilot_count", "tail", "selection"))
     return Biased(pair, config.alpha, config.n, family.member(params),
                   get("mode", "tail"))
 

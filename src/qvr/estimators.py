@@ -219,7 +219,8 @@ def cv_cdf_general(sample: PairedSample, g, g_mean: float, y: float) -> float:
 def indicator_correlation(sample: PairedSample, y: float, z_alpha: float) -> float:
     """Empirical correlation of 1{Y <= y} and 1{Z <= z_alpha}.
 
-    Population-style normalization (no n-1 correction).
+    Population-style normalization (no n-1 correction), clipped to
+    [-1, 1] as ``np.corrcoef`` clips, so that rounding never leaves it.
     """
     iy = (sample.y <= y).astype(float)
     iz = (sample.z <= z_alpha).astype(float)
@@ -228,7 +229,7 @@ def indicator_correlation(sample: PairedSample, y: float, z_alpha: float) -> flo
     denom = np.sqrt(np.sum(dy**2)) * np.sqrt(np.sum(dz**2))
     if denom == 0.0:
         raise EstimatorError("constant indicator column; correlation undefined")
-    return float(np.sum(dy * dz) / denom)
+    return float(np.clip(np.sum(dy * dz) / denom, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,14 @@ class TestRunReplications:
         with pytest.raises(ConfigError, match="4 strata"):
             run_replications(make_config(estimator="cs", n=3))
 
+    def test_every_replication_failing_is_a_config_error(self):
+        # n = 2 leaves stratum 2 of four empty in every replication.
+        with pytest.raises(ConfigError) as e:
+            run_replications(make_config(estimator="ps", n=2, replications=3,
+                                         seed=0))
+        assert str(e.value) == ("every replication failed; first error: "
+                                "stratum 2 is empty")
+
     def test_integral_float_replications_refused(self):
         with pytest.raises(ConfigError, match="replications: 3.0 is not an "
                            "integer"):
@@ -232,6 +240,22 @@ class TestEmitReport:
         data = json.loads(text)
         assert list(data) == sorted(data)
         assert data["ee"]["replications"] == 15
+
+    @pytest.mark.parametrize("estimator,extra", [
+        ("ee", set()),
+        ("acs", {"n_r_mean", "beta_tilde_mean", "beta_tilde_std",
+                 "realized_mean", "realized_std"})])
+    def test_json_keys_are_the_config_and_every_field_set(self, estimator,
+                                                           extra):
+        params = {"cutpoints": [0.0, 0.95, 1.0]} if estimator == "acs" else {}
+        rep = run_replications(make_config(estimator=estimator, n=400,
+                                           replications=3, params=params))
+        data = json.loads(emit_report(rep, "json"))[estimator]
+        assert set(data) == {
+            "model", "estimator", "alpha", "n", "replications", "seed",
+            "mean", "std", "sem", "estimates", "errors", "histogram_edges",
+            "histogram_counts"} | extra
+        assert data["errors"] == [] and len(data["estimates"]) == 3
 
     def test_csv_header_and_rows(self):
         rep = run_replications(make_config(replications=15))

@@ -309,6 +309,22 @@ def test_extras_stay_aligned_across_blocks(label, over):
             float(v) for v in rows.std(axis=0, ddof=1)]
 
 
+def test_estimate_exits_3_when_replication_0_fails(tmp_path):
+    # At seed 21 replication 0's acs pilot misses its quota; the run
+    # records it and `qvr estimate`, which draws replication 0, exits 3.
+    config = make("acs", 3, **FAILING_PILOTS)
+    message = "stratum quotas unmet after 3000 draws; remaining [0, 0, 1]"
+    assert run_replications(config).errors == [(0, message)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(
+        model=config.model, estimator="acs", alpha=config.alpha, n=config.n,
+        replications=1, seed=config.seed, params=dict(config.params))))
+    res = CliRunner().invoke(cli_main, ["estimate", "--config", str(path),
+                                        "--bootstrap", "100"])
+    assert res.exit_code == 3
+    assert res.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("label,extras", [
     ("cs", {"n_r"}), ("acs", {"n_r", "beta_tilde", "realized_fractions"})])
 def test_bootstrap_payload_is_plain_json(label, extras):

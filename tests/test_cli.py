@@ -217,6 +217,12 @@ class TestBench:
         res = runner.invoke(main, ["bench", "--preset", "fig9"])
         assert res.exit_code != 0
 
+    def test_preset_choices_are_the_preset_table(self):
+        option = next(p for p in main.commands["bench"].params
+                      if p.name == "preset")
+        assert list(option.type.choices) == list(bench.PRESETS)
+        assert set(bench.PRESETS) == {"fig1", "fig2", "table1", "table2"}
+
     @pytest.mark.parametrize("error, code", [
         (SamplingError("quotas unmet"), 3),
         (EstimatorError("stratum 2 is empty"), 3),
@@ -275,6 +281,23 @@ class TestDiag:
         assert 0 < out["rho_indicator"] < 1
         # stratification never beats the optimal-allocation bound
         assert out["sigma2_ocs"] <= out["sigma2_cs"] + 1e-12
+
+    def test_variance_reports_an_infeasible_two_strata_factor(
+            self, runner, tmp_path):
+        # f = f_r: on this sample 1{Y <= y_alpha} = 1{Z <= z_alpha}, so
+        # rho_I is 1 (not 1 + 2**-52) and F = 0.9501 > alpha leaves a
+        # bracketed term of the factor negative.
+        cfg = write_config(tmp_path, model="identity1d", estimator="cs",
+                           seed=0)
+        res = runner.invoke(main, ["diag", "variance", "--config", cfg,
+                                   "--samples", "10000"])
+        assert res.exit_code == 0, res.output
+        out = json.loads(res.output)
+        assert out["rho_indicator"] == 1.0
+        assert "two_strata_K" not in out and "two_strata_ratio" not in out
+        assert out["two_strata_K_error"] == (
+            "infeasible (alpha=0.95, F=0.9501, rho_I=1.0): a bracketed term "
+            "is negative")
 
     @pytest.mark.parametrize("alpha, second_sample", [(0.95, False),
                                                       (0.97, True)])

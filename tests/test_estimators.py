@@ -282,6 +282,17 @@ class TestIndicatorCorrelation:
         s = _paired(rng, 1000, identity1d())
         assert indicator_correlation(s, 0.3, 0.3) == pytest.approx(1.0)
 
+    def test_clipped_to_plus_minus_one(self):
+        # On this sample the ratio rounds to 1 + 2**-52 for equal
+        # indicators and to -(1 + 2**-52) for complementary ones; it is
+        # clipped, as np.corrcoef clips.
+        s = draw_paired_sample(identity1d(), RngStream(0), 10**4)
+        y = empirical_quantile(s.y, 0.95)
+        assert indicator_correlation(s, y, y) == 1.0
+        flipped = PairedSample(s.x, s.y, -s.z)
+        assert indicator_correlation(flipped, y,
+                                     -np.nextafter(y, np.inf)) == -1.0
+
     def test_constant_column_rejected(self):
         rng = np.random.default_rng(6)
         s = _paired(rng, 100)

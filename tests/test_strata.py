@@ -4,10 +4,12 @@ import reference_phase_two as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvr.model import ModelPair, standard_normal_input, toy1d
+from qvr.model import (ModelPair, identity1d, standard_normal_input,
+                       toy1d)
 from qvr.sampling import (
     AllocationPlan,
     RngStream,
+    SamplingError,
     StrataSpec,
     StratifiedSample,
     evaluate_full,
@@ -19,6 +21,7 @@ from qvr.strata import (
     ConditionalProbs,
     StrataError,
     acs_quantile,
+    acs_rows,
     cs_cdf,
     cs_quantile,
     cs_variance,
@@ -446,6 +449,20 @@ class TestAcs:
             res = acs_quantile(pair, config, 0.95, RngStream(77, (pilot,)))
             errs.append(np.abs(res.beta_tilde - beta_ref).max())
         assert errs[2] < errs[0]
+
+    def test_raises_the_error_of_its_row(self):
+        # A stratum of width 5e-4 and one pilot point per stratum: this
+        # stream's pilot misses its quota, as row 0 of acs_rows records.
+        pair = identity1d()
+        spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9995, 1.0])
+        config = AcsConfig(spec=spec, n=200, pilot_per_stratum=1)
+        stream = RngStream(21, (0,))
+        (error,) = acs_rows(pair, config, stream.block(), 0.95).errors
+        assert isinstance(error, SamplingError)
+        with pytest.raises(SamplingError) as e:
+            acs_quantile(pair, config, 0.95, stream)
+        assert str(e.value) == str(error) == (
+            "stratum quotas unmet after 3000 draws; remaining [0, 0, 1]")
 
     def test_cs_cdf_unbiased(self):
         pair = toy1d()

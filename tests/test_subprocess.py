@@ -308,7 +308,9 @@ def test_external_model_calls_close_their_simulators(tmp_path, monkeypatch):
             procs.append(super()._ensure_proc())
             return procs[-1]
 
-    monkeypatch.setattr(qvr.model, "SubprocessModel", Tracked)
+    # subprocess_pair builds f's simulator, ExperimentConfig.build_pair f_r's
+    for module in (qvr.model, qvr.bench):
+        monkeypatch.setattr(module, "SubprocessModel", Tracked)
     script = tmp_path / "calls.py"
     script.write_text(EXTERNAL_CALLS)
     monkeypatch.setattr(sys, "argv", [str(script), str(TOY1D_SIM)])

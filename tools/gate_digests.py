@@ -3,17 +3,19 @@
 The gates are the outputs that a change to qvr's speed or structure must
 leave byte-identical:
 
-- ``qvr bench --preset P --reps 200 --seed 0`` stdout, for the presets
-  fig1, table1, table2 and fig2;
+- ``qvr bench --preset P --reps 200 --seed 0`` stdout, for each preset P
+  of ``qvr.bench.PRESETS`` (fig1, table1, table2 and fig2);
 - ``qvr estimate --bootstrap 500`` stdout, stderr and exit code for ee, cv,
   ps, cs, acs and cis on toy1d and toy2d at seeds 0-4 (n=2000, alpha 0.95,
   default params, one config file each);
-- the JSON report of 20 ee replications (n=200, alpha 0.95, seed 0) on a
-  config-dict external model whose f and f_r run in ``toy1d_sim.py``, a
-  child process behind ``qvr.model.SubprocessModel``.  No command runs
-  the replications of a config file, so this gate calls
-  ``run_replications`` and ``emit_report``, as ``qvr bench`` does for a
-  preset;
+- the JSON reports of 20 ee and 20 cs replications (n=200, alpha 0.95,
+  seed 0, default params) on a config-dict external model whose f and f_r
+  each run in ``toy1d_sim.py``, a child process behind
+  ``qvr.model.SubprocessModel``.  The cs gate takes its metamodel
+  quantiles from 10**6 f_r points through that child, as an external
+  model has no closed form.  No command runs the replications of a config
+  file, so these gates call ``run_replications`` and ``emit_report``, as
+  ``qvr bench`` does for a preset;
 - ``qvr diag variance|allocation|cost`` stdout, stderr and exit code on
   toy1d and toy2d, with a cs config (n=200, alpha 0.95, seed 0, default
   params) and the default ``--samples``;
@@ -33,8 +35,8 @@ OpenBLAS); another CPU or BLAS build can move last bits, so compare two
 commits on the same host.  Only the cis gates depend on the scipy build
 (1.17.1 here), through ``scipy.linalg.eigh`` in the joint-Gaussian member;
 the normal quantile and the Nelder-Mead fit are qvr's own code.
-``--check`` takes about 20 s on a shared 2-core x86-64 host, of which the
-four demos take about 10 s.
+``--check`` takes about 11 s on a shared 2-core x86-64 host, of which the
+four demos take about 3.4 s and the external cs gate about 4.3 s.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from click.testing import CliRunner  # noqa: E402
 from qvr import bench  # noqa: E402
 from qvr.cli import main as qvr  # noqa: E402
 
-PRESETS = ("fig1", "table1", "table2", "fig2")
 ESTIMATORS = ("ee", "cv", "ps", "cs", "acs", "cis")
 MODELS = ("toy1d", "toy2d")
 DIAG_TOPICS = ("variance", "allocation", "cost")
@@ -73,7 +74,7 @@ def _sha(text: str) -> str:
 def digests() -> dict[str, str]:
     runner = CliRunner()
     out = {}
-    for preset in PRESETS:
+    for preset in bench.PRESETS:
         res = runner.invoke(qvr, ["bench", "--preset", preset,
                                    "--reps", "200", "--seed", "0"])
         if res.exit_code != 0:
@@ -102,7 +103,8 @@ def digests() -> dict[str, str]:
                                            str(path)])
                 out[f"diag/{model}/{topic}"] = _sha(
                     f"{res.exit_code}\n{res.stdout}\0{res.stderr}")
-    out["external/toy1d/ee"] = _sha(external_report())
+    for est in ("ee", "cs"):
+        out[f"external/toy1d/{est}"] = _sha(external_report(est))
     for demo in sorted((ROOT / "demos").glob("0[1-4]_*.py")):
         out[f"demo/{demo.name[:2]}"] = _sha(demo_stdout(demo))
     return out
@@ -118,7 +120,7 @@ def demo_stdout(demo: Path) -> str:
     return res.stdout
 
 
-def external_report() -> str:
+def external_report(estimator: str) -> str:
     os.environ["QVR_GATE_PYTHON"] = sys.executable
     os.environ["QVR_GATE_SIM"] = str(Path(__file__).with_name("toy1d_sim.py"))
     config = bench.ExperimentConfig.from_dict({
@@ -127,7 +129,7 @@ def external_report() -> str:
             "metamodel_command": SIM_COMMAND.format(role="fr"),
             "input": [{"family": "normal", "mean": 0.0, "stddev": 1.0}],
         },
-        "estimator": "ee", "alpha": 0.95, "n": 200, "replications": 20,
+        "estimator": estimator, "alpha": 0.95, "n": 200, "replications": 20,
         "seed": 0,
     })
     return bench.emit_report(bench.run_replications(config), "json")
