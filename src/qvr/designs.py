@@ -82,8 +82,8 @@ def z_alpha_for(pair: ModelPair, config) -> float:
 def cs_plan(spec: StrataSpec, config) -> AllocationPlan:
     """The configured ``allocation``, by default the stratum widths times n
     rounded by largest remainder, with at least one point per stratum (each
-    taken from the largest count, the first on ties): one count per
-    stratum, summing to n."""
+    taken from the largest count, the first on ties): one positive count
+    per stratum, summing to n."""
     alloc = config.params.get("allocation")
     if alloc is None:
         if config.n < spec.m:
@@ -97,7 +97,11 @@ def cs_plan(spec: StrataSpec, config) -> AllocationPlan:
         raise ConfigError(f"allocation needs one count per stratum ({spec.m})")
     if sum(alloc) != config.n:
         raise ConfigError("allocation must sum to n")
-    return AllocationPlan(tuple(int(a) for a in alloc))
+    counts = tuple(int(a) for a in alloc)
+    if 0 in counts:  # as cs_quantile refuses it
+        raise ConfigError(f"stratum {counts.index(0)} has positive weight "
+                          "but no points")
+    return AllocationPlan(counts)
 
 
 def _prepare_ee(pair, config):
@@ -117,11 +121,8 @@ def _prepare_ps(pair, config):
 
 def _prepare_cs(pair, config):
     spec = spec_for(pair, config)
-    plan = cs_plan(spec, config)
-    if 0 in plan.counts:  # as cs_quantile refuses it
-        raise ConfigError(f"stratum {plan.counts.index(0)} has positive "
-                          "weight but no points")
-    return Allocated(pair, config.alpha, config.n, spec, plan)
+    return Allocated(pair, config.alpha, config.n, spec,
+                     cs_plan(spec, config))
 
 
 def _given(config, *keys) -> dict:

@@ -18,7 +18,7 @@ from .estimators import _take_rows, argsort_rows
 from .model import InputDistribution, Lognormal, ModelPair, Normal
 from .sampling import RngStream
 
-# log(2 pi) as scipy.stats.multivariate_normal computes it
+# log(2 pi), the Gaussian density's constant, in numpy as scipy computes it
 _LOG_2PI = np.log(2 * np.pi)
 
 
@@ -70,8 +70,9 @@ class JointGaussian:
 
     The Cholesky factor (for sampling) and the whitening matrix and log
     normalizer of the density are built once per member, not once per call.
-    The density is ``scipy.stats.multivariate_normal(lam, C).pdf`` bit for
-    bit: the same eigendecomposition and the same operations in order.
+    The density takes ``scipy.stats.multivariate_normal(lam, C).pdf``'s
+    operations in order on ``numpy.linalg.eigh(C)``, whose LAPACK driver
+    is not scipy's: the two agree to rounding, not bit for bit.
     """
 
     lam: np.ndarray
@@ -81,8 +82,7 @@ class JointGaussian:
     _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.linalg import eigh
-        s, u = eigh(self.C, lower=True)
+        s, u = np.linalg.eigh(self.C)
         if s.min() <= 1e6 * np.finfo(float).eps * np.abs(s).max():
             # scipy's multivariate_normal refuses such a C the same way
             raise np.linalg.LinAlgError("C must be symmetric positive definite")

@@ -12,6 +12,7 @@ import math
 import os
 import re
 import selectors
+import statistics
 import subprocess
 import threading
 import time
@@ -194,70 +195,12 @@ def _identity(x):
     return x[:, 0]
 
 
-# Cephes ndtri's coefficients: P0/Q0 for |p - 1/2| <= 1/2 - exp(-2), P1/Q1
-# for sqrt(-2 log p) in [2, 8), P2/Q2 beyond; the Q's leading 1 is implied.
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-             -5.66762857469070293439E1, 1.39312609387279679503E1,
-             -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
-             8.63602421390890590575E1, -2.25462687854119370527E2,
-             2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-             5.71628192246421288162E1, 4.40805073893200834700E1,
-             1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-             -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
-             4.13172038254672030440E1, 1.50425385692907503408E1,
-             2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-             3.93881025292474443415E0, 1.33303460815807542389E0,
-             2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6,
-             6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
-             1.37702099489081330271E0, 2.16236993594496635890E-1,
-             1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-
-
-def _polevl(x, coef, monic=False):
-    """Horner's rule over ``coef``, highest power first, after a leading 1
-    if ``monic`` (Cephes polevl, and p1evl if ``monic``)."""
-    ans = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(p: float) -> float:
-    """Standard normal quantile: a port of Cephes ``ndtri``, the kernel of
-    ``scipy.special.ndtri`` and ``scipy.stats.norm.ppf``, with the same
-    coefficients and the same operations in order, so bit for bit (NaN
-    outside [0, 1])."""
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    if not 0.0 < p < 1.0:  # NaN too
-        return math.nan
-    upper = p > 1.0 - _EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0)
-                     / _polevl(y2, _NDTRI_Q0, monic=True))
-        return x * 2.50662827463100050242E0  # sqrt(2 pi)
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    P, Q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x0 - z * _polevl(z, P) / _polevl(z, Q, monic=True)
-    return x if upper else -x
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile, -inf at p = 0 and +inf at p = 1: the
+    stdlib's, Wichura's AS241."""
+    if p in (0.0, 1.0):
+        return math.inf if p else -math.inf
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def toy1d() -> ModelPair:
@@ -267,7 +210,7 @@ def toy1d() -> ModelPair:
         f_r=_toy1d_fr,
         input=standard_normal_input(1),
         name="toy1d",
-        closed_form_z_quantile=lambda a: float(_ndtri((1 + a) / 2) ** 2),
+        closed_form_z_quantile=lambda a: _normal_quantile((1 + a) / 2) ** 2,
     )
 
 
@@ -288,7 +231,7 @@ def identity1d() -> ModelPair:
         f_r=_identity,
         input=standard_normal_input(1),
         name="identity1d",
-        closed_form_z_quantile=lambda a: float(_ndtri(a)),
+        closed_form_z_quantile=_normal_quantile,
     )
 
 

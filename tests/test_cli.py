@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.stats import norm
@@ -11,7 +12,14 @@ from qvr.bench import ConfigError, ExperimentConfig
 from qvr.cli import main
 from qvr.estimators import EstimatorError
 from qvr.importance import ImportanceError
-from qvr.model import ModelError, toy1d, toy2d
+from qvr.model import (
+    BUILTIN_MODELS,
+    ModelError,
+    ModelPair,
+    standard_normal_input,
+    toy1d,
+    toy2d,
+)
 from qvr.sampling import SamplingError
 from qvr.strata import StrataError
 
@@ -157,6 +165,28 @@ class TestEstimate:
                                    "--bootstrap", "100"])
         assert res.exit_code == 2
         assert "stratum 1 has positive weight but no points" in res.output
+
+    def test_metamodel_atoms_are_non_convergence(self, runner, tmp_path,
+                                                 monkeypatch):
+        # Z = floor(X) puts its 0.9 and 0.95 quantiles on one atom, so the
+        # default cutpoints give no strictly increasing strata edges
+        monkeypatch.setitem(BUILTIN_MODELS, "floor1d", lambda: ModelPair(
+            f=lambda x: x[:, 0], f_r=lambda x: np.floor(x[:, 0]),
+            input=standard_normal_input(1), name="floor1d"))
+        cfg = write_config(tmp_path, model="floor1d", estimator="cs")
+        res = runner.invoke(main, ["estimate", "--config", cfg,
+                                   "--bootstrap", "100"])
+        assert res.exit_code == 3
+        assert "not strictly increasing" in res.output
+
+    def test_acs_budget_below_its_pilot_is_config_error(self, runner,
+                                                        tmp_path):
+        # n = 5 cannot give each of the 4 default strata two points
+        cfg = write_config(tmp_path, estimator="acs", n=5)
+        res = runner.invoke(main, ["estimate", "--config", cfg,
+                                   "--bootstrap", "100"])
+        assert res.exit_code == 2
+        assert "budget too small for a pilot phase" in res.output
 
     def test_cis_converges_on_suitable_model(self, runner, tmp_path):
         cfg = write_config(tmp_path, model="toy2d", estimator="cis")
@@ -344,6 +374,7 @@ class TestDiag:
         ([50, 50, 50], "one count per stratum"),
         ([100, 100], "one count per stratum"),
         ([10, 10, 10, 10], "must sum to n"),
+        ([0, 100, 50, 50], "but no points"),
     ])
     def test_bad_allocation_is_config_error(self, runner, tmp_path, topic,
                                             allocation, message):
@@ -353,14 +384,6 @@ class TestDiag:
                                    "--samples", "20000"])
         assert res.exit_code == 2
         assert message in res.output
-
-    def test_zero_quota_variance_is_non_convergence(self, runner, tmp_path):
-        cfg = write_config(tmp_path, estimator="cs",
-                           params={"allocation": [100, 0, 50, 50]})
-        res = runner.invoke(main, ["diag", "variance", "--config", cfg,
-                                   "--samples", "20000"])
-        assert res.exit_code == 3
-        assert "zero allocation" in res.output
 
     @pytest.mark.parametrize("topic, code", [
         ("allocation", 0), ("variance", 2), ("cost", 2)])
@@ -376,7 +399,7 @@ class TestDiag:
             assert "4 strata" in res.output
 
     @pytest.mark.parametrize("allocation, code", [
-        ([50, 50, 50, 50], 0), ([100, 0, 50, 50], 3), ([10, 10, 10, 10], 2)])
+        ([50, 50, 50, 50], 0), ([100, 0, 50, 50], 2), ([10, 10, 10, 10], 2)])
     def test_closes_the_model_pair(self, runner, tmp_path, monkeypatch,
                                    allocation, code):
         class Closing:

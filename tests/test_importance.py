@@ -15,6 +15,7 @@ from qvr.importance import (
     ImportanceError,
     WeightedSample,
     _log_second_moment,
+    _matched_moments,
     _nelder_mead,
     draw_weighted_sample,
     fit_biased_member,
@@ -78,6 +79,8 @@ class TestBiasedParams:
 class TestBiasedDensity:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_joint_gaussian_density_equals_scipy_bit_for_bit(self, d):
+        # Equal to rounding: numpy's eigh takes another LAPACK driver than
+        # scipy's, so the bits may differ from d = 3 on.
         rng = np.random.default_rng(40 + d)
         fam = BiasedFamily("joint_gaussian")
         for _ in range(50):
@@ -87,10 +90,13 @@ class TestBiasedDensity:
             pts = rng.normal(size=(40, d)) * rng.uniform(0.5, 4.0)
             member = fam.member(p)
             want = multivariate_normal(p.lam, p.C).pdf(pts)
-            assert np.array_equal(member.density(pts), want)
+            np.testing.assert_allclose(member.density(pts), want,
+                                       rtol=1e-11, atol=0)
             one = member.density(pts[0])
             assert one.shape == (1,)
-            assert one[0] == multivariate_normal(p.lam, p.C).pdf(pts[0])
+            assert one[0] == pytest.approx(
+                multivariate_normal(p.lam, p.C).pdf(pts[0]), rel=1e-11,
+                abs=0)
 
     def test_numerically_singular_joint_gaussian_rejected(self):
         C = np.array([[1.0, 0.0], [0.0, 1e-12]])
@@ -156,6 +162,11 @@ class TestMomentMatch:
     def test_pilot_count_minimum(self):
         with pytest.raises(ValueError):
             moment_match(identity1d(), 0.0, 100, RngStream(4))
+
+    def test_one_point_event_rejected(self):
+        # every pilot point in the event is the same: zero covariance
+        with pytest.raises(ImportanceError, match="degenerate event"):
+            _matched_moments(np.ones((3, 2)))
 
     def test_convergence_rate(self):
         truth = np.array([TRUNC_MEAN, TRUNC_VAR])

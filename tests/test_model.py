@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from qvr.model import (
     InputDistribution,
     Lognormal,
     ModelError,
     Normal,
-    _ndtri,
     builtin_model,
     identity1d,
     standard_normal_input,
@@ -173,33 +172,23 @@ class TestBuiltinModels:
         assert z == 0.37 and y == 0.37
 
     def test_closed_form_quantiles_equal_scipy_ppf(self):
+        # The stdlib's normal quantile (AS241) and scipy's (Cephes) agree
+        # within 16 ulps, and exactly at the endpoints' infinities.
+        def close(got, want):
+            return type(got) is float and (got == want or (
+                math.isfinite(want)
+                and abs(got - want) <= 16 * math.ulp(want)))
+
         alphas = [0.0, 1e-12, 0.05, 0.5, 0.9, 0.95, 0.99, 1 - 1e-12, 1.0,
                   *np.linspace(0.001, 0.999, 499)]
         for a in alphas:
-            got = toy1d().closed_form_z_quantile(a)
-            assert got == float(stats.norm.ppf((1 + a) / 2) ** 2)
-            assert type(got) is float
-            got = identity1d().closed_form_z_quantile(a)
-            assert got == float(stats.norm.ppf(a))
-
-    def test_ndtri_equals_scipy_bit_for_bit(self):
-        rng = np.random.default_rng(41)
-        e2 = math.exp(-2)
-        edges = [e2, 1 - e2, math.exp(-32), 1 - math.exp(-32)]
-        p = np.concatenate([
-            rng.random(250_000),
-            np.linspace(0.0, 1.0, 200_001),
-            10.0 ** -rng.uniform(0, 300, 30_000),
-            1 - 10.0 ** -rng.uniform(0, 16, 20_000),
-            [np.nextafter(e, t) for e in edges for t in (0, 1)], edges,
-            [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-300, 1 - 1e-16, 1 - 2**-53,
-             -1e-300, -2.0, 1 + 2**-52, 3.0, np.inf, -np.inf, np.nan]])
-        got = np.array([_ndtri(v) for v in p.tolist()])
-        want = special.ndtri(p)
-        same = (got.view(np.uint64) == want.view(np.uint64)) | (
-            np.isnan(got) & np.isnan(want))
-        assert len(p) >= 500_000
-        assert same.all(), p[~same][:5]
+            assert close(toy1d().closed_form_z_quantile(a),
+                         float(stats.norm.ppf((1 + a) / 2) ** 2)), a
+            assert close(identity1d().closed_form_z_quantile(a),
+                         float(stats.norm.ppf(a))), a
+        assert toy1d().closed_form_z_quantile(1.0) == math.inf
+        assert identity1d().closed_form_z_quantile(0.0) == -math.inf
+        assert identity1d().closed_form_z_quantile(1.0) == math.inf
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qvr.model import identity1d, toy1d
+from qvr.model import ModelPair, identity1d, standard_normal_input, toy1d
 from qvr.sampling import (
     AllocationPlan,
     RngStream,
@@ -227,6 +227,14 @@ class TestMetamodelQuantiles:
         z = metamodel_quantiles(identity1d(), [0.95], precision="mc",
                                 sample_count=10**7, stream=RngStream(5))
         assert z[0] == pytest.approx(1.6449, abs=0.002)
+
+    def test_atoms_refused(self):
+        # Z = floor(X) puts its 0.9 and 0.95 quantiles on one atom, 1
+        pair = ModelPair(f=lambda x: x[:, 0], f_r=lambda x: np.floor(x[:, 0]),
+                         input=standard_normal_input(1))
+        with pytest.raises(SamplingError, match="not strictly increasing"):
+            metamodel_quantiles(pair, [0.5, 0.9, 0.95], precision="mc",
+                                sample_count=10**4, stream=RngStream(6))
 
     def test_mc_convergence_rate(self):
         pair = toy1d()

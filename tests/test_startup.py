@@ -1,6 +1,6 @@
-"""qvr starts without scipy: ``import qvr`` loads numpy and nothing heavier,
-no design but cis imports scipy (cis: ``scipy.linalg`` alone), and a config
-is checked without a schema library."""
+"""qvr runs without scipy: ``import qvr`` loads numpy and nothing heavier,
+no design imports scipy, and a config is checked without a schema
+library."""
 
 import json
 import os
@@ -51,7 +51,7 @@ def loaded_by_replications(model: str, estimator: str) -> list[str]:
         "assert len(r.estimates) == 2 and not r.errors")
 
 
-@pytest.mark.parametrize("estimator", ["ee", "cv", "cs", "acs", "ps"])
+@pytest.mark.parametrize("estimator", ["ee", "cv", "cs", "acs", "ps", "cis"])
 def test_toy2d_replications_load_no_scipy(estimator):
     loaded = loaded_by_replications("toy2d", estimator)
     assert [m for m in loaded if m.startswith("scipy")] == []
@@ -61,6 +61,22 @@ def test_toy2d_replications_load_no_scipy(estimator):
 def test_toy1d_replications_load_no_scipy(estimator):
     # toy1d's closed-form metamodel quantiles need the normal quantile.
     loaded = loaded_by_replications("toy1d", estimator)
+    assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+def test_toy1d_cis_refusal_loads_no_scipy():
+    # cis fits and builds its member before it refuses toy1d's two-sided
+    # tail event.
+    loaded = loaded_after(
+        "from qvr.bench import ExperimentConfig, run_replications\n"
+        "from qvr.importance import CisNonConvergence\n"
+        "try:\n"
+        "    run_replications(ExperimentConfig(model='toy1d', estimator='cis',"
+        " alpha=0.95, n=200, replications=2, seed=0))\n"
+        "except CisNonConvergence:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('cis did not refuse toy1d')")
     assert [m for m in loaded if m.startswith("scipy")] == []
 
 
@@ -86,11 +102,3 @@ def test_toy1d_diag_loads_no_scipy(topic, tmp_path):
         " standalone_mode=False)")
     assert [m for m in loaded if m.startswith("scipy")] == []
 
-
-def test_toy2d_cis_loads_scipy_linalg_alone():
-    # The joint-Gaussian member's eigh is scipy's; its fit is not.
-    loaded = loaded_by_replications("toy2d", "cis")
-    assert "scipy.linalg" in loaded
-    assert [m for m in loaded if m.startswith(
-        ("scipy.optimize", "scipy.special", "scipy.sparse",
-         "scipy.stats"))] == []
