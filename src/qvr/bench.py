@@ -3,11 +3,11 @@
 Turns the estimator modules into reproducible experiments: a config,
 checked where it is built, selects a model and an estimator, replications
 run on per-replication random streams (deterministic for a fixed master
-seed regardless of how they are grouped into blocks), and reports
-serialize byte-stably to JSON or CSV.  Both the replications and the
-bootstrap run each estimator's draw and inversion from ``qvr.designs``: a
-block of replications inverts its draw one row per replication, and the
-bootstrap draws replication 0 and inverts it and its resamples.  The
+seed however ``_blocks`` groups them), and reports serialize byte-stably to
+JSON or CSV.  Both the replications and the bootstrap run each estimator's
+draw and inversion from ``qvr.designs``: a block of replications inverts
+its draw one row per replication, and the bootstrap draws replication 0 and
+inverts it and its resamples in chunks that ``_blocks`` also sizes.  The
 presets of ``qvr bench`` are one table, ``PRESETS``: label -> config.
 """
 
@@ -17,6 +17,7 @@ import contextlib
 import csv
 import io
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -265,8 +266,22 @@ class ReplicationReport:
         return d
 
 
+def _blocks(count: int, n: int) -> list[range]:
+    """``range(count)`` in runs of the n-point rows that fit in BLOCK_POINTS
+    (one at least): the replication blocks and the bootstrap's chunks."""
+    size = max(1, BLOCK_POINTS // n)
+    return [range(start, min(start + size, count))
+            for start in range(0, count, size)]
+
+
+# A block's record: the estimates of the replications that succeeded, in
+# order of r, the design's extras of the same replications (name -> array,
+# one entry per replication), and the (r, message) of every one that failed.
+Block = namedtuple("Block", "estimates extras errors")
+
+
 def _run_block(config: ExperimentConfig, prep, root: RngStream, rs: range
-               ) -> tuple[np.ndarray, dict, list[tuple[int, str]]]:
+               ) -> Block:
     """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
 
     The design draws the block at once, so that f runs once per block (acs:
@@ -278,9 +293,6 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream, rs: range
     ``estimators.argsort_rows``: numpy's SIMD argsort, which is the stable
     order on a row without ties, and a stable argsort of the rows with
     ties, so the bits are a stable sort's.
-    Returns the estimates of the replications that succeeded, in order of
-    r, the design's extras of the same replications (name -> array, one
-    entry per replication), and the (r, message) of every one that failed.
     """
     design = DESIGNS[config.estimator]
     y, aux, _, failed, extras = design.draw(prep, StreamBlock.of(root, rs))
@@ -293,7 +305,7 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream, rs: range
     keep[list(fails)] = False
     errors = ([(rs[i], str(e)) for i, e in failed.items()]
               + [(drawn[i], str(e)) for i, e in fails.items()])
-    return values[keep], {k: v[keep] for k, v in extras.items()}, errors
+    return Block(values[keep], {k: v[keep] for k, v in extras.items()}, errors)
 
 
 def _std(a: np.ndarray) -> np.ndarray:
@@ -304,21 +316,19 @@ def _std(a: np.ndarray) -> np.ndarray:
 def run_replications(config: ExperimentConfig) -> ReplicationReport:
     """R independent replications, each on the stream path [replication_id].
 
-    Replications run in blocks, one after another (see ``_run_block``).  A
+    The blocks of ``_blocks`` run one by one (see ``_run_block``).  A
     replication that fails with one of ``designs.NON_CONVERGENCE_ERRORS`` is
     recorded, not fatal, unless every replication fails; any other error,
     such as a ``ModelError`` from a dead simulator, propagates.
     """
     root = RngStream(config.seed)
-    size = max(1, BLOCK_POINTS // config.n)
-    blocks = [range(start, min(start + size, config.replications))
-              for start in range(0, config.replications, size)]
     with _prepared(config) as prep:
-        outcomes = [_run_block(config, prep, root, rs) for rs in blocks]
-    est = np.concatenate([values for values, _, _ in outcomes])
-    extras = {k: np.concatenate([ex[k] for _, ex, _ in outcomes])
-              for k in outcomes[0][1]}
-    errors = sorted(e for _, _, errs in outcomes for e in errs)
+        blocks = [_run_block(config, prep, root, rs)
+                  for rs in _blocks(config.replications, config.n)]
+    est = np.concatenate([b.estimates for b in blocks])
+    extras = {k: np.concatenate([b.extras[k] for b in blocks])
+              for k in blocks[0].extras}
+    errors = sorted(e for b in blocks for e in b.errors)
     if not len(est):
         raise ConfigError("every replication failed; first error: "
                           + errors[0][1])
@@ -402,7 +412,7 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     """Replication 0 of ``run_replications`` plus a bootstrap standard error.
 
     Resamples follow the design's ``scheme`` (see ``bootstrap_std``) with
-    its draws, in chunks of ``BLOCK_POINTS`` points; each is put in order by
+    its draws, in the chunks of ``_blocks``; each is put in order by
     sorting its records' ranks and inverted by the design, with the bits of
     the one-sample estimators except where tied outputs of different
     weights sum in another order (see ``qvr.estimators``).  The first
@@ -436,14 +446,12 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
     size_of = np.repeat(sizes, sizes)
     vals = np.empty(B)
-    chunk = max(1, BLOCK_POINTS // n)
-    for start in range(0, B, chunk):
-        c = min(chunk, B - start)
-        if len(sizes) == 1:
-            rows = rng.integers(0, n, (c, n))  # the same integers, faster
+    for rs in _blocks(B, n):
+        if len(sizes) == 1:  # the integers of the else branch, faster
+            rows = rng.integers(0, n, (len(rs), n))
         else:
-            rows = first + rng.integers(0, np.broadcast_to(size_of, (c, n)))
-        vals[start:start + c] = invert(rows)
+            rows = first + rng.integers(0, size_of, (len(rs), n))
+        vals[rs.start:rs.stop] = invert(rows)
     return {"estimator": config.estimator, "alpha": config.alpha,
             "n": config.n, "estimate": float(invert(np.arange(n)[None])[0]),
             "bootstrap_std": float(vals.std(ddof=1)), "resamples": B,

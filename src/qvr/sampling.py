@@ -348,9 +348,10 @@ def strata_from_cutpoints(pair: ModelPair, cutpoints: Sequence[float],
     return StrataSpec(cutpoints=cp, z_values=(-np.inf,) + tuple(zq) + (np.inf,))
 
 
-# The engine runs max(1, BLOCK_POINTS // n) replications per block and a
-# rejection pass routes at most BLOCK_POINTS draws (or one row's batch),
-# so stacked arrays (and a subprocess model's pending requests) stay ~1 MB.
+# bench._blocks puts max(1, BLOCK_POINTS // n) replications in a block
+# (resamples in a bootstrap chunk) and a rejection pass routes at most
+# BLOCK_POINTS draws (or one row's batch), so stacked arrays (and a
+# subprocess model's pending requests) stay ~1 MB.
 BLOCK_POINTS = 16384
 
 # A block's temporaries (BLOCK_POINTS doubles is 128 KiB; some are twice

@@ -18,9 +18,11 @@ import pytest
 import reference_inversions as ref
 import reference_phase_two
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvr import bench, estimators, importance, strata
-from qvr.bench import ExperimentConfig, run_replications
+from qvr.bench import ExperimentConfig, emit_report, run_replications
 from qvr.cli import main as cli_main
 from qvr.model import BUILTIN_MODELS, ModelError, ModelPair, toy1d
 from qvr.sampling import (
@@ -209,12 +211,12 @@ def test_cv_inversions_match_reference():
             for n in (2, 7, 20, 200, 1000):
                 config = make("cv", 12, model=model, alpha=alpha, n=n)
                 root = RngStream(config.seed)
-                estimates, extras, errors = bench._run_block(
-                    config, prep._replace(n=n), root, range(12))
+                block = bench._run_block(config, prep._replace(n=n), root,
+                                         range(12))
                 expected = [reference_estimate(config, prep, r)
                             for r in range(12)]
-                assert not errors and extras == {}
-                assert estimates.tolist() == expected, (model, alpha, n)
+                assert not block.errors and block.extras == {}
+                assert block.estimates.tolist() == expected, (model, alpha, n)
                 fallbacks += sum(ref.cv_weights(
                     estimators.draw_paired_sample(prep.pair, root.child(r),
                                                   n).z,
@@ -307,6 +309,39 @@ def test_extras_stay_aligned_across_blocks(label, over):
             float(v) for v in rows.mean(axis=0)]
         assert getattr(report, f"{name}_std") == [
             float(v) for v in rows.std(axis=0, ddof=1)]
+
+
+PARTITIONED = 23
+
+
+@pytest.mark.parametrize("label,over", [
+    ("ee", {"n": 20}), ("cv", {"n": 20}), ("ps", {"n": 20}), ("cs", {}),
+    ("acs", {}), ("cs", {"model": "toy2d"}), ("cis", {}),
+    ("acs", FAILING_PILOTS)], ids=["ee", "cv", "ps", "cs", "acs", "cs-toy2d",
+                                   "cis", "acs-failing-pilots"])
+def test_report_bytes_do_not_depend_on_the_blocks(label, over):
+    # Any partition of range(R) into contiguous blocks folds into the bytes
+    # of the engine's own blocks.  Some replications fail (ps on an empty
+    # stratum at n = 20, acs on a pilot), so the fold must also keep each
+    # block's errors.
+    config = make(label, PARTITIONED, **over)
+    report = run_replications(config)
+    assert bool(report.errors) == (label == "ps" or over is FAILING_PILOTS)
+    expected = emit_report(report, "json")
+
+    @given(st.sets(st.integers(1, PARTITIONED - 1)))
+    @settings(max_examples=6, deadline=None)
+    def check(cuts):
+        edges = [0, *sorted(cuts), PARTITIONED]
+        blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
+
+        def partition(count, n):
+            assert (count, n) == (PARTITIONED, config.n)
+            return blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bench, "_blocks", partition)
+            assert emit_report(run_replications(config), "json") == expected
+    check()
 
 
 def test_estimate_exits_3_when_replication_0_fails(tmp_path):

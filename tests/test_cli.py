@@ -399,9 +399,12 @@ class TestDiag:
             assert "4 strata" in res.output
 
     @pytest.mark.parametrize("allocation, code", [
-        ([50, 50, 50, 50], 0), ([100, 0, 50, 50], 2), ([10, 10, 10, 10], 2)])
+        ([50, 50, 50, 50], 0), ([100, 0, 50, 50], 2), ([10, 10, 10, 10], 2),
+        (None, 3)])
     def test_closes_the_model_pair(self, runner, tmp_path, monkeypatch,
                                    allocation, code):
+        # allocation None: f_r = floor(x) puts the default strata's 0.9 and
+        # 0.95 edges on one atom, a non-convergence error in every topic
         class Closing:
             def __init__(self, fn):
                 self.fn, self.closed = fn, 0
@@ -412,16 +415,27 @@ class TestDiag:
             def close(self):
                 self.closed += 1
 
-        base = toy1d()
-        pair = dataclasses.replace(base, f=Closing(base.f),
-                                   f_r=Closing(base.f_r))
-        monkeypatch.setattr(ExperimentConfig, "build_pair", lambda _: pair)
-        cfg = write_config(tmp_path, estimator="cs",
-                           params={"allocation": allocation})
-        res = runner.invoke(main, ["diag", "variance", "--config", cfg,
-                                   "--samples", "20000"])
-        assert res.exit_code == code
-        assert pair.f.closed == pair.f_r.closed == 1
+        if allocation is None:
+            base = ModelPair(f=lambda x: x[:, 0],
+                             f_r=lambda x: np.floor(x[:, 0]),
+                             input=standard_normal_input(1), name="floor1d")
+            topics, params = ["variance", "allocation", "cost"], {}
+        else:
+            base = toy1d()
+            topics, params = ["variance"], {"allocation": allocation}
+        cfg = write_config(tmp_path, estimator="cs", params=params)
+        for topic in topics:
+            pair = dataclasses.replace(base, f=Closing(base.f),
+                                       f_r=Closing(base.f_r))
+            monkeypatch.setattr(ExperimentConfig, "build_pair",
+                                lambda _: pair)
+            res = runner.invoke(main, ["diag", topic, "--config", cfg,
+                                       "--samples", "20000"])
+            assert res.exit_code == code, topic
+            if code == 3:
+                assert ("metamodel quantiles are not strictly increasing"
+                        in res.output), topic
+            assert pair.f.closed == pair.f_r.closed == 1, topic
 
     @pytest.mark.parametrize("samples", ["0", "5"])
     def test_too_few_samples_is_usage_error(self, runner, tmp_path, samples):

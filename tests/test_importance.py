@@ -78,7 +78,7 @@ class TestBiasedParams:
 
 class TestBiasedDensity:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_joint_gaussian_density_equals_scipy_bit_for_bit(self, d):
+    def test_joint_gaussian_density_matches_scipy(self, d):
         # Equal to rounding: numpy's eigh takes another LAPACK driver than
         # scipy's, so the bits may differ from d = 3 on.
         rng = np.random.default_rng(40 + d)
