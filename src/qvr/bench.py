@@ -26,7 +26,7 @@ from . import estimators
 from .designs import DESIGNS, ConfigError
 from .model import (InputDistribution, Lognormal, ModelPair, Normal,
                     SubprocessModel, builtin_model, subprocess_pair)
-from .sampling import BLOCK_POINTS, RngStream, StreamBlock, sample_input
+from .sampling import BLOCK_POINTS, RngStream, StreamBlock, evaluate_sample
 
 
 def _number(v) -> bool:
@@ -209,9 +209,8 @@ def ground_truth_quantile(pair: ModelPair, alpha: float, sample_count: int,
     takes it, no interpolation."""
     if sample_count < 10**6:
         raise ValueError("sample_count must be at least 1e6")
-    x = sample_input(pair.input, stream, sample_count)
-    return float(estimators.empirical_quantile_rows(pair.eval_full(x)[None],
-                                                    alpha)[0])
+    y = evaluate_sample(pair.input, stream, sample_count, pair.eval_full)
+    return float(estimators.empirical_quantile_rows(y, alpha)[0])
 
 
 @contextlib.contextmanager

@@ -217,6 +217,31 @@ def sample_input(dist, stream: RngStream, count: int) -> np.ndarray:
     return dist.sample(stream.generator(), count)
 
 
+def evaluate_sample(dist, stream: RngStream, count: int, *fns) -> np.ndarray:
+    """Row i holds ``fns[i](x)`` for ``x = sample_input(dist, stream,
+    count)``, bit for bit, without building x: the columns but the last are
+    drawn whole, as ``InputDistribution.sample`` draws them, and the last in
+    runs of ``BLOCK_POINTS`` (numpy's normal draws split into runs are the
+    draws of one call).  Each fn sees one run's rows at a time, so it must
+    be pure and act row by row.  With one fn and a whole column, the
+    outputs overwrite the first column as the runs pass it: a pass over a
+    d <= 2 input holds about 8 bytes a point."""
+    *whole, last = dist.components
+    rng = stream.generator()
+    cols = [c.sample(rng, count) for c in whole]
+    out = (cols[0][None] if len(fns) == 1 and cols
+           else np.empty((len(fns), count)))
+    for start in range(0, count, BLOCK_POINTS):
+        x = np.empty((min(BLOCK_POINTS, count - start), len(cols) + 1))
+        run = slice(start, start + len(x))
+        for j, col in enumerate(cols):
+            x[:, j] = col[run]
+        x[:, -1] = last.sample(rng, len(x))
+        for row, fn in zip(out, fns):
+            row[run] = fn(x)
+    return out
+
+
 @dataclass(frozen=True)
 class StrataSpec:
     """Metamodel-output strata: cutpoint probabilities and their Z-quantiles.
@@ -323,11 +348,8 @@ def metamodel_quantiles(pair: ModelPair, cutpoints: Sequence[float],
             raise ValueError("mc quantiles need sample_count >= 1e4")
         if stream is None:
             raise ValueError("mc quantiles need a stream")
-        x = sample_input(pair.input, stream, sample_count)
-        z = pair.eval_metamodel(x)
-        del x
-        if not z.flags.owndata:
-            z = z.copy()
+        (z,) = evaluate_sample(pair.input, stream, sample_count,
+                               pair.eval_metamodel)
         # Order statistics in place: no sorted copy of 10^6 outputs.
         idx = np.ceil(cp * sample_count).astype(int) - 1
         z.partition(idx)
@@ -349,9 +371,11 @@ def strata_from_cutpoints(pair: ModelPair, cutpoints: Sequence[float],
 
 
 # bench._blocks puts max(1, BLOCK_POINTS // n) replications in a block
-# (resamples in a bootstrap chunk) and a rejection pass routes at most
-# BLOCK_POINTS draws (or one row's batch), so stacked arrays (and a
-# subprocess model's pending requests) stay ~1 MB.
+# (resamples in a bootstrap chunk), a rejection pass routes at most
+# BLOCK_POINTS draws (or one row's batch), and evaluate_sample hands the
+# evaluators of a large Monte Carlo pass (mc metamodel quantiles, ground
+# truth, the correlation report) BLOCK_POINTS points at a time, so stacked
+# arrays (and a subprocess model's pending requests) stay ~1 MB.
 BLOCK_POINTS = 16384
 
 # A block's temporaries (BLOCK_POINTS doubles is 128 KiB; some are twice

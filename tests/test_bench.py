@@ -22,7 +22,7 @@ from qvr.bench import (
     run_replications,
 )
 from qvr.estimators import EstimatorError
-from qvr.model import identity1d, toy1d
+from qvr.model import identity1d, toy1d, toy2d
 from qvr.sampling import (AllocationPlan, RngStream, evaluate_full,
                           sample_input, sample_strata, strata_from_cutpoints)
 
@@ -110,11 +110,14 @@ class TestGroundTruth:
 
     def test_is_the_floor_alpha_n_plus_one_order_statistic(self):
         # alpha N is an integer at 0.5; 1 - 1e-7 reaches the largest point.
-        pair, N = toy1d(), 10**6
-        y = np.sort(pair.eval_full(sample_input(pair.input, RngStream(3), N)))
-        for alpha in (0.5, 0.95, 0.9500005, 1 - 1e-7):
-            assert ground_truth_quantile(pair, alpha, N, RngStream(3)) == \
-                y[math.floor(alpha * N)], alpha
+        # toy2d's outputs overwrite its first input column as they are made.
+        N = 10**6
+        for pair in (toy1d(), toy2d()):
+            y = np.sort(pair.eval_full(sample_input(pair.input, RngStream(3),
+                                                    N)))
+            for alpha in (0.5, 0.95, 0.9500005, 1 - 1e-7):
+                assert ground_truth_quantile(pair, alpha, N, RngStream(3)) == \
+                    y[math.floor(alpha * N)], (pair.name, alpha)
 
 
 class TestRunReplications:
