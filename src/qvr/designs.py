@@ -152,9 +152,15 @@ def _prepare_cis(pair, config):
 
 def _draw_input(prep, block):
     """n input points per stream and one f call; with strata (cv, ps), aux
-    is each point's metamodel stratum, in the narrowest integer type."""
-    x = np.concatenate([prep.pair.input.sample(g, prep.n)
-                        for g in sampling.each_generator(block)])
+    is each point's metamodel stratum, in the narrowest integer type.  The
+    streams fill the columns of one (d, R n) buffer, and f and f_r get its
+    (R n, d) transpose."""
+    dist, n = prep.pair.input, prep.n
+    buf = np.empty((dist.dimension, len(block) * n))
+    for g, a in zip(sampling.each_generator(block), range(0, buf.shape[1], n)):
+        dist.normals(g, buf[:, a:a + n])
+    dist.transform(buf)
+    x = buf.T
     y = prep.pair.eval_full(x)
     aux = (prep.spec.stratum_of(prep.pair.eval_metamodel(x))
            if isinstance(prep, Stratified) else None)

@@ -2,7 +2,8 @@
 
 The central object is :class:`ModelPair`: an expensive model ``f``, a cheap
 metamodel ``f_r`` and the input distribution of the random vector X.  All
-evaluators are vectorized over a batch of points with shape ``(n, d)``.
+evaluators are vectorized over a batch of points with shape ``(n, d)``, not
+necessarily C-contiguous.
 """
 
 from __future__ import annotations
@@ -29,8 +30,18 @@ class ModelError(Exception):
     """Raised when a model evaluation fails (bad input, subprocess trouble)."""
 
 
+class _Marginal:
+    """A univariate marginal drawn as a transform of one standard normal
+    draw per point: ``transform`` maps the normals in place."""
+
+    def sample(self, rng, count):
+        out = rng.standard_normal(count)
+        self.transform(out)
+        return out
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(_Marginal):
     """Normal marginal with mean ``mean`` and standard deviation ``stddev``."""
 
     mean: float
@@ -47,12 +58,16 @@ class Normal:
         z = (np.asarray(x, dtype=float) - self.mean) / self.stddev
         return np.exp(-z**2 / 2.0) / _SQRT_2PI / self.stddev
 
-    def sample(self, rng, count):
-        return rng.normal(self.mean, self.stddev, size=count)
+    def transform(self, out):
+        """Map the standard normal draws in ``out`` to this marginal's, in
+        place: ``rng.normal(mean, stddev, k)`` is ``mean + stddev *
+        rng.standard_normal(k)``, bit for bit."""
+        out *= self.stddev
+        out += self.mean
 
 
 @dataclass(frozen=True)
-class Lognormal:
+class Lognormal(_Marginal):
     """Lognormal marginal parameterized by the underlying normal's (mean, stddev).
 
     ``log_mean``/``log_stddev`` are the moments of log X, not of X itself;
@@ -79,8 +94,12 @@ class Lognormal:
             log_pdf = -z**2 / 2.0 - log_x - np.log(self.log_stddev * _SQRT_2PI)
         return np.where(x <= 0, 0.0, np.exp(log_pdf))[()]
 
-    def sample(self, rng, count):
-        return np.exp(rng.normal(self.log_mean, self.log_stddev, size=count))
+    def transform(self, out):
+        """Map the standard normal draws in ``out`` to this marginal's, in
+        place: ``exp(rng.normal(log_mean, log_stddev, k))``, bit for bit."""
+        out *= self.log_stddev
+        out += self.log_mean
+        np.exp(out, out=out)
 
 
 Marginal = Normal | Lognormal
@@ -116,14 +135,29 @@ class InputDistribution:
         out = np.nan_to_num(out, nan=0.0)
         return float(out[0]) if single else out
 
+    def normals(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` (d, count), whose rows are contiguous, with the
+        standard normal draws of ``count`` points, one point per column:
+        row j, component j's, is drawn after row j - 1.  ``transform``
+        then turns them into the points; it may run on many streams'
+        columns at once."""
+        for j in range(len(out)):
+            rng.standard_normal(out=out[j])
+
+    def transform(self, out: np.ndarray) -> None:
+        """Map ``normals``' columns (d, count) to points, in place."""
+        for c, row in zip(self.components, out, strict=True):
+            c.transform(row)
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` i.i.d. points, shape (count, d)."""
+        """Draw ``count`` i.i.d. points, shape (count, d), C-contiguous:
+        the transpose of the columns of ``normals`` and ``transform``."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        out = np.empty((count, self.dimension))
-        for j, c in enumerate(self.components):
-            out[:, j] = c.sample(rng, count)
-        return out
+        out = np.empty((self.dimension, count))
+        self.normals(rng, out)
+        self.transform(out)
+        return np.ascontiguousarray(out.T)
 
     def _check_dim(self, pts):
         if pts.shape[-1] != self.dimension:
@@ -141,6 +175,8 @@ class ModelPair:
     """Expensive model ``f``, metamodel ``f_r`` and the input distribution.
 
     Both evaluators map a batch (n, d) to outputs (n,) and must be pure.
+    A batch need not be C-contiguous: the samplers draw into (d, n) buffers
+    and pass their transposes, whose columns ``x[:, j]`` are contiguous.
     ``closed_form_z_quantile`` maps a probability to the exact quantile of
     Z = f_r(X) when one is available.
     """
@@ -419,12 +455,14 @@ def _request_lines(rows: np.ndarray, first: int) -> bytes:
 
     Each line is ``json.dumps({"id": i, "x": [float(v) for v in row]})``;
     finite floats are formatted with ``repr``, which gives the same bytes,
-    and a slice holding NaN or infinities goes through ``json.dumps``.
+    and a slice holding NaN or infinities goes through ``json.dumps``.  The
+    finite lines take their fields from the ids and the columns' lists,
+    zipped: that skips building a tuple per row.
     """
     if np.isfinite(rows).all():
         line = '{"id": %d, "x": [' + ", ".join(["%r"] * rows.shape[1]) + "]}\n"
-        text = "".join([line % (i, *row)
-                        for i, row in enumerate(rows.tolist(), first)])
+        text = "".join(map(line.__mod__, zip(range(first, first + len(rows)),
+                                             *rows.T.tolist())))
     else:
         text = "".join([json.dumps({"id": i, "x": row}) + "\n"
                         for i, row in enumerate(rows.tolist(), first)])

@@ -371,11 +371,14 @@ def strata_from_cutpoints(pair: ModelPair, cutpoints: Sequence[float],
 
 
 # bench._blocks puts max(1, BLOCK_POINTS // n) replications in a block
-# (resamples in a bootstrap chunk), a rejection pass routes at most
-# BLOCK_POINTS draws (or one row's batch), and evaluate_sample hands the
-# evaluators of a large Monte Carlo pass (mc metamodel quantiles, ground
-# truth, the correlation report) BLOCK_POINTS points at a time, so stacked
-# arrays (and a subprocess model's pending requests) stay ~1 MB.
+# (resamples in a bootstrap chunk), a rejection pass holds at most
+# BLOCK_POINTS draws (or one row's batch) in its (d, P) input buffer, its
+# f_r outputs and its sort, and evaluate_sample hands the evaluators of a
+# large Monte Carlo pass (mc metamodel quantiles, ground truth, the
+# correlation report) BLOCK_POINTS points at a time, so stacked arrays (and
+# a subprocess model's pending requests) stay ~1 MB.  Rejection passes of 2
+# or 4 times BLOCK_POINTS ran rep-small faster but took 7,000-24,000 minor
+# page faults per table1 acs call instead of 0-300 (BENCH_passes.json).
 BLOCK_POINTS = 16384
 
 # A block's temporaries (BLOCK_POINTS doubles is 128 KiB; some are twice
@@ -417,12 +420,16 @@ def sample_strata_rows(pair: ModelPair, spec: StrataSpec, need,
     times its quota).
 
     Each row draws from its own stream in batches sized from its open
-    quotas (at most ``batch`` draws), as if drawn alone; a pass stacks the
-    next open rows' batches, up to ``BLOCK_POINTS`` draws, and evaluates
-    f_r once.  Draws past the one that completes a row's last quota are not
-    counted, so for one-dimensional inputs a row's sample and N_r do not
-    depend on the batch sizes; a multi-dimensional input fills its columns
-    one after another, so there they do.
+    quotas (at most ``batch`` draws), as if drawn alone.  A pass takes the
+    next open rows' batches, up to ``BLOCK_POINTS`` draws (or one row's
+    batch): each row draws its standard normals into its own columns of a
+    (d, P) buffer kept for the call, the pass transforms them in place,
+    evaluates f_r once on the (P, d) transpose, finds each stratum's draws
+    with one search and copies the accepted x and z out once.  Draws past
+    the one that completes a row's last quota are not counted, so for
+    one-dimensional inputs a row's sample and N_r do not depend on the
+    batch sizes; a multi-dimensional input fills its columns one after
+    another, so there they do.
     """
     need = np.array(need, dtype=int)
     if need.ndim != 2 or need.shape[1] != spec.m:
@@ -445,39 +452,52 @@ def sample_strata_rows(pair: ModelPair, spec: StrataSpec, need,
     draws = np.zeros(R, dtype=int)
     errors: list = [None] * R
     live = total > 0
+    buf = np.empty((pair.dimension, 0))
     while live.any():
         rows = np.flatnonzero(live)
         k = np.minimum(np.minimum(_batch_for(need[rows], widths), batch),
                        limit[rows] - draws[rows])
-        g = max(1, int(np.searchsorted(np.cumsum(k), BLOCK_POINTS, "right")))
-        rows, k = rows[:g], k[:g]
-        parts = []
-        for r, kr in zip(rows, k):
+        end = np.cumsum(k)
+        g = max(1, int(np.searchsorted(end, BLOCK_POINTS, "right")))
+        rows, k, end = rows[:g], k[:g], end[:g]
+        start, size = end - k, int(end[-1])
+        if size > buf.shape[1]:
+            buf = np.empty((pair.dimension, size))
+        for r, a, b in zip(rows.tolist(), start.tolist(), end.tolist()):
             bits.state = states[r]
-            parts.append(pair.input.sample(rng, int(kr)))
+            pair.input.normals(rng, buf[:, a:b])
             states[r] = bits.state
-        x = parts[0] if g == 1 else np.concatenate(parts)
+        pair.input.transform(buf[:, :size])
+        x = buf[:, :size].T
         z = pair.eval_metamodel(x)
-        strat = spec.stratum_of(z)
-        start = np.cumsum(k) - k
         # Row i takes the first need_ij draws of stratum j among its own;
         # once every quota is met, N_r stops at the draw that completed the
-        # last one.
-        done_at = np.zeros(g, dtype=int)
-        for j in np.flatnonzero(need[rows].any(axis=0)):
+        # last one (last[i, j]: 1 + the position of row i's last draw taken
+        # in stratum j).  The taken draws are gathered stratum by stratum,
+        # each stratum's row by row, and copied out once.
+        strat = spec.stratum_of(z)
+        bounds = np.append(start, size)
+        need_g = need[rows]
+        got = np.zeros_like(need_g)
+        last = np.zeros_like(need_g)
+        src = []
+        for j in np.flatnonzero(need_g.any(axis=0)).tolist():
             pos = np.flatnonzero(strat == j)
-            first = np.searchsorted(pos, start)
-            got = np.minimum(need[rows, j], np.diff(first, append=len(pos)))
-            took = got > 0
-            done_at[took] = np.maximum(done_at[took], pos[
-                first[took] + got[took] - 1] - start[took] + 1)
-            src = pos[_positions(first, got)]
-            dest = _positions(slot[rows, j], got)
-            x_out[dest] = x[src]
-            z_out[dest] = z[src]
-            slot[rows, j] += got
-            need[rows, j] -= got
-        open_ = need[rows].any(axis=1)
+            first = pos.searchsorted(bounds)
+            got[:, j] = gj = np.minimum(need_g[:, j], first[1:] - first[:-1])
+            took = pos[_positions(first[:-1], gj)]
+            if len(took):
+                last[:, j] = np.where(gj > 0, took[gj.cumsum() - 1] + 1, 0)
+                src.append(took)
+        dest = _positions(slot[rows].T, got.T)
+        src = np.concatenate(src) if src else np.empty(0, dtype=int)
+        x_out[dest] = x[src]
+        z_out[dest] = z[src]
+        slot[rows] += got
+        need_g -= got
+        need[rows] = need_g
+        done_at = last.max(axis=1) - start
+        open_ = need_g.any(axis=1)
         draws[rows] += np.where(open_, k, done_at)
         live[rows] = open_ & (draws[rows] < limit[rows])
         for r in rows[open_ & ~live[rows]]:

@@ -9,6 +9,7 @@ rejection sampler and adaptive pipeline (``reference_sample_strata``,
 for bit, and every inversion is a copy in ``reference_inversions``.
 """
 
+import dataclasses
 import json
 import sys
 import textwrap
@@ -21,10 +22,18 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvr import bench, estimators, importance, strata
+from qvr import bench, designs, estimators, importance, strata
 from qvr.bench import ExperimentConfig, emit_report, run_replications
 from qvr.cli import main as cli_main
-from qvr.model import BUILTIN_MODELS, ModelError, ModelPair, toy1d
+from qvr.model import (
+    BUILTIN_MODELS,
+    InputDistribution,
+    Lognormal,
+    ModelError,
+    ModelPair,
+    Normal,
+    toy1d,
+)
 from qvr.sampling import (
     AllocationPlan,
     RngStream,
@@ -586,10 +595,26 @@ PLANS = [(50, 50, 50, 50), (0, 0, 0, 0), (10, 0, 3, 7), (0, 0, 0, 40),
          (120, 60, 9, 1), (1, 1, 1, 1)] * 3
 
 
-@pytest.mark.parametrize("model", ["toy1d", "toy2d"])
+def _mixed3d_fr(x):
+    return x[:, 0] + x[:, 1] * x[:, 2]
+
+
+def mixed3d():
+    """A 3-d pair whose marginals mix Normal and Lognormal, which map
+    their standard normals each in their own way."""
+    return ModelPair(f=_mixed3d_fr, f_r=_mixed3d_fr, name="mixed3d",
+                     input=InputDistribution((Normal(0.5, 2.0),
+                                              Lognormal(0.1, 0.7),
+                                              Normal(-1.0, 0.3))))
+
+
+PAIRS = dict(BUILTIN_MODELS, mixed3d=mixed3d)
+
+
+@pytest.mark.parametrize("model", ["toy1d", "toy2d", "mixed3d"])
 @pytest.mark.parametrize("batch", [1, 37, 700, 4096, 1 << 20])
 def test_sample_strata_rows_matches_per_stream_draws(model, batch):
-    pair = BUILTIN_MODELS[model]()
+    pair = PAIRS[model]()
     spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0],
                                  precision="mc", sample_count=10**4,
                                  stream=RngStream(3))
@@ -597,21 +622,46 @@ def test_sample_strata_rows_matches_per_stream_draws(model, batch):
                                        batch=batch) == 0
 
 
-@pytest.mark.parametrize("model", ["toy1d", "toy2d"])
+@pytest.mark.parametrize("model", ["toy1d", "toy2d", "mixed3d"])
 @pytest.mark.parametrize("points", [1, 5000])
 def test_rows_need_more_passes_when_a_pass_is_small(points, model,
                                                     monkeypatch):
     # One row per pass, or a few; rows short of a quota draw again later,
-    # from where their last batch left their stream (toy2d: a batch draws
-    # one input column after the other).
+    # from where their last batch left their stream (toy2d, mixed3d: a
+    # batch draws one input column after the other).
     from qvr import sampling
     monkeypatch.setattr(sampling, "BLOCK_POINTS", points)
-    pair = BUILTIN_MODELS[model]()
+    pair = PAIRS[model]()
     spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0],
                                  precision="mc", sample_count=10**4,
                                  stream=RngStream(3))
     assert assert_rows_match_reference(pair, spec, PLANS, RngStream(9),
                                        batch=300) == 0
+
+
+@pytest.mark.parametrize("model", ["toy1d", "toy2d", "mixed3d"])
+def test_iid_draw_equals_per_stream_samples(model):
+    # ee, cv and ps draw n points per stream into one buffer; f and f_r
+    # get the per-stream samples, concatenated.
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x))
+        return x[:, 0]
+
+    pair = dataclasses.replace(PAIRS[model](), f=f)
+    spec = StrataSpec((0.0, 0.5, 1.0), (-np.inf, 0.3, np.inf))
+    root, n = RngStream(13), 7
+    want = np.concatenate([pair.input.sample(root.child(r).generator(), n)
+                           for r in range(5)])
+    y, aux, sizes, errors, extras = designs._draw_input(
+        designs.Stratified(pair, 0.95, n, spec),
+        StreamBlock.of(root, range(5)))
+    (x,) = seen
+    assert x.tobytes() == want.tobytes()
+    assert y.tobytes() == want[:, 0].tobytes()
+    assert aux.tolist() == spec.stratum_of(pair.f_r(want)).tolist()
+    assert sizes.tolist() == [[n]] * 5 and errors == extras == {}
 
 
 def test_rows_that_reach_max_draws_fail_alone():

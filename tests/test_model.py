@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qvr.model import (
@@ -142,6 +144,18 @@ class TestInputDistribution:
         emp = np.arange(1, len(x) + 1) / len(x)
         assert np.abs(emp - cdf(x)).max() < 0.002
 
+    @pytest.mark.parametrize("count", [0, 1, 7, 1001])
+    def test_sample_draws_column_after_column(self, count):
+        d = InputDistribution((Normal(0.5, 2.0), Lognormal(0.1, 0.7),
+                               Normal(-1.0, 0.3)))
+        rng = np.random.default_rng(9)
+        want = np.column_stack([rng.normal(0.5, 2.0, count),
+                                np.exp(rng.normal(0.1, 0.7, count)),
+                                rng.normal(-1.0, 0.3, count)])
+        got = d.sample(np.random.default_rng(9), count)
+        assert got.shape == (count, 3) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     def test_dimension_mismatch(self):
         d = standard_normal_input(2)
         with pytest.raises(ModelError):
@@ -205,3 +219,26 @@ class TestBuiltinModels:
     def test_toy1d_closed_form_z_quantile(self):
         q = toy1d().closed_form_z_quantile
         assert q(0.95) == pytest.approx(stats.norm.ppf(0.975) ** 2, rel=1e-12)
+
+
+class TestTransform:
+    """A marginal maps standard normals in place to numpy's own draws of
+    it, bit for bit; ``sample`` is that map on new normals."""
+
+    @pytest.mark.parametrize("make,numpy_draws", [
+        (Normal, lambda rng, a, b, k: rng.normal(a, b, k)),
+        (Lognormal, lambda rng, a, b, k: np.exp(rng.normal(a, b, k))),
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(loc=st.floats(-50.0, 50.0), scale=st.floats(1e-6, 50.0),
+           count=st.sampled_from([0, 1, 7, 999]),
+           seed=st.integers(0, 2**63))
+    def test_equals_numpy_draws(self, make, numpy_draws, loc, scale, count,
+                                seed):
+        m = make(loc, scale)
+        want = numpy_draws(np.random.default_rng(seed), loc, scale, count)
+        got = np.random.default_rng(seed).standard_normal(count)
+        m.transform(got)
+        assert got.tobytes() == want.tobytes()
+        assert m.sample(np.random.default_rng(seed), count).tobytes() == (
+            want.tobytes())
