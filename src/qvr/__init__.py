@@ -72,7 +72,6 @@ from .sampling import (
     evaluate_full,
     expected_rejection_cost,
     metamodel_quantiles,
-    sample_input,
     sample_strata,
     strata_from_cutpoints,
 )

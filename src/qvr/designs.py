@@ -20,7 +20,9 @@ estimator; ``by_y(rows)`` sorts each row by y, stably, as the caller sorts
 best (the engine: ``estimators.argsort_rows``, a SIMD argsort that is
 stable on rows without ties and falls back to a stable sort on the others;
 the bootstrap: a sort of the records' ranks).  A draw calls f once (acs:
-once per phase); cs and acs route all their streams' rejection draws
+once per phase).  ee, cv, ps and cis fill one (d, R n) buffer with their
+streams' points (``_points``: ``normals`` per stream, then one
+``transform``); cs and acs route all their streams' rejection draws
 together (``sampling.sample_strata_rows``).
 """
 
@@ -150,17 +152,20 @@ def _prepare_cis(pair, config):
                   get("mode", "tail"))
 
 
-def _draw_input(prep, block):
-    """n input points per stream and one f call; with strata (cv, ps), aux
-    is each point's metamodel stratum, in the narrowest integer type.  The
-    streams fill the columns of one (d, R n) buffer, and f and f_r get its
-    (R n, d) transpose."""
-    dist, n = prep.pair.input, prep.n
+def _points(dist, n, block):
+    """n points of ``dist`` per stream of ``block``, (R n, d): the streams'
+    ``normals`` fill one (d, R n) buffer, ``transform`` maps it at once."""
     buf = np.empty((dist.dimension, len(block) * n))
     for g, a in zip(sampling.each_generator(block), range(0, buf.shape[1], n)):
         dist.normals(g, buf[:, a:a + n])
     dist.transform(buf)
-    x = buf.T
+    return buf.T
+
+
+def _draw_input(prep, block):
+    """n input points per stream and one f call; with strata (cv, ps), aux
+    is each point's metamodel stratum, in the narrowest integer type."""
+    x = _points(prep.pair.input, prep.n, block)
     y = prep.pair.eval_full(x)
     aux = (prep.spec.stratum_of(prep.pair.eval_metamodel(x))
            if isinstance(prep, Stratified) else None)
@@ -168,8 +173,7 @@ def _draw_input(prep, block):
 
 
 def _draw_cis(prep, block):
-    x = np.concatenate([prep.member.sample(g, prep.n) for g in
-                        sampling.each_generator(block.child(1))])
+    x = _points(prep.member, prep.n, block.child(1))
     w = importance.likelihood_ratio(prep.pair, prep.member, x)
     return (prep.pair.eval_full(x), w, np.full((len(block), 1), prep.n),
             {}, {})

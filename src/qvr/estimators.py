@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelPair
-from .sampling import RngStream, StrataSpec, evaluate_sample, sample_input
+from .sampling import RngStream, StrataSpec, evaluate_sample
 
 
 class EstimatorError(Exception):
@@ -179,7 +179,7 @@ class PairedSample:
 
 
 def draw_paired_sample(pair: ModelPair, stream: RngStream, n: int) -> PairedSample:
-    x = sample_input(pair.input, stream, n)
+    x = pair.input.sample(stream.generator(), n)
     return PairedSample(x=x, y=pair.eval_full(x), z=pair.eval_metamodel(x))
 
 

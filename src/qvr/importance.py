@@ -66,7 +66,9 @@ class BiasedParams:
 
 @dataclass(frozen=True)
 class JointGaussian:
-    """Multivariate normal member with density/sample like InputDistribution.
+    """Multivariate normal member, drawn by InputDistribution's ``sample``.
+    One ``chol @ buf`` over many streams' columns gives each stream the bits
+    of ``lam + Z @ chol.T`` on the host of the gate digests.
 
     The Cholesky factor (for sampling) and the whitening matrix and log
     normalizer of the density are built once per member, not once per call.
@@ -91,16 +93,25 @@ class JointGaussian:
         object.__setattr__(self, "_log_norm",
                            len(s) * _LOG_2PI + np.sum(np.log(s)))
 
+    @property
+    def dimension(self) -> int:
+        return len(self.lam)
+
     def density(self, x):
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         maha = np.sum(np.square((pts - self.lam) @ self._white), axis=-1)
         return np.exp(-0.5 * (self._log_norm + maha))
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        d = len(self.lam)
-        if count == 0:
-            return np.empty((0, d))
-        return self.lam + rng.standard_normal((count, d)) @ self._chol.T
+    def normals(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """``InputDistribution.normals``, but drawn point after point."""
+        out[...] = rng.standard_normal(out.shape[::-1]).T
+
+    def transform(self, out: np.ndarray) -> None:
+        """Map ``normals``' columns z (d, count) to lam + chol z, in place."""
+        out[...] = self._chol @ out
+        out += self.lam[:, None]
+
+    sample = InputDistribution.sample
 
 
 @dataclass(frozen=True)

@@ -30,18 +30,8 @@ class ModelError(Exception):
     """Raised when a model evaluation fails (bad input, subprocess trouble)."""
 
 
-class _Marginal:
-    """A univariate marginal drawn as a transform of one standard normal
-    draw per point: ``transform`` maps the normals in place."""
-
-    def sample(self, rng, count):
-        out = rng.standard_normal(count)
-        self.transform(out)
-        return out
-
-
 @dataclass(frozen=True)
-class Normal(_Marginal):
+class Normal:
     """Normal marginal with mean ``mean`` and standard deviation ``stddev``."""
 
     mean: float
@@ -67,7 +57,7 @@ class Normal(_Marginal):
 
 
 @dataclass(frozen=True)
-class Lognormal(_Marginal):
+class Lognormal:
     """Lognormal marginal parameterized by the underlying normal's (mean, stddev).
 
     ``log_mean``/``log_stddev`` are the moments of log X, not of X itself;
@@ -150,10 +140,8 @@ class InputDistribution:
             c.transform(row)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` i.i.d. points, shape (count, d), C-contiguous:
-        the transpose of the columns of ``normals`` and ``transform``."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        """``count`` i.i.d. points (count, d), C-contiguous: the transpose of
+        ``normals`` and ``transform``'s columns (numpy refuses count < 0)."""
         out = np.empty((self.dimension, count))
         self.normals(rng, out)
         self.transform(out)

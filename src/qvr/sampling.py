@@ -212,33 +212,31 @@ def each_generator(block: StreamBlock):
         yield rng
 
 
-def sample_input(dist, stream: RngStream, count: int) -> np.ndarray:
-    """``count`` i.i.d. input points, deterministic given the stream key."""
-    return dist.sample(stream.generator(), count)
-
-
 def evaluate_sample(dist, stream: RngStream, count: int, *fns) -> np.ndarray:
-    """Row i holds ``fns[i](x)`` for ``x = sample_input(dist, stream,
+    """Row i holds ``fns[i](x)`` for ``x = dist.sample(stream.generator(),
     count)``, bit for bit, without building x: the columns but the last are
-    drawn whole, as ``InputDistribution.sample`` draws them, and the last in
-    runs of ``BLOCK_POINTS`` (numpy's normal draws split into runs are the
-    draws of one call).  Each fn sees one run's rows at a time, so it must
-    be pure and act row by row.  With one fn and a whole column, the
-    outputs overwrite the first column as the runs pass it: a pass over a
-    d <= 2 input holds about 8 bytes a point."""
+    drawn whole, and the last in runs of ``BLOCK_POINTS`` (numpy's normal
+    draws split into runs are the draws of one call), each mapped by its
+    marginal's ``transform``.  Each fn sees one run's points at a time, the
+    transpose of a (d, run) buffer, so it must be pure and act row by row.
+    With one fn and a whole column, the outputs overwrite the first column
+    as the runs pass it: a pass over a d <= 2 input holds about 8 bytes a
+    point."""
     *whole, last = dist.components
     rng = stream.generator()
-    cols = [c.sample(rng, count) for c in whole]
-    out = (cols[0][None] if len(fns) == 1 and cols
-           else np.empty((len(fns), count)))
+    cols = np.empty((len(whole), count))
+    for c, col in zip(whole, cols):
+        rng.standard_normal(out=col)
+        c.transform(col)
+    out = cols[:1] if len(fns) == 1 and whole else np.empty((len(fns), count))
     for start in range(0, count, BLOCK_POINTS):
-        x = np.empty((min(BLOCK_POINTS, count - start), len(cols) + 1))
-        run = slice(start, start + len(x))
-        for j, col in enumerate(cols):
-            x[:, j] = col[run]
-        x[:, -1] = last.sample(rng, len(x))
+        run = slice(start, min(start + BLOCK_POINTS, count))
+        x = np.empty((len(cols) + 1, run.stop - start))
+        x[:-1] = cols[:, run]
+        rng.standard_normal(out=x[-1])
+        last.transform(x[-1])
         for row, fn in zip(out, fns):
-            row[run] = fn(x)
+            row[run] = fn(x.T)
     return out
 
 

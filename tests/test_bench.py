@@ -24,7 +24,7 @@ from qvr.bench import (
 from qvr.estimators import EstimatorError
 from qvr.model import identity1d, toy1d, toy2d
 from qvr.sampling import (AllocationPlan, RngStream, evaluate_full,
-                          sample_input, sample_strata, strata_from_cutpoints)
+                          sample_strata, strata_from_cutpoints)
 
 
 def make_config(**over):
@@ -113,8 +113,8 @@ class TestGroundTruth:
         # toy2d's outputs overwrite its first input column as they are made.
         N = 10**6
         for pair in (toy1d(), toy2d()):
-            y = np.sort(pair.eval_full(sample_input(pair.input, RngStream(3),
-                                                    N)))
+            y = np.sort(pair.eval_full(pair.input.sample(
+                RngStream(3).generator(), N)))
             for alpha in (0.5, 0.95, 0.9500005, 1 - 1e-7):
                 assert ground_truth_quantile(pair, alpha, N, RngStream(3)) == \
                     y[math.floor(alpha * N)], (pair.name, alpha)
@@ -348,7 +348,7 @@ def reference_bootstrap(config, B, seen=None):
         return ref.stratified_quantile(ylist, prep.spec.widths, alpha)
 
     if est == "ee":
-        data = pair.eval_full(sample_input(pair.input, run_stream, n))
+        data = pair.eval_full(pair.input.sample(run_stream.generator(), n))
         fn = lambda y: ref.empirical_quantile(y, alpha)
     elif est == "cv":
         s = estimators.draw_paired_sample(pair, run_stream, n)

@@ -42,7 +42,6 @@ from qvr.sampling import (
     StratifiedSample,
     StreamBlock,
     evaluate_full,
-    sample_input,
     sample_strata,
     sample_strata_rows,
     strata_from_cutpoints,
@@ -152,7 +151,7 @@ def reference_estimate(config, prep, r):
     stream = RngStream(config.seed).child(r)
     est = config.estimator
     if est == "ee":
-        x = sample_input(pair.input, stream, n)
+        x = pair.input.sample(stream.generator(), n)
         return ref.empirical_quantile(pair.eval_full(x), alpha)
     if est == "cv":
         s = estimators.draw_paired_sample(pair, stream, n)
@@ -639,17 +638,23 @@ def test_rows_need_more_passes_when_a_pass_is_small(points, model,
                                        batch=300) == 0
 
 
-@pytest.mark.parametrize("model", ["toy1d", "toy2d", "mixed3d"])
-def test_iid_draw_equals_per_stream_samples(model):
-    # ee, cv and ps draw n points per stream into one buffer; f and f_r
-    # get the per-stream samples, concatenated.
+def _recording(model):
+    """``model``'s pair whose f records the points it gets and returns
+    their first coordinate, and the list it records in."""
     seen = []
 
     def f(x):
         seen.append(np.array(x))
         return x[:, 0]
 
-    pair = dataclasses.replace(PAIRS[model](), f=f)
+    return dataclasses.replace(PAIRS[model](), f=f), seen
+
+
+@pytest.mark.parametrize("model", ["toy1d", "toy2d", "mixed3d"])
+def test_iid_draw_equals_per_stream_samples(model):
+    # ee, cv and ps draw n points per stream into one buffer; f and f_r
+    # get the per-stream samples, concatenated.
+    pair, seen = _recording(model)
     spec = StrataSpec((0.0, 0.5, 1.0), (-np.inf, 0.3, np.inf))
     root, n = RngStream(13), 7
     want = np.concatenate([pair.input.sample(root.child(r).generator(), n)
@@ -662,6 +667,45 @@ def test_iid_draw_equals_per_stream_samples(model):
     assert y.tobytes() == want[:, 0].tobytes()
     assert aux.tolist() == spec.stratum_of(pair.f_r(want)).tolist()
     assert sizes.tolist() == [[n]] * 5 and errors == extras == {}
+
+
+def _fitted_member(model, tag):
+    """The member of family ``tag`` that cis fits on ``model`` for its
+    upper 5% metamodel tail."""
+    pair = PAIRS[model]()
+    stream = RngStream(17)
+    z_alpha = strata_from_cutpoints(pair, [0.0, 0.95, 1.0], precision="mc",
+                                    sample_count=10**5,
+                                    stream=stream.child(0)).z_values[1]
+    family = importance.BiasedFamily(tag, pair.input)
+    params, _ = importance.fit_biased_member(pair, family, z_alpha,
+                                             stream.child(1),
+                                             pilot_count=20_000)
+    return family.member(params)
+
+
+@pytest.mark.parametrize("R", [1, 7, 81])
+@pytest.mark.parametrize("model,tag", [("toy2d", "joint_gaussian"),
+                                       ("mixed3d", "componentwise_matched")])
+def test_cis_draw_equals_per_stream_samples(model, tag, R):
+    # cis draws n points of its member per stream (from the stream's child
+    # 1) into one buffer, mapped by one transform, which for the joint
+    # Gaussian is one BLAS product over every stream's columns; f gets the
+    # per-stream samples, concatenated, and aux is their likelihood ratio.
+    pair, seen = _recording(model)
+    member = _fitted_member(model, tag)
+    root = RngStream(13)
+    want = np.concatenate([member.sample(root.child(r).child(1).generator(), N)
+                           for r in range(R)])
+    y, aux, sizes, errors, extras = designs._draw_cis(
+        designs.Biased(pair, 0.95, N, member, "tail"),
+        StreamBlock.of(root, range(R)))
+    (x,) = seen
+    assert x.tobytes() == want.tobytes()
+    assert y.tobytes() == want[:, 0].tobytes()
+    assert aux.tobytes() == importance.likelihood_ratio(pair, member,
+                                                        want).tobytes()
+    assert sizes.tolist() == [[N]] * R and errors == extras == {}
 
 
 def test_rows_that_reach_max_draws_fail_alone():

@@ -37,7 +37,7 @@ from qvr.model import (
     toy1d,
     toy2d,
 )
-from qvr.sampling import RngStream, metamodel_quantiles, sample_input
+from qvr.sampling import RngStream, metamodel_quantiles
 
 TRUNC_MEAN = -norm.pdf(0) / norm.cdf(0)          # E[X | X <= 0], X ~ N(0,1)
 TRUNC_VAR = 1 - (norm.pdf(0) / norm.cdf(0)) ** 2
@@ -53,7 +53,7 @@ def true_optimal_moments(pair, threshold, sample_count, stream, tail="lower",
     metamodel) event; reference oracle for moment_match."""
     if sample_count < 10**6:
         raise ValueError("sample_count must be at least 1e6")
-    x = sample_input(pair.input, stream, sample_count)
+    x = pair.input.sample(stream.generator(), sample_count)
     out = pair.eval_full(x) if use_full_model else pair.eval_metamodel(x)
     mask = _event(out, threshold, tail)
     if not mask.any():
@@ -135,6 +135,23 @@ class TestBiasedDensity:
         x = member.sample(np.random.default_rng(0), 200000)[:, 0]
         assert x.mean() == pytest.approx(2.0, abs=0.02)
         assert x.var() == pytest.approx(0.5, rel=0.05)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 200, 20000])
+    def test_joint_gaussian_sample_equals_the_direct_formula(self, d, k):
+        # The member draws through InputDistribution's sample (its normals
+        # and transform), and its points are lam + Z @ chol.T bit for bit,
+        # Z drawn as standard_normal((k, d)).
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        C = a @ a.T + 0.5 * np.eye(d)
+        lam = rng.normal(0.0, 2.0, d)
+        member = BiasedFamily("joint_gaussian").member(BiasedParams(lam, C))
+        chol = np.linalg.cholesky(C)
+        want = lam + np.random.default_rng(k).standard_normal((k, d)) @ chol.T
+        got = member.sample(np.random.default_rng(k), k)
+        assert got.shape == (k, d) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
     def test_family_validation(self):
         with pytest.raises(ValueError):

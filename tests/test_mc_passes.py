@@ -21,12 +21,7 @@ from qvr.estimators import (
     indicator_correlation,
 )
 from qvr.model import InputDistribution, Lognormal, Normal, toy1d, toy2d
-from qvr.sampling import (
-    RngStream,
-    evaluate_sample,
-    metamodel_quantiles,
-    sample_input,
-)
+from qvr.sampling import RngStream, evaluate_sample, metamodel_quantiles
 
 MIB = 2**20
 
@@ -72,7 +67,7 @@ def test_evaluate_sample_is_fn_of_sample_input(monkeypatch, block, fns,
     dist = InputDistribution(INPUTS[marginals])
     stream = RngStream(11, (len(INPUTS[marginals]), b))
     for count in (b - 2, b, 2 * b + 3):
-        x = sample_input(dist, stream, count)
+        x = dist.sample(stream.generator(), count)
         want = np.stack([fn(x) for fn in FNS[fns]])
         got = evaluate_sample(dist, stream, count, *FNS[fns])
         assert got.shape == want.shape
@@ -82,7 +77,8 @@ def test_evaluate_sample_is_fn_of_sample_input(monkeypatch, block, fns,
 @pytest.mark.parametrize("pair", [toy1d(), toy2d()], ids=lambda p: p.name)
 def test_mc_quantiles_are_the_order_statistics_of_one_sample(pair):
     cp, N, stream = [0.5, 0.9, 0.95], 10**6, RngStream(31)
-    z = np.sort(pair.eval_metamodel(sample_input(pair.input, stream, N)))
+    z = np.sort(pair.eval_metamodel(pair.input.sample(stream.generator(),
+                                                      N)))
     got = metamodel_quantiles(pair, cp, "mc", N, stream)
     assert np.array_equal(got, [z[math.ceil(a * N) - 1] for a in cp])
 

@@ -15,7 +15,6 @@ from qvr.sampling import (
     evaluate_full,
     expected_rejection_cost,
     metamodel_quantiles,
-    sample_input,
     sample_strata,
     strata_from_cutpoints,
 )
@@ -371,6 +370,6 @@ class TestExpectedRejectionCost:
 
 def test_sample_input_deterministic():
     d = toy1d().input
-    a = sample_input(d, RngStream(1, (5,)), 50)
-    b = sample_input(d, RngStream(1, (5,)), 50)
+    a = d.sample(RngStream(1, (5,)).generator(), 50)
+    b = d.sample(RngStream(1, (5,)).generator(), 50)
     assert np.array_equal(a, b)

@@ -33,10 +33,11 @@ missing from either side.  The digests in ``tools/gate_digests.txt`` were
 taken on one host (x86-64 with AVX-512, Python 3.11.7, numpy 2.4.6,
 OpenBLAS); another CPU or BLAS build can move last bits, so compare two
 commits on the same host.  No gate runs scipy.  The cis gates depend on
-numpy's LAPACK ``eigh`` in the joint-Gaussian member, and every toy1d
-gate on the standard library's normal quantile
-(``statistics.NormalDist().inv_cdf``); the Nelder-Mead fit is qvr's own
-code.
+numpy's LAPACK ``eigh`` in the joint-Gaussian member and on the BLAS
+product ``chol @ buf`` that maps a block's draws of that member (one
+product over every stream's columns), and every toy1d gate on the
+standard library's normal quantile (``statistics.NormalDist().inv_cdf``);
+the Nelder-Mead fit is qvr's own code.
 ``--check`` takes about 11 s on a shared 2-core x86-64 host, of which the
 four demos take about 3.4 s and the external cs gate about 4.3 s.
 """
