@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import estimators
+from . import designs, estimators
 from .designs import DESIGNS, ConfigError
 from .model import (InputDistribution, Lognormal, ModelPair, Normal,
                     SubprocessModel, builtin_model, subprocess_pair)
@@ -279,22 +279,17 @@ def _blocks(count: int, n: int) -> list[range]:
 Block = namedtuple("Block", "estimates extras errors")
 
 
-def _run_block(config: ExperimentConfig, prep, root: RngStream, rs: range
-               ) -> Block:
-    """Replications ``rs``, each drawn from its own stream ``root.child(r)``.
+def _run_block(config: ExperimentConfig, prep, rs: range, draw) -> Block:
+    """Replications ``rs`` from ``draw``, the design's draw of the block
+    (see ``_run_group``).
 
-    The design draws the block at once, so that f runs once per block (acs:
-    once per phase) and f_r once per rejection pass.  Its streams are
-    ``StreamBlock.of(root, rs)``: their keys come in one numpy pass, and
-    each draw call re-keys one Philox per stream, which draws the bits of
-    the stream's own generator.
     The design inverts one row per replication, sorted by
     ``estimators.argsort_rows``: numpy's SIMD argsort, which is the stable
     order on a row without ties, and a stable argsort of the rows with
     ties, so the bits are a stable sort's.
     """
     design = DESIGNS[config.estimator]
-    y, aux, _, failed, extras = design.draw(prep, StreamBlock.of(root, rs))
+    y, aux, _, failed, extras = draw
     drawn = [r for i, r in enumerate(rs) if i not in failed]
     values, fails = design.invert(
         prep, y, aux, np.arange(len(y)).reshape(len(drawn), config.n),
@@ -307,23 +302,56 @@ def _run_block(config: ExperimentConfig, prep, root: RngStream, rs: range
     return Block(values[keep], {k: v[keep] for k, v in extras.items()}, errors)
 
 
+def _run_group(configs: list) -> list[list[Block]]:
+    """The blocks of each of ``configs``: one config, or several that
+    ``_draw_groups`` put together, which share one pair and, per block,
+    one ``designs.draw_inputs`` draw (one f call, one f_r call at most).
+    Every config is prepared before the first block is drawn.
+
+    Replication r draws from its own stream ``root.child(r)``.  A block is
+    drawn at once, so that f runs once per block (acs: once per phase) and
+    f_r once per rejection pass.  Its streams are ``StreamBlock.of(root,
+    rs)``: their keys come in one numpy pass, and each draw call re-keys
+    one Philox per stream, which draws the bits of the stream's own
+    generator.
+    """
+    first = configs[0]
+    root = RngStream(first.seed)
+    with _open_pair(first) as pair:
+        preps = [DESIGNS[c.estimator].prepare(pair, c) for c in configs]
+        out = [[] for _ in configs]
+        for rs in _blocks(first.replications, first.n):
+            block = StreamBlock.of(root, rs)
+            draws = (designs.draw_inputs(preps, block) if len(preps) > 1
+                     else [DESIGNS[first.estimator].draw(preps[0], block)])
+            for blocks, c, prep, draw in zip(out, configs, preps, draws):
+                blocks.append(_run_block(c, prep, rs, draw))
+    return out
+
+
+def _draw_groups(configs: dict) -> list[list[str]]:
+    """The labels of ``configs`` in groups, each in order, the groups in
+    order of their first labels: the configs of one model, n, seed and
+    replication count whose designs draw with ``designs._draw_input`` (ee,
+    cv, ps) form one group, and every other config is one alone."""
+    groups: dict = {}
+    for label, c in configs.items():
+        key = ((json.dumps(c.model, sort_keys=True), c.n, c.seed,
+                c.replications)
+               if DESIGNS[c.estimator].draw is designs._draw_input else label)
+        groups.setdefault(key, []).append(label)
+    return list(groups.values())
+
+
 def _std(a: np.ndarray) -> np.ndarray:
     """Sample std along the first axis, 0 for one row (JSON has no NaN)."""
     return a.std(axis=0, ddof=1) if len(a) > 1 else np.zeros(a.shape[1:])
 
 
-def run_replications(config: ExperimentConfig) -> ReplicationReport:
-    """R independent replications, each on the stream path [replication_id].
-
-    The blocks of ``_blocks`` run one by one (see ``_run_block``).  A
-    replication that fails with one of ``designs.NON_CONVERGENCE_ERRORS`` is
-    recorded, not fatal, unless every replication fails; any other error,
-    such as a ``ModelError`` from a dead simulator, propagates.
-    """
-    root = RngStream(config.seed)
-    with _prepared(config) as prep:
-        blocks = [_run_block(config, prep, root, rs)
-                  for rs in _blocks(config.replications, config.n)]
+def _report(config: ExperimentConfig, blocks: list[Block]
+            ) -> ReplicationReport:
+    """The report of ``config``'s replications from their blocks, in
+    order."""
     est = np.concatenate([b.estimates for b in blocks])
     extras = {k: np.concatenate([b.extras[k] for b in blocks])
               for k in blocks[0].extras}
@@ -353,6 +381,18 @@ def run_replications(config: ExperimentConfig) -> ReplicationReport:
     report.histogram_edges = [float(e) for e in edges]
     report.histogram_counts = [int(c) for c in counts]
     return report
+
+
+def run_replications(config: ExperimentConfig) -> ReplicationReport:
+    """R independent replications, each on the stream path [replication_id].
+
+    The blocks of ``_blocks`` run one by one (see ``_run_group``).  A
+    replication that fails with one of ``designs.NON_CONVERGENCE_ERRORS`` is
+    recorded, not fatal, unless every replication fails; any other error,
+    such as a ``ModelError`` from a dead simulator, propagates.
+    """
+    (blocks,) = _run_group([config])
+    return _report(config, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -535,5 +575,14 @@ def preset_configs(name: str, replications: int | None = None,
 
 def run_preset(name: str, replications: int | None = None,
                seed: int = 0) -> dict[str, ReplicationReport]:
-    return {label: run_replications(c)
-            for label, c in preset_configs(name, replications, seed).items()}
+    """The report of each config of preset ``name``, as ``run_replications``
+    gives it, bit for bit; the configs of each of ``_draw_groups`` (a
+    preset's ee and cv) run together, so each of their blocks draws its
+    inputs and calls f once."""
+    configs = preset_configs(name, replications, seed)
+    reports = {}
+    for labels in _draw_groups(configs):
+        group = [configs[label] for label in labels]
+        for label, c, blocks in zip(labels, group, _run_group(group)):
+            reports[label] = _report(c, blocks)
+    return {label: reports[label] for label in configs}

@@ -23,7 +23,8 @@ the bootstrap: a sort of the records' ranks).  A draw calls f once (acs:
 once per phase).  ee, cv, ps and cis fill one (d, R n) buffer with their
 streams' points (``_points``: ``normals`` per stream, then one
 ``transform``); cs and acs route all their streams' rejection draws
-together (``sampling.sample_strata_rows``).
+together (``sampling.sample_strata_rows``).  ee, cv and ps draw the same
+points, so ``draw_inputs`` draws once for several of them on one pair.
 """
 
 from __future__ import annotations
@@ -162,14 +163,24 @@ def _points(dist, n, block):
     return buf.T
 
 
+def draw_inputs(preps, block) -> list:
+    """The draws of ``preps`` (ee, cv or ps, all on one pair and n) on
+    ``block``, one per prep: n input points per stream, one f call and, if
+    a prep has strata (cv, ps), one f_r call.  With strata, aux is each
+    point's stratum of the prep's own spec, in the narrowest integer
+    type."""
+    pair, n = preps[0].pair, preps[0].n
+    x = _points(pair.input, n, block)
+    y = pair.eval_full(x)
+    stratified = [isinstance(p, Stratified) for p in preps]
+    z = pair.eval_metamodel(x) if any(stratified) else None
+    sizes = np.full((len(block), 1), n)
+    return [(y, p.spec.stratum_of(z) if s else None, sizes, {}, {})
+            for p, s in zip(preps, stratified)]
+
+
 def _draw_input(prep, block):
-    """n input points per stream and one f call; with strata (cv, ps), aux
-    is each point's metamodel stratum, in the narrowest integer type."""
-    x = _points(prep.pair.input, prep.n, block)
-    y = prep.pair.eval_full(x)
-    aux = (prep.spec.stratum_of(prep.pair.eval_metamodel(x))
-           if isinstance(prep, Stratified) else None)
-    return y, aux, np.full((len(block), 1), prep.n), {}, {}
+    return draw_inputs([prep], block)[0]
 
 
 def _draw_cis(prep, block):

@@ -232,25 +232,35 @@ def _unpack(t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_second_moment(t: np.ndarray, xt: np.ndarray, base: np.ndarray,
-                       log_norm: float) -> float:
+                       log_norm: float, sol: np.ndarray, acc: np.ndarray
+                       ) -> float:
     """log sum_k exp(base_k - log q(x_k)) over the columns x_k of ``xt``
     (d, N), q the Gaussian member packed in ``t``, ``log_norm`` d/2 log 2pi.
     Forward substitution with the multipliers L_ij (1/L_jj) and the
-    reciprocal diagonal, rounded as an unpivoted LU solve rounds them."""
+    reciprocal diagonal, rounded as an unpivoted LU solve rounds them.
+    ``sol`` (d, N) and ``acc`` (N,) are work buffers: a fit passes the
+    same ones to each evaluation, which then allocates no array of N.  The
+    sum over the d rows is the row-by-row ``+=`` that numpy's sum over
+    axis 0 is, so the bits are those of the allocating expression."""
     d = len(xt)
     lam, L = _unpack(t, d)
     inv = 1.0 / np.diag(L)
-    sol = np.empty_like(xt)
     for i in range(d):
         row = np.subtract(xt[i], lam[i], out=sol[i])
         for j in range(i):
-            row -= (L[i, j] * inv[j]) * sol[j]
+            row -= np.multiply(L[i, j] * inv[j], sol[j], out=acc)
     sol *= inv[:, None]
-    log_q = (-0.5 * (sol**2).sum(axis=0)
-             - np.log(np.diag(L)).sum() - log_norm)
-    r = base - log_q
+    np.square(sol, out=sol)
+    np.copyto(acc, sol[0])
+    for i in range(1, d):
+        acc += sol[i]
+    acc *= -0.5
+    acc -= np.log(np.diag(L)).sum()
+    acc -= log_norm
+    r = np.subtract(base, acc, out=acc)
     mx = r.max()
-    return mx + math.log(np.exp(r - mx).sum())
+    r -= mx
+    return mx + math.log(np.exp(r, out=r).sum())
 
 
 def _nelder_mead(fun, x0: np.ndarray, args=(), maxiter: int = 4000
@@ -329,9 +339,10 @@ def variance_optimal_params(pair: ModelPair, threshold: float,
     start = _matched_moments(xe)
     base = np.log(pair.input.density(xe))
     d = xe.shape[1]
+    xt = np.ascontiguousarray(xe.T)
     t, _ = _nelder_mead(_log_second_moment, _pack(start.lam, start.C),
-                        args=(np.ascontiguousarray(xe.T), base,
-                              0.5 * d * math.log(2 * math.pi)))
+                        args=(xt, base, 0.5 * d * math.log(2 * math.pi),
+                              np.empty_like(xt), np.empty(len(xe))))
     lam, L = _unpack(t, d)
     return BiasedParams(lam=lam, C=L @ L.T)
 

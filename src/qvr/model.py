@@ -324,12 +324,26 @@ class SubprocessModel:
             proc.stdout.close()
 
     def close(self):
-        """Close the child's input, give it 5 s to exit, then kill it."""
+        """Close the child's input, give it 5 s to exit, then kill it.
+        The exit is awaited as the end of the child's output, which a
+        selector sees at once (``Popen.wait`` with a timeout polls after
+        sleeps of 0.5, 1, 2, 4, 8 ms...), or found by a poll every 50 ms
+        (a grandchild may hold the output open); then the child is
+        reaped."""
         proc = self._proc
         if proc is not None and proc.poll() is None:
             proc.stdin.close()
+            deadline = time.monotonic() + 5
+            fd = proc.stdout.fileno()
+            with selectors.PollSelector() as sel:
+                sel.register(fd, selectors.EVENT_READ)
+                while (proc.poll() is None
+                       and (left := deadline - time.monotonic()) > 0):
+                    if (sel.select(min(left, 0.05))
+                            and not os.read(fd, 1 << 16)):
+                        break
             try:
-                proc.wait(timeout=5)
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 pass
         self._kill()

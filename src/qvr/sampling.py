@@ -330,7 +330,11 @@ def metamodel_quantiles(pair: ModelPair, cutpoints: Sequence[float],
 
     ``precision`` is "closed_form" (builtin models that declare one) or "mc";
     the mc path uses exact order statistics of one large metamodel sample,
-    index ceil(alpha * N), no interpolation.
+    index ceil(alpha * N), no interpolation.  That pass runs once per f_r
+    object, input law, cutpoints, ``sample_count`` and stream in a process
+    (``_mc_pass``); a repeated call gets a copy of the same bits.  An f_r
+    with a ``close`` (an external model's simulator) runs its pass on every
+    call, so that no cache entry holds it open.
     """
     cp = np.asarray(cutpoints, dtype=float)
     if not np.all((cp > 0) & (cp < 1)):
@@ -346,16 +350,40 @@ def metamodel_quantiles(pair: ModelPair, cutpoints: Sequence[float],
             raise ValueError("mc quantiles need sample_count >= 1e4")
         if stream is None:
             raise ValueError("mc quantiles need a stream")
-        (z,) = evaluate_sample(pair.input, stream, sample_count,
-                               pair.eval_metamodel)
-        # Order statistics in place: no sorted copy of 10^6 outputs.
-        idx = np.ceil(cp * sample_count).astype(int) - 1
-        z.partition(idx)
-        out = z[idx]
+        key = (pair.f_r, pair.input, tuple(cp.tolist()), sample_count,
+               stream)
+        # A simulator (an f_r with a close) is never cached: the cache
+        # would keep it, and its child process, alive.
+        run = _mc_pass.__wrapped__
+        if not hasattr(pair.f_r, "close"):
+            try:
+                hash(key)
+                run = _mc_pass
+            except TypeError:  # an unhashable f_r or input law shares nothing
+                pass
+        out = run(*key).copy()
     else:
         raise ValueError(f"unknown precision {precision!r}")
     if not np.all(np.diff(out) > 0):
         raise SamplingError("metamodel quantiles are not strictly increasing")
+    return out
+
+
+@lru_cache(maxsize=16)
+def _mc_pass(f_r, dist, cp: tuple, sample_count: int, stream: RngStream
+             ) -> np.ndarray:
+    """The order statistics ceil(cp N) of N = ``sample_count`` outputs of
+    ``f_r`` on ``dist``'s points from ``stream``, read-only: one pass per
+    key for the life of the process (16 keys at most).  The key holds f_r
+    itself, so an f_r built anew for each config (a wrapper) never shares
+    a pass."""
+    (z,) = evaluate_sample(dist, stream, sample_count,
+                           lambda x: np.asarray(f_r(x), dtype=float))
+    # Order statistics in place: no sorted copy of 10^6 outputs.
+    idx = np.ceil(np.array(cp) * sample_count).astype(int) - 1
+    z.partition(idx)
+    out = z[idx]
+    out.flags.writeable = False
     return out
 
 

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from qvr import bench, estimators, importance, strata
-from qvr.bench import emit_report, run_replications
+from qvr.bench import emit_report
 from qvr.cli import main as cli_main
 from qvr.model import identity1d, toy1d, toy2d
 from qvr.sampling import (
@@ -55,9 +55,9 @@ class Checks:
 
 
 def preset_report(name, reps, seed=0):
-    return {label: run_replications(cfg)
-            for label, cfg in bench.preset_configs(
-                name, replications=reps, seed=seed).items()}
+    # qvr bench's reports: ee and cv share their draws, and each report has
+    # the bytes of run_replications on its config alone.
+    return bench.run_preset(name, replications=reps, seed=seed)
 
 
 def test_criterion_01_ground_truth():

@@ -219,8 +219,10 @@ def test_cv_inversions_match_reference():
             for n in (2, 7, 20, 200, 1000):
                 config = make("cv", 12, model=model, alpha=alpha, n=n)
                 root = RngStream(config.seed)
-                block = bench._run_block(config, prep._replace(n=n), root,
-                                         range(12))
+                prep_n = prep._replace(n=n)
+                block = bench._run_block(
+                    config, prep_n, range(12), designs.DESIGNS["cv"].draw(
+                        prep_n, StreamBlock.of(root, range(12))))
                 expected = [reference_estimate(config, prep, r)
                             for r in range(12)]
                 assert not block.errors and block.extras == {}

@@ -477,7 +477,47 @@ def _sum3_pair():
                      input=standard_normal_input(3), name="sum3")
 
 
+def _work(xe):
+    """The work buffers of ``_log_second_moment`` for the points ``xe``."""
+    return np.empty(xe.shape[::-1]), np.empty(len(xe))
+
+
+def _allocating_log_second_moment(t, xt, base, log_norm):
+    """The objective as one expression of fresh arrays, the form the
+    buffered one must equal bit for bit."""
+    d = len(xt)
+    lam, L = _ref_unpack(t, d)
+    inv = 1.0 / np.diag(L)
+    sol = np.empty_like(xt)
+    for i in range(d):
+        row = np.subtract(xt[i], lam[i], out=sol[i])
+        for j in range(i):
+            row -= (L[i, j] * inv[j]) * sol[j]
+    sol *= inv[:, None]
+    log_q = (-0.5 * (sol**2).sum(axis=0)
+             - np.log(np.diag(L)).sum() - log_norm)
+    r = base - log_q
+    mx = r.max()
+    return mx + math.log(np.exp(r - mx).sum())
+
+
 class TestChiSquareFit:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_buffered_objective_has_the_allocating_bits(self, d):
+        # Work buffers reused across 200 evaluations, as in a fit.
+        rng = np.random.default_rng(40 + d)
+        xe = rng.standard_normal((5003, d)) + 1.5
+        base = rng.standard_normal(len(xe)) - 3
+        args = (np.ascontiguousarray(xe.T), base,
+                0.5 * d * math.log(2 * math.pi))
+        work = _work(xe)
+        for _ in range(200):
+            t = 0.5 * rng.standard_normal(d + d * (d + 1) // 2)
+            want = _allocating_log_second_moment(t, *args)
+            got = _log_second_moment(t, *args, *work)
+            assert got == want and type(got) is type(want)
+
+
     @pytest.mark.parametrize("make_pair, threshold", [
         (identity1d, 1.6), (toy2d, 2.6), (_sum3_pair, 2.8)])
     def test_objective_matches_lapack_solve(self, make_pair, threshold):
@@ -494,7 +534,8 @@ class TestChiSquareFit:
             want = _ref_objective(t, xe, log_w0, log_qori)
             got = _log_second_moment(t, np.ascontiguousarray(xe.T),
                                      log_w0 + log_qori,
-                                     0.5 * d * math.log(2 * math.pi))
+                                     0.5 * d * math.log(2 * math.pi),
+                                     *_work(xe))
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -521,7 +562,7 @@ class TestChiSquareFit:
                               "upper")
         d = xe.shape[1]
         args = (np.ascontiguousarray(xe.T), np.log(p),
-                0.5 * d * math.log(2 * math.pi))
+                0.5 * d * math.log(2 * math.pi), *_work(xe))
         t0 = _ref_pack(*_ref_moment_match(pair, threshold, 20_000,
                                           RngStream(seed), "upper"))
         x, nfev = _nelder_mead(_log_second_moment, t0, args)

@@ -116,6 +116,8 @@ def _peak_mib(call) -> float:
 # Measured before the passes were drawn in runs: 22.9, 53.4 and 61.0 MiB.
 # Now about 8.1, 8.5 and 24.8 MiB.
 def test_mc_quantile_pass_holds_one_output_column():
+    # A cold pass: an empty cache, so the pass runs and is measured.
+    sampling._mc_pass.cache_clear()
     assert _peak_mib(lambda: metamodel_quantiles(
         toy2d(), [0.5, 0.95], "mc", 10**6, RngStream(3))) <= 10
 

@@ -1,8 +1,10 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +206,37 @@ def test_close_reaps_the_child(tmp_path):
     proc = m._proc
     m.close()
     assert proc.returncode is not None and m._proc is None
+
+
+ORPHANING_CHILD = textwrap.dedent("""
+    import os, subprocess, sys
+    # A grandchild that holds this child's output open and outlives it.
+    keep = subprocess.Popen([sys.executable, "-c",
+                             "import time; time.sleep(30)"])
+    with open(sys.argv[1] + ".tmp", "w") as fh:
+        fh.write(str(keep.pid))
+    os.rename(sys.argv[1] + ".tmp", sys.argv[1])
+    for line in sys.stdin:
+        pass
+""")
+
+
+def test_close_sees_an_exit_while_the_output_stays_open(tmp_path):
+    pidfile = tmp_path / "grandchild.pid"
+    m = SubprocessModel(child(tmp_path, ORPHANING_CHILD, "orphaning.py",
+                              pidfile))
+    proc = m._ensure_proc()
+    deadline = time.monotonic() + 30
+    while not pidfile.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    try:
+        start = time.monotonic()
+        m.close()
+        elapsed = time.monotonic() - start
+    finally:
+        os.kill(int(pidfile.read_text()), signal.SIGKILL)
+    assert proc.returncode == 0 and m._proc is None
+    assert elapsed < 2  # not the 5 s deadline
 
 
 SLOW_CHILD = textwrap.dedent("""

@@ -29,15 +29,28 @@ and 0.164 against 0.165 s once neither side held one.
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload rep-small \\
         [--workload rep-large ...] --pairs 10 [--seconds 15] \\
         [--first-seed 1] [--json out.json]
+
+With ``--preset P`` (repeatable) in place of ``--workload``, pair i times
+
+    python3 -m qvr.cli bench --preset P --seed i
+
+in each checkout instead, at the preset's own counts, with that checkout's
+``src/`` as ``PYTHONPATH``, in the same alternating order, and reports its
+wall time ``wall_s`` (lower is better) with the same summary.  A pair
+whose two reports differ in their bytes is flagged ``reports differ``, as
+a change that keeps every report should never be.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -64,6 +77,22 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                  f"{out.returncode}:\n{out.stdout[-2000:]}{out.stderr[-2000:]}")
     return {"attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def run_preset(checkout: Path, preset: str, seed: int) -> dict:
+    """The wall time of one ``qvr bench`` run in a child interpreter, and
+    the sha256 of its report."""
+    cmd = ["python3", "-m", "qvr.cli", "bench", "--preset", preset,
+           "--seed", str(seed)]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
+    wall = time.perf_counter() - start
+    if out.returncode != 0:
+        sys.exit(f"error: {' '.join(cmd)} in {checkout} exited "
+                 f"{out.returncode}:\n{out.stderr[-2000:].decode()}")
+    return {"metrics": {"wall_s": wall},
+            "report_sha256": hashlib.sha256(out.stdout).hexdigest()}
 
 
 def better_higher(checkout: Path) -> set:
@@ -100,31 +129,42 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--workload", action="append", default=[])
+    p.add_argument("--preset", action="append", default=[])
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, default=15)
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--json", type=Path)
     args = p.parse_args()
+    if not args.workload and not args.preset:
+        p.error("give a --workload or a --preset")
     sides = ("parent", "change")
     higher = better_higher(args.change)
     for side in sides:
         compile_sources(getattr(args, side))
     results = {}
-    for workload in args.workload:
+    jobs = ([(w, lambda side, seed, w=w: run(side, w, seed, args.seconds))
+             for w in args.workload]
+            + [(f"preset-{p}", lambda side, seed, p=p: run_preset(
+                side, p, seed)) for p in args.preset])
+    for workload, job in jobs:
         pairs = []
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = sides if i % 2 == 0 else sides[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run(getattr(args, side), workload, seed,
-                                 args.seconds)
+                pair[side] = job(getattr(args, side), seed)
             pairs.append(pair)
             for k, a in pair["parent"]["metrics"].items():
                 b = pair["change"]["metrics"][k]
                 print(f"{workload} pair {i} seed {seed} ({order[0]} first) "
                       f"{k}: {a:.6g} -> {b:.6g} ({b / a:.3f})", flush=True)
+            if "report_sha256" in pair["parent"] and (
+                    pair["parent"]["report_sha256"]
+                    != pair["change"]["report_sha256"]):
+                print(f"{workload} pair {i} seed {seed}: reports differ",
+                      flush=True)
         summary = summarize(pairs, higher)
         results[workload] = {"pairs": pairs, "summary": summary}
         for k, m in summary.items():

@@ -38,8 +38,10 @@ product ``chol @ buf`` that maps a block's draws of that member (one
 product over every stream's columns), and every toy1d gate on the
 standard library's normal quantile (``statistics.NormalDist().inv_cdf``);
 the Nelder-Mead fit is qvr's own code.
-``--check`` takes about 11 s on a shared 2-core x86-64 host, of which the
-four demos take about 3.4 s and the external cs gate about 4.3 s.
+``--check`` took 16-19 s on a shared 2-core x86-64 host (11 s in a
+quieter hour), of which the four demos took about 4.3 s and the external
+cs gate about 8 s; the toy2d estimate gates of ps, cs and acs at one seed
+share one mc strata pass (see ``qvr.sampling.metamodel_quantiles``).
 """
 
 from __future__ import annotations
