@@ -12,15 +12,14 @@ Run:  python demos/02_adaptive_allocation.py
 import numpy as np
 
 from qvr import (
-    AcsConfig,
     ExperimentConfig,
     RngStream,
-    acs_quantile,
     ground_truth_quantile,
     run_replications,
-    strata_from_cutpoints,
     toy1d,
 )
+from qvr.sampling import strata_from_cutpoints
+from qvr.strata import AcsConfig, acs_quantile
 
 ALPHA = 0.95
 N = 2000

@@ -13,17 +13,19 @@ Run:  python demos/03_importance_sampling.py
 import numpy as np
 
 from qvr import (
-    BiasedFamily,
     CisNonConvergence,
     RngStream,
-    draw_weighted_sample,
-    fit_biased_member,
     ground_truth_quantile,
-    metamodel_quantiles,
     toy1d,
     toy2d,
 )
-from qvr.importance import tail_quantile
+from qvr.importance import (
+    BiasedFamily,
+    draw_weighted_sample,
+    fit_biased_member,
+    tail_quantile,
+)
+from qvr.sampling import metamodel_quantiles
 
 ALPHA = 0.95
 N = 200

@@ -13,17 +13,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-from qvr import (
+from qvr import RngStream, subprocess_pair, toy1d
+from qvr.model import standard_normal_input
+from qvr.sampling import (
     AllocationPlan,
-    RngStream,
-    cs_quantile,
     evaluate_full,
     sample_strata,
     strata_from_cutpoints,
-    subprocess_pair,
-    toy1d,
 )
-from qvr.model import standard_normal_input
+from qvr.strata import cs_quantile
 
 CHILD = """\
 import json, math, sys

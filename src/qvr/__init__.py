@@ -4,14 +4,15 @@ Estimate quantiles of an expensive model's output with fewer full-model
 evaluations by exploiting a cheap metamodel: control variates, controlled
 stratification (fixed and adaptive allocation) and metamodel-selected
 importance sampling, plus a replication harness for benchmarks.
+
+This namespace holds the engine's API: runs and reports, models, streams
+and error types.  The building blocks live in the modules that define them.
 """
 
 from .bench import (
-    BootstrapReport,
     ConfigError,
     ExperimentConfig,
     ReplicationReport,
-    bootstrap_std,
     emit_report,
     estimate_with_bootstrap,
     ground_truth_quantile,
@@ -19,36 +20,8 @@ from .bench import (
     run_preset,
     run_replications,
 )
-from .estimators import (
-    CorrelationReport,
-    EstimatorError,
-    PairedSample,
-    WeightedCdf,
-    correlation_report,
-    cv_cdf,
-    cv_cdf_general,
-    cv_weights,
-    draw_paired_sample,
-    empirical_quantile,
-    indicator_correlation,
-    ps_cdf,
-    quantile_from_weighted_cdf,
-    weighted_cdf,
-)
-from .importance import (
-    BiasedFamily,
-    BiasedParams,
-    CisNonConvergence,
-    ImportanceError,
-    WeightedSample,
-    draw_weighted_sample,
-    fit_biased_member,
-    is_cdf,
-    is_variance_estimate,
-    lognormal_params_from_moments,
-    moment_match,
-    variance_optimal_params,
-)
+from .estimators import EstimatorError
+from .importance import CisNonConvergence, ImportanceError
 from .model import (
     InputDistribution,
     Lognormal,
@@ -58,37 +31,11 @@ from .model import (
     SubprocessModel,
     builtin_model,
     identity1d,
-    standard_normal_input,
     subprocess_pair,
     toy1d,
     toy2d,
 )
-from .sampling import (
-    AllocationPlan,
-    RngStream,
-    SamplingError,
-    StrataSpec,
-    StratifiedSample,
-    evaluate_full,
-    expected_rejection_cost,
-    metamodel_quantiles,
-    sample_strata,
-    strata_from_cutpoints,
-)
-from .strata import (
-    AcsConfig,
-    AcsResult,
-    ConditionalProbs,
-    StrataError,
-    acs_quantile,
-    cs_cdf,
-    cs_quantile,
-    cs_variance,
-    conditional_probs,
-    ocs_variance,
-    optimal_allocation,
-    ps_form_variance,
-    two_strata_acs_factor,
-)
+from .sampling import RngStream, SamplingError
+from .strata import StrataError
 
 __version__ = "0.1.0"

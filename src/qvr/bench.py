@@ -227,13 +227,6 @@ def _open_pair(config: ExperimentConfig):
                 evaluator.close()
 
 
-@contextlib.contextmanager
-def _prepared(config: ExperimentConfig):
-    """The design's preparation of ``config`` on ``_open_pair(config)``."""
-    with _open_pair(config) as pair:
-        yield DESIGNS[config.estimator].prepare(pair, config)
-
-
 # ---------------------------------------------------------------------------
 # Replication engine
 
@@ -461,7 +454,8 @@ def estimate_with_bootstrap(config: ExperimentConfig, B: int = 500) -> dict:
         raise ValueError("bootstrap needs at least 100 resamples")
     design = DESIGNS[config.estimator]
     root = RngStream(config.seed)
-    with _prepared(config) as prep:  # the inversions call no model
+    with _open_pair(config) as pair:  # the inversions call no model
+        prep = design.prepare(pair, config)
         y, aux, sizes, failed, extras = design.draw(
             prep, StreamBlock.of(root, range(1)))
     if failed:

@@ -12,12 +12,13 @@ import json
 import sys
 
 import click
+import numpy as np
 
 from . import bench, designs, estimators, strata
 from .bench import ConfigError, ExperimentConfig
 from .designs import NON_CONVERGENCE_ERRORS
 from .model import ModelError, builtin_model
-from .sampling import RngStream, StratifiedSample, expected_rejection_cost
+from .sampling import RngStream, evaluate_sample, expected_rejection_cost
 
 EXIT_CONFIG = 2
 EXIT_NON_CONVERGENCE = 3
@@ -135,12 +136,18 @@ def diag(topic, config_path, samples):
             plan = (designs.cs_plan(spec, config) if topic != "allocation"
                     else None)
             stream = RngStream(config.seed, (2**32, 9))
-            s = estimators.draw_paired_sample(pair, stream, samples)
-            y_alpha = estimators.empirical_quantile(s.y, config.alpha)
-            by = [spec.stratum_of(s.z) == j for j in range(spec.m)]
-            p = strata.conditional_probs(StratifiedSample(
-                x=[s.x[b] for b in by], z=[s.z[b] for b in by],
-                y=[s.y[b] for b in by]), spec, y_alpha)
+            y, z = evaluate_sample(pair.input, stream, samples,
+                                   pair.eval_full, pair.eval_metamodel)
+            below_y = y <= estimators.empirical_quantile(y, config.alpha)
+            strat = spec.stratum_of(z)
+            counts = np.bincount(strat, minlength=spec.m)
+            if not counts.all():
+                raise strata.StrataError(
+                    f"stratum {counts.argmin()} has positive weight but no "
+                    "points")
+            p = strata.ConditionalProbs(
+                np.bincount(strat[below_y], minlength=spec.m) / counts,
+                counts)
             payload: dict = {
                 "model": config.model, "alpha": config.alpha, "n": config.n,
                 "cutpoints": [float(c) for c in spec.cutpoints],
@@ -153,8 +160,9 @@ def diag(topic, config_path, samples):
                 z_alpha = (spec.z_values[cuts.index(config.alpha)]
                            if config.alpha in cuts
                            else designs.z_alpha_for(pair, config))
-                rho_i = estimators.indicator_correlation(s, y_alpha, z_alpha)
-                F = float((s.y <= y_alpha).mean())
+                rho_i = estimators.indicator_correlation(below_y,
+                                                         z <= z_alpha)
+                F = float(below_y.mean())
                 payload.update({
                     "sigma2_ps": strata.ps_form_variance(p, spec) / config.n,
                     "sigma2_cs": strata.cs_variance(p, spec, plan),

@@ -96,13 +96,12 @@ def weighted_cdf(y_values, weights, uniform_fallback=False) -> WeightedCdf:
     return WeightedCdf(y[order], w[order] / w.sum(), uniform_fallback)
 
 
-def quantile_from_weighted_cdf(cdf: WeightedCdf, alpha: float,
-                               strict: bool = False) -> float:
+def quantile_from_weighted_cdf(cdf: WeightedCdf, alpha: float) -> float:
     """``weighted_quantile_sorted_rows`` of the one row ``cdf``."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     return float(weighted_quantile_sorted_rows(
-        cdf.points[None], cdf.weights[None], 1.0, alpha, strict)[0])
+        cdf.points[None], cdf.weights[None], 1.0, alpha)[0])
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -218,19 +217,13 @@ def cv_cdf_general(sample: PairedSample, g, g_mean: float, y: float) -> float:
     return float(ind.mean() - slope * (gbar - g_mean))
 
 
-def indicator_correlation(sample: PairedSample, y: float, z_alpha: float) -> float:
-    """Empirical correlation of 1{Y <= y} and 1{Z <= z_alpha}.
+def indicator_correlation(below_y: np.ndarray, below_z: np.ndarray) -> float:
+    """Empirical correlation of the boolean columns ``below_y`` (1{Y <= y})
+    and ``below_z`` (1{Z <= z_alpha}).
 
     Population-style normalization (no n-1 correction), clipped to
     [-1, 1] as ``np.corrcoef`` clips, so that rounding never leaves it.
     """
-    return _indicator_correlation(sample.y <= y, sample.z <= z_alpha)
-
-
-def _indicator_correlation(below_y: np.ndarray,
-                           below_z: np.ndarray) -> float:
-    """``indicator_correlation`` of the boolean columns ``below_y`` and
-    ``below_z``."""
     dy = below_y.astype(float)
     dy -= dy.mean()
     dz = below_z.astype(float)
@@ -314,7 +307,7 @@ def correlation_report(pair: ModelPair, alpha: float, sample_count: int,
     rho = _corrcoef_overwrite(yz)
     del yz  # 16 bytes a point fewer while the indicators are centered
     return CorrelationReport(rho=rho,
-                             rho_indicator=_indicator_correlation(*below))
+                             rho_indicator=indicator_correlation(*below))
 
 
 def _corrcoef_overwrite(yz: np.ndarray) -> float:

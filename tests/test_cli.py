@@ -1,16 +1,22 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.stats import norm
 
-from qvr import bench, designs
+from qvr import bench, designs, strata
 from qvr.bench import ConfigError, ExperimentConfig
 from qvr.cli import main
-from qvr.estimators import EstimatorError
+from qvr.estimators import (
+    EstimatorError,
+    draw_paired_sample,
+    empirical_quantile,
+    indicator_correlation,
+)
 from qvr.importance import ImportanceError
 from qvr.model import (
     BUILTIN_MODELS,
@@ -20,7 +26,12 @@ from qvr.model import (
     toy1d,
     toy2d,
 )
-from qvr.sampling import SamplingError
+from qvr.sampling import (
+    RngStream,
+    SamplingError,
+    StratifiedSample,
+    expected_rejection_cost,
+)
 from qvr.strata import StrataError
 
 
@@ -298,6 +309,56 @@ class TestBench:
         assert res.exit_code == 2
 
 
+def reference_diag(topic, config, samples):
+    """``qvr diag``'s stdout, built as the command built it when it drew
+    its own ``draw_paired_sample`` and split it by stratum into a
+    ``StratifiedSample`` for ``conditional_probs``."""
+    with bench._open_pair(config) as pair:
+        spec = designs.spec_for(pair, config)
+        plan = (designs.cs_plan(spec, config) if topic != "allocation"
+                else None)
+        s = draw_paired_sample(pair, RngStream(config.seed, (2**32, 9)),
+                               samples)
+        y_alpha = empirical_quantile(s.y, config.alpha)
+        by = [spec.stratum_of(s.z) == j for j in range(spec.m)]
+        p = strata.conditional_probs(StratifiedSample(
+            x=[s.x[b] for b in by], z=[s.z[b] for b in by],
+            y=[s.y[b] for b in by]), spec, y_alpha)
+        payload = {
+            "model": config.model, "alpha": config.alpha, "n": config.n,
+            "cutpoints": [float(c) for c in spec.cutpoints],
+            "p_hat": [float(v) for v in p.p_hat],
+        }
+        if topic == "variance":
+            cuts = spec.cutpoints
+            z_alpha = (spec.z_values[cuts.index(config.alpha)]
+                       if config.alpha in cuts
+                       else designs.z_alpha_for(pair, config))
+            rho_i = indicator_correlation(s.y <= y_alpha, s.z <= z_alpha)
+            F = float((s.y <= y_alpha).mean())
+            payload.update({
+                "sigma2_ps": strata.ps_form_variance(p, spec) / config.n,
+                "sigma2_cs": strata.cs_variance(p, spec, plan),
+                "sigma2_ocs": strata.ocs_variance(p, spec) / config.n,
+                "rho_indicator": rho_i,
+            })
+            try:
+                K, ratio = strata.two_strata_acs_factor(config.alpha, F,
+                                                        rho_i)
+                payload.update({"two_strata_K": K, "two_strata_ratio": ratio})
+            except StrataError as e:
+                payload["two_strata_K_error"] = str(e)
+        elif topic == "allocation":
+            beta = strata.optimal_allocation(p, spec)
+            payload["beta_star"] = [float(b) for b in beta]
+        else:
+            expected, bound = expected_rejection_cost(spec, plan)
+            payload.update({"expected_draws_naive": expected,
+                            "uniform_bound": bound,
+                            "allocation": list(plan.counts)})
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 class TestDiag:
     def test_variance_topic(self, runner, tmp_path):
         cfg = write_config(tmp_path, estimator="cs",
@@ -450,3 +511,31 @@ class TestDiag:
         cfg = write_config(tmp_path)
         res = runner.invoke(main, ["diag", "entropy", "--config", cfg])
         assert res.exit_code != 0
+
+    @pytest.mark.parametrize("over, code, mark", [
+        # alpha 0.95 is no cutpoint: z_alpha from a second metamodel sample
+        (dict(model="toy2d", params={"cutpoints": [0.0, 0.5, 0.9, 1.0]}),
+         0, '"two_strata_K"'),
+        (dict(alpha=0.9, params={"cutpoints": [0.0, 0.85, 0.95, 1.0]}),
+         0, '"two_strata_K"'),
+        (dict(model="identity1d", seed=0), 0, '"two_strata_K_error"'),
+        # strata 1 and 3 are 1e-5 wide: both hold no point of 10^4
+        (dict(params={"cutpoints": [0.0, 0.3, 0.30001, 0.6, 0.60001, 1.0]}),
+         3, "stratum 1 has positive weight but no points"),
+    ])
+    @pytest.mark.parametrize("topic", ["variance", "allocation", "cost"])
+    def test_matches_the_paired_sample_reference(self, runner, tmp_path,
+                                                 topic, over, code, mark):
+        cfg = write_config(tmp_path, estimator="cs", **over)
+        res = runner.invoke(main, ["diag", topic, "--config", cfg,
+                                   "--samples", "10000"])
+        try:
+            config = ExperimentConfig.from_dict(
+                json.loads(Path(cfg).read_text()))
+            want = (0, reference_diag(topic, config, 10**4), "")
+        except StrataError as e:
+            want = (3, "", f"error: {e}\n")
+        assert (res.exit_code, res.stdout, res.stderr) == want
+        if topic == "variance":  # the path each config is here to take
+            assert res.exit_code == code
+            assert mark in res.stdout + res.stderr

@@ -18,6 +18,7 @@ from qvr.estimators import (
     ps_cdf,
     quantile_from_weighted_cdf,
     weighted_cdf,
+    weighted_quantile_sorted_rows,
 )
 from qvr.importance import WeightedSample, tail_quantile
 from qvr.strata import ConditionalProbs, ps_form_variance
@@ -176,10 +177,12 @@ class TestOneSampleFunctionsMatchReference:
             elif n > 1 and pick < 0.4:  # a cumulative weight hits alpha
                 cum = np.cumsum(w[np.argsort(y, kind="stable")])
                 alpha = cum[rng.integers(0, n - 1)] / w.sum()
-            for strict in (False, True):
-                got = quantile_from_weighted_cdf(weighted_cdf(y, w), alpha,
-                                                 strict)
-                assert got == ref.weighted_quantile(y, w, alpha, strict)
+            got = quantile_from_weighted_cdf(weighted_cdf(y, w), alpha)
+            assert got == ref.weighted_quantile(y, w, alpha)
+            order = argsort_rows(y)
+            got = weighted_quantile_sorted_rows(
+                y[order][None], w[order][None], w.sum(), alpha, strict=True)
+            assert got[0] == ref.weighted_quantile(y, w, alpha, strict=True)
             assert empirical_quantile(y, alpha) == \
                 ref.empirical_quantile(y, alpha)
             assert tail_quantile(WeightedSample(y, w), alpha) == \
@@ -264,7 +267,7 @@ class TestCvCdf:
         big = draw_paired_sample(pair, RngStream(51), 10**6)
         z_alpha, alpha = 3.8415, 0.95
         y0 = 3.66
-        rho_i = indicator_correlation(big, y0, z_alpha)
+        rho_i = indicator_correlation(big.y <= y0, big.z <= z_alpha)
         reps, n = 2000, 200
         ee, cv = np.empty(reps), np.empty(reps)
         for r in range(reps):
@@ -280,7 +283,8 @@ class TestIndicatorCorrelation:
     def test_identical_columns(self):
         rng = np.random.default_rng(5)
         s = _paired(rng, 1000, identity1d())
-        assert indicator_correlation(s, 0.3, 0.3) == pytest.approx(1.0)
+        assert indicator_correlation(s.y <= 0.3, s.z <= 0.3) == \
+            pytest.approx(1.0)
 
     def test_clipped_to_plus_minus_one(self):
         # On this sample the ratio rounds to 1 + 2**-52 for equal
@@ -288,16 +292,15 @@ class TestIndicatorCorrelation:
         # clipped, as np.corrcoef clips.
         s = draw_paired_sample(identity1d(), RngStream(0), 10**4)
         y = empirical_quantile(s.y, 0.95)
-        assert indicator_correlation(s, y, y) == 1.0
-        flipped = PairedSample(s.x, s.y, -s.z)
-        assert indicator_correlation(flipped, y,
-                                     -np.nextafter(y, np.inf)) == -1.0
+        assert indicator_correlation(s.y <= y, s.z <= y) == 1.0
+        assert indicator_correlation(
+            s.y <= y, -s.z <= -np.nextafter(y, np.inf)) == -1.0
 
     def test_constant_column_rejected(self):
         rng = np.random.default_rng(6)
         s = _paired(rng, 100)
         with pytest.raises(EstimatorError):
-            indicator_correlation(s, 1e9, 0.0)
+            indicator_correlation(s.y <= 1e9, s.z <= 0.0)
 
     def test_identity_report(self):
         rep = correlation_report(identity1d(), 0.95, 10**4, RngStream(7))
