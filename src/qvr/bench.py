@@ -75,7 +75,6 @@ _PARAMS = {
                            "a list of integers at least 0"),
     "pilot_per_stratum": _integer(1),
     "min_per_stratum": _integer(1),
-    "quantile_precision": _one_of("closed_form", "mc"),
     "family": _one_of("joint_gaussian", "componentwise_matched"),
     "pilot_count": _integer(1000),
     "tail": _one_of("upper", "lower"),

@@ -58,15 +58,12 @@ Biased = namedtuple("Biased", "pair alpha n member mode")  # cis
 
 
 def _quantiles(pair: ModelPair, config, *path) -> dict:
-    """How the metamodel quantiles of ``config`` are taken, from the stream
-    (seed, 2**32, *path): with the configured ``quantile_precision``, by
-    default "closed_form" if the model has one and "mc" otherwise
-    ("closed_form" on a model without one is refused by
-    ``metamodel_quantiles``)."""
-    return dict(precision=config.params.get(
-        "quantile_precision",
-        "closed_form" if pair.closed_form_z_quantile is not None else "mc"),
-        stream=RngStream(config.seed, (2**32, *path)))
+    """How the metamodel quantiles of ``config`` are taken: in closed form
+    if the model has one, else as order statistics of 10^6 metamodel draws
+    from the stream (seed, 2**32, *path)."""
+    return dict(precision="mc" if pair.closed_form_z_quantile is None
+                else "closed_form",
+                stream=RngStream(config.seed, (2**32, *path)))
 
 
 def spec_for(pair: ModelPair, config) -> StrataSpec:
@@ -276,16 +273,12 @@ class Design(NamedTuple):
 
 DESIGNS = {
     "ee": Design((), _prepare_ee, _draw_input, _invert_ee, "iid"),
-    "cv": Design(("quantile_precision",), _prepare_cv, _draw_input,
-                 _invert_cv, "iid"),
-    "ps": Design(("cutpoints", "quantile_precision"), _prepare_ps,
-                 _draw_input, _invert_ps, "iid"),
-    "cs": Design(("cutpoints", "allocation", "quantile_precision"),
-                 _prepare_cs, _draw_cs, _invert_weighted, "within_strata"),
-    "acs": Design(("cutpoints", "pilot_per_stratum", "min_per_stratum",
-                   "quantile_precision"), _prepare_acs, _draw_acs,
-                  _invert_weighted, "within_strata"),
-    "cis": Design(("quantile_precision", "family", "pilot_count", "tail",
-                   "selection", "mode"), _prepare_cis, _draw_cis,
-                  _invert_cis, "weighted"),
+    "cv": Design((), _prepare_cv, _draw_input, _invert_cv, "iid"),
+    "ps": Design(("cutpoints",), _prepare_ps, _draw_input, _invert_ps, "iid"),
+    "cs": Design(("cutpoints", "allocation"), _prepare_cs, _draw_cs,
+                 _invert_weighted, "within_strata"),
+    "acs": Design(("cutpoints", "pilot_per_stratum", "min_per_stratum"),
+                  _prepare_acs, _draw_acs, _invert_weighted, "within_strata"),
+    "cis": Design(("family", "pilot_count", "tail", "selection", "mode"),
+                  _prepare_cis, _draw_cis, _invert_cis, "weighted"),
 }

@@ -51,14 +51,14 @@ def _require_filled(sample: StratifiedSample, spec: StrataSpec):
     for j, yj in enumerate(sample.y):
         if yj is None:
             raise StrataError(f"stratum {j} has no full-model outputs")
-        if len(yj) == 0 and spec.widths[j] > 0:
+        if len(yj) == 0:
             raise StrataError(f"stratum {j} has positive weight but no points")
 
 
 def conditional_probs(sample: StratifiedSample, spec: StrataSpec,
                       y: float) -> ConditionalProbs:
     _require_filled(sample, spec)
-    p = np.array([float((yj <= y).mean()) if len(yj) else 0.0 for yj in sample.y])
+    p = np.array([float((yj <= y).mean()) for yj in sample.y])
     return ConditionalProbs(p_hat=p, counts=sample.counts)
 
 
@@ -86,14 +86,9 @@ def cs_quantile(sample: StratifiedSample, spec: StrataSpec,
 def cs_variance(p: ConditionalProbs, spec: StrataSpec, plan: AllocationPlan) -> float:
     """Variance of the stratified cdf estimate at fixed allocation."""
     counts = np.asarray(plan.counts, dtype=float)
-    widths = spec.widths
-    active = widths > 0
-    if np.any(active & (counts == 0)):
+    if np.any(counts == 0):
         raise StrataError("positive-weight stratum with zero allocation")
-    q = widths**2 * (p.p_hat - p.p_hat**2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, q / counts, 0.0)
-    return float(terms.sum())
+    return float(np.sum(spec.widths**2 * (p.p_hat - p.p_hat**2) / counts))
 
 
 def optimal_allocation_rows(p_hat: np.ndarray, widths: np.ndarray

@@ -208,10 +208,10 @@ class TestEstimate:
         assert 2.0 < out["estimate"] < 3.6
 
     @pytest.mark.parametrize("estimator", ["cs", "cv", "cis"])
-    def test_closed_form_without_one_is_config_error(
+    def test_quantile_precision_is_refused(
             self, runner, tmp_path, monkeypatch, estimator):
-        # toy2d has no closed-form Z quantile; every estimator that reads a
-        # metamodel quantile refuses the request before it calls f.
+        # The model decides how its metamodel quantiles are taken, so a
+        # config that still sets the retired param is refused before f runs.
         base, points = toy2d(), []
 
         def f(x):
@@ -225,7 +225,8 @@ class TestEstimate:
         res = runner.invoke(main, ["estimate", "--config", cfg,
                                    "--bootstrap", "100"])
         assert res.exit_code == 2
-        assert "no closed-form Z quantile" in res.output
+        assert (f"{estimator} does not read params.'quantile_precision'"
+                in res.output)
         assert sum(points) == 0
 
     def test_output_file(self, runner, tmp_path):

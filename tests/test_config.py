@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from qvr.bench import ConfigError, ExperimentConfig, run_replications
+from qvr.bench import _PARAMS, ConfigError, ExperimentConfig, run_replications
+from qvr.designs import DESIGNS
 
 BASE = {"model": "toy1d", "estimator": "ee", "alpha": 0.95, "n": 200,
         "replications": 5, "seed": 0}
@@ -122,8 +123,6 @@ SCHEMA_ROWS = {
     "two cutpoints": config(**CS, params={"cutpoints": [0.0, 1.0]}),
     "estimator enum": config(estimator="magic"),
     "marginal family enum": marginal(family="uniform"),
-    "quantile_precision enum": config(**CS,
-                                      params={"quantile_precision": "exact"}),
     "family enum": config(**CIS, params={"family": "gaussian"}),
     "tail enum": config(**CIS, params={"tail": "both"}),
     "selection enum": config(**CIS, params={"selection": "best"}),
@@ -177,21 +176,25 @@ def test_built_directly_refuses(row):
     config(),
     external(),
     external(batch_size=DROP, timeout=DROP, input=[LOGNORMAL]),
-    config(estimator="cv", params={"quantile_precision": "mc"}),
+    config(estimator="cv"),
     config(estimator="ps", params={"cutpoints": [0.0, 0.5, 1.0]}),
     config(**CS, params={"cutpoints": [0.0, 0.5, 1.0],
-                         "allocation": [100, 100],
-                         "quantile_precision": "closed_form"}),
+                         "allocation": [100, 100]}),
     config(**ACS, params={"cutpoints": [0.0, 0.95, 1.0],
                           "pilot_per_stratum": 5, "min_per_stratum": 2}),
     config(**CIS, params={"family": "componentwise_matched",
                           "pilot_count": 1000, "tail": "lower",
-                          "selection": "moment", "mode": "self_normalized",
-                          "quantile_precision": "mc"}),
+                          "selection": "moment", "mode": "self_normalized"}),
     config(alpha=0.5, n=2, replications=1, seed=0, output="out.json"),
 ])
 def test_valid_configs_pass_both_ways(raw):
     assert ExperimentConfig.from_dict(raw) == ExperimentConfig(**raw)
+
+
+def test_every_param_is_read_by_some_estimator():
+    # A param rule that no design reads is an option no config can set.
+    read = {k for design in DESIGNS.values() for k in design.params}
+    assert read == set(_PARAMS)
 
 
 def test_every_estimator_in_the_enum_message():

@@ -11,6 +11,7 @@ from qvr.sampling import (
     SamplingError,
     StrataSpec,
     StreamBlock,
+    _ZeroKey,
     each_generator,
     evaluate_full,
     expected_rejection_cost,
@@ -152,6 +153,14 @@ class TestStreamBlock:
             assert len(got) == len(want) == 8
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_words,dtype", [(2, np.uint64), (4, np.uint32),
+                                               (3, np.uint64)])
+    def test_zero_key_answers_any_request(self, n_words, dtype):
+        # The re-keyed Philox's seed sequence must not depend on what numpy's
+        # constructor happens to ask of it.
+        state = _ZeroKey().generate_state(n_words, dtype)
+        assert state.dtype == dtype and state.tolist() == [0] * n_words
 
 
 def assert_keys_equal(stream):

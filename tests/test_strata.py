@@ -106,6 +106,15 @@ class TestCsVariance:
         expect = np.sum(spec.widths**2 / np.array(plan.counts)) * (F - F**2)
         assert cs_variance(p, spec, plan) == pytest.approx(expect, rel=1e-12)
 
+    def test_zero_allocation_is_refused(self):
+        # Every stratum of a StrataSpec has positive width, so a count of 0
+        # leaves a term of the variance undefined.
+        spec = _spec([0.0, 0.5, 0.9, 1.0], z=(0.0, 1.0))
+        p = ConditionalProbs(np.full(3, 0.3), np.array([10, 0, 5]))
+        with pytest.raises(StrataError, match="positive-weight stratum with "
+                           "zero allocation"):
+            cs_variance(p, spec, AllocationPlan((10, 0, 5)))
+
     def test_proportional_equals_ps_form(self):
         # With the exact proportional counts N_j = n * width_j the stratified
         # variance collapses to the post-stratification form.

@@ -15,7 +15,12 @@ leave byte-identical:
   quantiles from 10**6 f_r points through that child, as an external
   model has no closed form.  No command runs the replications of a config
   file, so these gates call ``run_replications`` and ``emit_report``, as
-  ``qvr bench`` does for a preset;
+  ``qvr bench`` does for a preset.  The cs report's ``estimates`` and
+  ``n_r_mean`` must also equal those of in-process toy1d cs on the same
+  mc quantiles (toy1d without its closed form, run as a stand-in builtin
+  model); the tool names each difference and exits 1.  On this config
+  toy1d's closed form gives the same estimates too, so the comparison
+  checks the simulator path, not how the quantiles are taken;
 - ``qvr diag variance|allocation|cost`` stdout, stderr and exit code on
   toy1d and toy2d, with a cs config (n=200, alpha 0.95, seed 0, default
   params) and the default ``--samples``;
@@ -28,8 +33,9 @@ interpreter with ``PYTHONPATH`` set to that ``src/``.  Run from anywhere:
     python tools/gate_digests.py                 # print "<gate> <sha256>"
     python tools/gate_digests.py --check tools/gate_digests.txt
 
-``--check`` exits 1 when any digest differs from the file, or a gate is
-missing from either side.  The digests in ``tools/gate_digests.txt`` were
+``--check`` exits 1 when any digest differs from the file, a gate is
+missing from either side, or the external cs report differs from the
+in-process one.  The digests in ``tools/gate_digests.txt`` were
 taken on one host (x86-64 with AVX-512, Python 3.11.7, numpy 2.4.6,
 OpenBLAS); another CPU or BLAS build can move last bits, so compare two
 commits on the same host.  No gate runs scipy.  The cis gates depend on
@@ -39,7 +45,8 @@ product over every stream's columns), and every toy1d gate on the
 standard library's normal quantile (``statistics.NormalDist().inv_cdf``);
 the Nelder-Mead fit is qvr's own code.
 ``--check`` took 15-20 s on a shared 2-core x86-64 host (three runs), of
-which the four demos took about 4 s and the external cs gate about 8 s;
+which the four demos took about 4 s, the external cs gate about 8 s and
+its in-process twin about 0.06 s;
 the toy2d estimate gates of ps, cs and acs at one seed share one mc strata
 pass (see ``qvr.sampling.metamodel_quantiles``).
 """
@@ -47,6 +54,7 @@ pass (see ``qvr.sampling.metamodel_quantiles``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -62,6 +70,7 @@ from click.testing import CliRunner  # noqa: E402
 
 from qvr import bench  # noqa: E402
 from qvr.cli import main as qvr  # noqa: E402
+from qvr.model import BUILTIN_MODELS, toy1d  # noqa: E402
 
 ESTIMATORS = ("ee", "cv", "ps", "cs", "acs", "cis")
 MODELS = ("toy1d", "toy2d")
@@ -76,7 +85,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digests() -> dict[str, str]:
+def digests() -> tuple[dict[str, str], list[str]]:
+    """The digest of every gate, and the differences between the external
+    cs report and the in-process one."""
     runner = CliRunner()
     out = {}
     for preset in bench.PRESETS:
@@ -108,11 +119,13 @@ def digests() -> dict[str, str]:
                                            str(path)])
                 out[f"diag/{model}/{topic}"] = _sha(
                     f"{res.exit_code}\n{res.stdout}\0{res.stderr}")
-    for est in ("ee", "cs"):
-        out[f"external/toy1d/{est}"] = _sha(external_report(est))
+    reports = {est: external_report(est) for est in ("ee", "cs")}
+    for est, report in reports.items():
+        out[f"external/toy1d/{est}"] = _sha(report)
+    faults = in_process_differences(reports["cs"])
     for demo in sorted((ROOT / "demos").glob("0[1-4]_*.py")):
         out[f"demo/{demo.name[:2]}"] = _sha(demo_stdout(demo))
-    return out
+    return out, faults
 
 
 def demo_stdout(demo: Path) -> str:
@@ -140,17 +153,40 @@ def external_report(estimator: str) -> str:
     return bench.emit_report(bench.run_replications(config), "json")
 
 
+def in_process_differences(external_cs: str) -> list[str]:
+    """One line for each field of the external cs report (``estimates``,
+    ``n_r_mean``) that differs from a run of the same config in process,
+    on toy1d with its metamodel quantiles taken by the mc pass, as the
+    external model's are."""
+    want = json.loads(external_cs)["cs"]
+    BUILTIN_MODELS["toy1d-mc"] = lambda: dataclasses.replace(
+        toy1d(), closed_form_z_quantile=None)
+    try:
+        got = json.loads(bench.emit_report(bench.run_replications(
+            bench.ExperimentConfig(model="toy1d-mc", estimator="cs",
+                                   alpha=0.95, n=200, replications=20,
+                                   seed=0)), "json"))["cs"]
+    finally:
+        del BUILTIN_MODELS["toy1d-mc"]
+    return [f"DIFF external/toy1d/cs {key} against in-process toy1d cs: "
+            f"{want.get(key)} != {got.get(key)}"
+            for key in ("estimates", "n_r_mean")
+            if want.get(key) != got.get(key)]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", metavar="FILE",
                     help="compare against a digest file; exit 1 on any "
                          "difference")
     args = ap.parse_args()
-    got = digests()
+    got, faults = digests()
     if not args.check:
         for name, digest in got.items():
             print(name, digest)
-        return 0
+        for fault in faults:
+            print(fault, file=sys.stderr)
+        return 1 if faults else 0
     want = dict(line.split() for line in
                 Path(args.check).read_text().splitlines() if line.strip())
     bad = 0
@@ -159,7 +195,11 @@ def main() -> int:
             bad += 1
             print(f"DIFF {name}: want {want.get(name)} got {got.get(name)}")
     print(f"{bad} of {len(want.keys() | got.keys())} gates differ")
-    return 1 if bad else 0
+    for fault in faults:
+        print(fault)
+    print(f"external cs {'differs from' if faults else 'equals'} in-process "
+          "toy1d cs")
+    return 1 if bad or faults else 0
 
 
 if __name__ == "__main__":
