@@ -35,9 +35,9 @@ family = BiasedFamily("joint_gaussian")
 
 # The member is fitted once from metamodel-only pilot draws (cheap), then
 # shared by every replication.  Its tail event lies beyond z_alpha, the
-# alpha-quantile of Z = f_r(X), here a Monte Carlo order statistic.
-z_alpha = metamodel_quantiles(pair, [ALPHA], "mc",
-                              stream=RngStream(0).child(10))[0]
+# alpha-quantile of Z = f_r(X): toy2d has no closed form for it, so it is
+# a Monte Carlo order statistic of draws from the given stream.
+z_alpha = metamodel_quantiles(pair, [ALPHA], RngStream(0).child(10))[0]
 params, diag = fit_biased_member(pair, family, z_alpha, RngStream(0),
                                  pilot_count=100_000)
 print("2D model: fitted biased member")

@@ -57,26 +57,19 @@ Adaptive = namedtuple("Adaptive", "pair alpha n spec acs_config")  # acs
 Biased = namedtuple("Biased", "pair alpha n member mode")  # cis
 
 
-def _quantiles(pair: ModelPair, config, *path) -> dict:
-    """How the metamodel quantiles of ``config`` are taken: in closed form
-    if the model has one, else as order statistics of 10^6 metamodel draws
-    from the stream (seed, 2**32, *path)."""
-    return dict(precision="mc" if pair.closed_form_z_quantile is None
-                else "closed_form",
-                stream=RngStream(config.seed, (2**32, *path)))
-
-
 def spec_for(pair: ModelPair, config) -> StrataSpec:
-    """The strata of ``config``'s cutpoints (default 0, .5, .9, .95, 1)."""
+    """The strata of ``config``'s cutpoints (default 0, .5, .9, .95, 1);
+    a model without a closed form draws them from (seed, 2**32)."""
     cutpoints = config.params.get("cutpoints", [0.0, 0.5, 0.9, 0.95, 1.0])
-    return sampling.strata_from_cutpoints(pair, cutpoints,
-                                          **_quantiles(pair, config))
+    return sampling.strata_from_cutpoints(
+        pair, cutpoints, RngStream(config.seed, (2**32,)))
 
 
 def z_alpha_for(pair: ModelPair, config) -> float:
-    """The metamodel alpha-quantile of ``config``."""
+    """The metamodel alpha-quantile of ``config``; a model without a closed
+    form draws it from (seed, 2**32, 1)."""
     return float(sampling.metamodel_quantiles(
-        pair, [config.alpha], **_quantiles(pair, config, 1))[0])
+        pair, [config.alpha], RngStream(config.seed, (2**32, 1)))[0])
 
 
 def cs_plan(spec: StrataSpec, config) -> AllocationPlan:

@@ -166,7 +166,9 @@ class ModelPair:
     A batch need not be C-contiguous: the samplers draw into (d, n) buffers
     and pass their transposes, whose columns ``x[:, j]`` are contiguous.
     ``closed_form_z_quantile`` maps a probability to the exact quantile of
-    Z = f_r(X) when one is available.
+    Z = f_r(X) when one is available; when it is set, every metamodel
+    quantile of the pair is taken from it, and when it is None, from
+    metamodel draws (``sampling.metamodel_quantiles``).
     """
 
     f: Callable[[np.ndarray], np.ndarray]

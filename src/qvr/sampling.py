@@ -5,6 +5,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import FunctionType
 from typing import Sequence
 
 import numpy as np
@@ -324,47 +325,39 @@ class StratifiedSample:
 
 
 def metamodel_quantiles(pair: ModelPair, cutpoints: Sequence[float],
-                        precision: str = "closed_form",
-                        sample_count: int = 10**6,
-                        stream: RngStream | None = None) -> np.ndarray:
+                        stream: RngStream | None = None,
+                        sample_count: int = 10**6) -> np.ndarray:
     """Quantiles of Z = f_r(X) at interior cutpoint probabilities.
 
-    ``precision`` is "closed_form" (builtin models that declare one) or "mc";
-    the mc path uses exact order statistics of one large metamodel sample,
-    index ceil(alpha * N), no interpolation.  That pass runs once per f_r
-    object, input law, cutpoints, ``sample_count`` and stream in a process
-    (``_mc_pass``); a repeated call gets a copy of the same bits.  An f_r
-    with a ``close`` (an external model's simulator) runs its pass on every
-    call, so that no cache entry holds it open.
+    The pair decides how they are taken: in closed form when
+    ``pair.closed_form_z_quantile`` is set (``stream`` and ``sample_count``
+    are then unused), else as exact order statistics of ``sample_count``
+    metamodel draws from ``stream``, index ceil(alpha * N), no
+    interpolation.  To force the draws on a model with a closed form, pass
+    ``dataclasses.replace(pair, closed_form_z_quantile=None)``.  A pass
+    whose f_r is a plain function runs once per f_r, input law, cutpoints,
+    ``sample_count`` and stream in a process (``_mc_pass``), and a repeated
+    call gets a copy of the same bits; any other f_r (a simulator, a
+    callable instance) runs its pass on every call.
     """
     cp = np.asarray(cutpoints, dtype=float)
     if not np.all((cp > 0) & (cp < 1)):
         raise ValueError("cutpoints must lie strictly inside (0, 1)")
     if not np.all(np.diff(cp) > 0):
         raise ValueError("cutpoints must be strictly increasing")
-    if precision == "closed_form":
-        if pair.closed_form_z_quantile is None:
-            raise ValueError(f"model {pair.name!r} has no closed-form Z quantile")
+    if pair.closed_form_z_quantile is not None:
         out = np.array([pair.closed_form_z_quantile(a) for a in cp])
-    elif precision == "mc":
+    else:
         if sample_count < 10**4:
             raise ValueError("mc quantiles need sample_count >= 1e4")
         if stream is None:
             raise ValueError("mc quantiles need a stream")
-        key = (pair.f_r, pair.input, tuple(cp.tolist()), sample_count,
-               stream)
-        # A simulator (an f_r with a close) is never cached: the cache
-        # would keep it, and its child process, alive.
-        run = _mc_pass.__wrapped__
-        if not hasattr(pair.f_r, "close"):
-            try:
-                hash(key)
-                run = _mc_pass
-            except TypeError:  # an unhashable f_r or input law shares nothing
-                pass
-        out = run(*key).copy()
-    else:
-        raise ValueError(f"unknown precision {precision!r}")
+        # Only a plain function is memoized: the cache would keep a
+        # simulator, and its child process, alive.
+        run = (_mc_pass if isinstance(pair.f_r, FunctionType)
+               else _mc_pass.__wrapped__)
+        out = run(pair.f_r, pair.input, tuple(cp.tolist()), sample_count,
+                  stream).copy()
     if not np.all(np.diff(out) > 0):
         raise SamplingError("metamodel quantiles are not strictly increasing")
     return out
@@ -389,11 +382,10 @@ def _mc_pass(f_r, dist, cp: tuple, sample_count: int, stream: RngStream
 
 
 def strata_from_cutpoints(pair: ModelPair, cutpoints: Sequence[float],
-                          precision: str = "closed_form",
-                          sample_count: int = 10**6,
-                          stream: RngStream | None = None) -> StrataSpec:
+                          stream: RngStream | None = None,
+                          sample_count: int = 10**6) -> StrataSpec:
     cp = tuple(float(c) for c in cutpoints)
-    zq = metamodel_quantiles(pair, cp[1:-1], precision, sample_count, stream)
+    zq = metamodel_quantiles(pair, cp[1:-1], stream, sample_count)
     return StrataSpec(cutpoints=cp, z_values=(-np.inf,) + tuple(zq) + (np.inf,))
 
 

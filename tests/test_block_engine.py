@@ -616,9 +616,9 @@ PAIRS = dict(BUILTIN_MODELS, mixed3d=mixed3d)
 @pytest.mark.parametrize("batch", [1, 37, 700, 4096, 1 << 20])
 def test_sample_strata_rows_matches_per_stream_draws(model, batch):
     pair = PAIRS[model]()
-    spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0],
-                                 precision="mc", sample_count=10**4,
-                                 stream=RngStream(3))
+    spec = strata_from_cutpoints(
+        dataclasses.replace(pair, closed_form_z_quantile=None),
+        [0.0, 0.5, 0.9, 0.95, 1.0], RngStream(3), sample_count=10**4)
     assert assert_rows_match_reference(pair, spec, PLANS, RngStream(8),
                                        batch=batch) == 0
 
@@ -633,9 +633,9 @@ def test_rows_need_more_passes_when_a_pass_is_small(points, model,
     from qvr import sampling
     monkeypatch.setattr(sampling, "BLOCK_POINTS", points)
     pair = PAIRS[model]()
-    spec = strata_from_cutpoints(pair, [0.0, 0.5, 0.9, 0.95, 1.0],
-                                 precision="mc", sample_count=10**4,
-                                 stream=RngStream(3))
+    spec = strata_from_cutpoints(
+        dataclasses.replace(pair, closed_form_z_quantile=None),
+        [0.0, 0.5, 0.9, 0.95, 1.0], RngStream(3), sample_count=10**4)
     assert assert_rows_match_reference(pair, spec, PLANS, RngStream(9),
                                        batch=300) == 0
 
@@ -676,9 +676,9 @@ def _fitted_member(model, tag):
     upper 5% metamodel tail."""
     pair = PAIRS[model]()
     stream = RngStream(17)
-    z_alpha = strata_from_cutpoints(pair, [0.0, 0.95, 1.0], precision="mc",
-                                    sample_count=10**5,
-                                    stream=stream.child(0)).z_values[1]
+    z_alpha = strata_from_cutpoints(
+        dataclasses.replace(pair, closed_form_z_quantile=None),
+        [0.0, 0.95, 1.0], stream.child(0), sample_count=10**5).z_values[1]
     family = importance.BiasedFamily(tag, pair.input)
     params, _ = importance.fit_biased_member(pair, family, z_alpha,
                                              stream.child(1),

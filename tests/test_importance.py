@@ -323,7 +323,7 @@ class TestSelfNormalizedCdfValidity:
 
 def _mc_z_alpha(pair, stream):
     """The 0.95-quantile of Z = f_r(X) from 10^6 metamodel draws."""
-    return metamodel_quantiles(pair, [0.95], "mc", stream=stream)[0]
+    return metamodel_quantiles(pair, [0.95], stream)[0]
 
 
 class TestCisPipeline:

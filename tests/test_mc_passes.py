@@ -3,6 +3,7 @@ correlation report): ``evaluate_sample`` gives the outputs of one drawn
 input matrix bit for bit in any run length, the passes give the values of
 that matrix, and they hold a bounded share of its memory."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -79,7 +80,8 @@ def test_mc_quantiles_are_the_order_statistics_of_one_sample(pair):
     cp, N, stream = [0.5, 0.9, 0.95], 10**6, RngStream(31)
     z = np.sort(pair.eval_metamodel(pair.input.sample(stream.generator(),
                                                       N)))
-    got = metamodel_quantiles(pair, cp, "mc", N, stream)
+    got = metamodel_quantiles(
+        dataclasses.replace(pair, closed_form_z_quantile=None), cp, stream, N)
     assert np.array_equal(got, [z[math.ceil(a * N) - 1] for a in cp])
 
 
@@ -120,7 +122,7 @@ def test_mc_quantile_pass_holds_one_output_column():
     # A cold pass: an empty cache, so the pass runs and is measured.
     sampling._mc_pass.cache_clear()
     assert _peak_mib(lambda: metamodel_quantiles(
-        toy2d(), [0.5, 0.95], "mc", 10**6, RngStream(3))) <= 10
+        toy2d(), [0.5, 0.95], RngStream(3))) <= 10
 
 
 def test_ground_truth_pass_holds_one_output_column():

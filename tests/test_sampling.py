@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,14 +228,14 @@ class TestMetamodelQuantiles:
         assert z[0] == pytest.approx(0.4549, abs=2e-4)
         assert z[1] == pytest.approx(3.8415, abs=2e-4)
 
-    def test_closed_form_unavailable(self):
+    def test_toy2d_without_a_stream_is_refused(self):
         from qvr.model import toy2d
         with pytest.raises(ValueError):
             metamodel_quantiles(toy2d(), [0.5])
 
     def test_identity_mc(self):
-        z = metamodel_quantiles(identity1d(), [0.95], precision="mc",
-                                sample_count=10**7, stream=RngStream(5))
+        pair = replace(identity1d(), closed_form_z_quantile=None)
+        z = metamodel_quantiles(pair, [0.95], RngStream(5), 10**7)
         assert z[0] == pytest.approx(1.6449, abs=0.002)
 
     def test_atoms_refused(self):
@@ -241,18 +243,17 @@ class TestMetamodelQuantiles:
         pair = ModelPair(f=lambda x: x[:, 0], f_r=lambda x: np.floor(x[:, 0]),
                          input=standard_normal_input(1))
         with pytest.raises(SamplingError, match="not strictly increasing"):
-            metamodel_quantiles(pair, [0.5, 0.9, 0.95], precision="mc",
-                                sample_count=10**4, stream=RngStream(6))
+            metamodel_quantiles(pair, [0.5, 0.9, 0.95], RngStream(6),
+                                sample_count=10**4)
 
     def test_mc_convergence_rate(self):
-        pair = toy1d()
-        truth = pair.closed_form_z_quantile(0.95)
+        truth = toy1d().closed_form_z_quantile(0.95)
+        pair = replace(toy1d(), closed_form_z_quantile=None)
         sizes = [10**4, 10**5, 10**6]
         errs = []
         for s in sizes:
-            vals = [metamodel_quantiles(pair, [0.95], precision="mc",
-                                        sample_count=s,
-                                        stream=RngStream(s, (r,)))[0]
+            vals = [metamodel_quantiles(pair, [0.95], RngStream(s, (r,)),
+                                        sample_count=s)[0]
                     for r in range(20)]
             errs.append(np.sqrt(np.mean((np.array(vals) - truth) ** 2)))
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]

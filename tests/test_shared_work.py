@@ -3,6 +3,8 @@ the process (``sampling._mc_pass``), and the input draw and f
 call of each block that a preset's ee, cv and ps share
 (``designs.draw_inputs``).  Neither may change a report's bytes."""
 
+import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -74,47 +76,72 @@ def test_warm_cache_gives_the_cold_report_bytes(label, passes):
 def test_hit_is_a_copy_and_the_check_still_runs(passes):
     pair = BUILTIN_MODELS["toy2d"]()
     stream = sampling.RngStream(5)
-    first = sampling.metamodel_quantiles(pair, [0.5, 0.9], "mc", 10**4,
-                                         stream)
+    first = sampling.metamodel_quantiles(pair, [0.5, 0.9], stream, 10**4)
     first[:] = 0.0  # a caller's array is its own
-    again = sampling.metamodel_quantiles(pair, [0.5, 0.9], "mc", 10**4,
-                                         stream)
+    again = sampling.metamodel_quantiles(pair, [0.5, 0.9], stream, 10**4)
     assert len(passes) == 1 and np.all(np.diff(again) > 0)
     atom = ModelPair(f=pair.f, f_r=lambda x: np.floor(x[:, 0]),
                      input=pair.input)
     for _ in range(2):  # the refusal is not cached away
         with pytest.raises(sampling.SamplingError,
                            match="not strictly increasing"):
-            sampling.metamodel_quantiles(atom, [0.5, 0.9, 0.95], "mc",
-                                         10**4, stream)
+            sampling.metamodel_quantiles(atom, [0.5, 0.9, 0.95], stream,
+                                         10**4)
 
 
 def test_cache_is_bounded(passes):
-    pair = BUILTIN_MODELS["toy1d"]()
+    pair = dataclasses.replace(BUILTIN_MODELS["toy1d"](),
+                               closed_form_z_quantile=None)
     size = sampling._mc_pass.cache_info().maxsize
     for seed in range(size + 3):
-        sampling.metamodel_quantiles(pair, [0.5], "mc", 10**4,
-                                     sampling.RngStream(seed))
+        sampling.metamodel_quantiles(pair, [0.5], sampling.RngStream(seed),
+                                     10**4)
     assert sampling._mc_pass.cache_info().currsize == size
-    sampling.metamodel_quantiles(pair, [0.5], "mc", 10**4,
-                                 sampling.RngStream(0))  # evicted first
+    sampling.metamodel_quantiles(pair, [0.5], sampling.RngStream(0),
+                                 10**4)  # evicted first
     assert len(passes) == size + 4
 
 
-def test_unhashable_f_r_shares_nothing(passes):
-    class Metamodel:  # eq without hash: unhashable
-        def __eq__(self, other):
-            return True
+def _square(x, power=2):
+    return x[:, 0] ** power
 
-        def __call__(self, x):
-            return x[:, 0] ** 2
-    pair = ModelPair(f=Metamodel(), f_r=Metamodel(),
+
+class _Unhashable:  # eq without hash
+    def __eq__(self, other):
+        return True
+
+    def __call__(self, x):
+        return _square(x)
+
+
+class _Hashable:
+    def __call__(self, x):
+        return _square(x)
+
+
+@pytest.mark.parametrize("f_r,count", [
+    (_Unhashable(), 2), (_Hashable(), 2),
+    (functools.partial(_square, power=2), 2), (_square, 1)],
+    ids=["unhashable", "hashable_instance", "partial", "plain_function"])
+def test_only_a_plain_function_shares_its_pass(f_r, count, passes):
+    pair = ModelPair(f=_square, f_r=f_r,
                      input=BUILTIN_MODELS["toy1d"]().input)
-    runs = [sampling.metamodel_quantiles(pair, [0.5, 0.9], "mc", 10**4,
-                                         sampling.RngStream(1))
+    runs = [sampling.metamodel_quantiles(pair, [0.5, 0.9],
+                                         sampling.RngStream(1), 10**4)
             for _ in range(2)]
-    assert len(passes) == 2 and runs[0].tolist() == runs[1].tolist()
+    assert len(passes) == count and runs[0].tolist() == runs[1].tolist()
     assert all(r.flags.writeable for r in runs)
+
+
+@pytest.mark.parametrize("stream,count", [
+    (None, 10**6), (sampling.RngStream(5), 10**4),
+    (sampling.RngStream(5), 10)], ids=["no_stream", "1e4", "10"])
+def test_closed_form_ignores_stream_and_count(stream, count, passes):
+    pair = BUILTIN_MODELS["toy1d"]()
+    got = sampling.metamodel_quantiles(pair, [0.5, 0.95], stream, count)
+    assert got.tolist() == [pair.closed_form_z_quantile(a)
+                            for a in (0.5, 0.95)]
+    assert passes == []
 
 
 def test_counting_pair_never_gets_the_builtin_entry(passes, monkeypatch):
@@ -142,7 +169,7 @@ def test_external_config_pass_is_never_shared(passes):
         with bench._open_pair(config) as pair:
             for _ in range(2):  # nor does one pair's simulator share a pass
                 values.append(sampling.metamodel_quantiles(
-                    pair, [0.95], "mc", 10**4, stream).tolist())
+                    pair, [0.95], stream, 10**4).tolist())
     assert len(passes) == 4 and values.count(values[0]) == 4
     # No cache entry holds a simulator, and with it its child, open.
     assert sampling._mc_pass.cache_info().currsize == 0

@@ -426,8 +426,8 @@ class TestAcs:
             return x[:, 0]
 
         pair = ModelPair(f=full, f_r=noise_meta, input=standard_normal_input(1))
-        spec = strata_from_cutpoints(pair, [0.0, 0.5, 1.0], precision="mc",
-                                     sample_count=10**5, stream=RngStream(73))
+        spec = strata_from_cutpoints(pair, [0.0, 0.5, 1.0], RngStream(73),
+                                     sample_count=10**5)
         config = AcsConfig(spec=spec, n=2000, pilot_per_stratum=500)
         res = acs_quantile(pair, config, 0.95, RngStream(74))
         # P_j(y) identical across strata: beta_tilde near widths

@@ -14,8 +14,10 @@ per metric the median of each side, the pairs the change won (better by
 the direction ``BENCHMARK.json`` gives the metric, lower if it names none;
 ties count for neither side), and each side's quartiles: a gain is clear
 when the change wins nearly every pair and its median lies beyond the
-parent's interquartile range.  With ``--json PATH`` it writes every run
-and summary there.  A run that exits non-zero or reports
+parent's interquartile range.  Each metric that ``BENCHMARK.json``
+bounds then gets a no-regression verdict (``verdict``): ``within bound``,
+``worse beyond bound`` or ``unresolved``.  With ``--json PATH`` it writes
+every run and summary there.  A run that exits non-zero or reports
 ``correct: false`` stops the tool with exit 1.  It imports nothing from
 either checkout.
 
@@ -95,25 +97,42 @@ def run_preset(checkout: Path, preset: str, seed: int) -> dict:
             "report_sha256": hashlib.sha256(out.stdout).hexdigest()}
 
 
-def better_higher(checkout: Path) -> set:
-    """The end-to-end metrics that ``BENCHMARK.json`` calls better when
-    higher."""
+def end_to_end(checkout: Path) -> dict:
+    """The end-to-end metrics of the checkout's ``BENCHMARK.json`` by
+    name, each with its ``better`` and ``bound``."""
     try:
         spec = json.loads((checkout / "BENCHMARK.json").read_text())
     except FileNotFoundError:
-        return set()
-    return {m["name"] for m in spec.get("end_to_end", ())
-            if m.get("better") == "higher"}
+        return {}
+    return {m["name"]: m for m in spec.get("end_to_end", ())}
 
 
-def summarize(pairs: list, higher: set) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the
-    change won."""
+def verdict(parent: list, change: list, bound: float, sign: int) -> str:
+    """Whether the change's runs of one metric regress beyond ``bound``, a
+    share of the parent's median (``sign`` 1 when higher is better, -1
+    when lower is).  When the parent's interquartile range is wider than
+    that share, the runs cannot tell: ``unresolved``, unless every change
+    run beats every parent run.  Otherwise ``worse beyond bound`` when the
+    change's median is worse than the parent's by more than it."""
+    med = statistics.median(parent)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    if q3 - q1 > bound * abs(med):
+        beats_all = min(sign * y for y in change) > max(sign * x
+                                                        for x in parent)
+        return "within bound" if beats_all else "unresolved"
+    worse = sign * (med - statistics.median(change))
+    return "worse beyond bound" if worse > bound * abs(med) else "within bound"
+
+
+def summarize(pairs: list, metrics: dict) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the change
+    won and, for a metric with a bound, the verdict."""
     out = {}
     for k in pairs[0]["parent"]["metrics"]:
         a = [p["parent"]["metrics"][k] for p in pairs]
         b = [p["change"]["metrics"][k] for p in pairs]
-        sign = 1 if k in higher else -1
+        spec = metrics.get(k, {})
+        sign = 1 if spec.get("better") == "higher" else -1
         q = {side: statistics.quantiles(v, n=4, method="inclusive")
              for side, v in (("parent", a), ("change", b))}
         out[k] = {"better": "higher" if sign > 0 else "lower",
@@ -122,6 +141,9 @@ def summarize(pairs: list, higher: set) -> dict:
                   "quartiles": {s: [q[s][0], q[s][2]] for s in q},
                   "change_wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
                   "parent_wins": sum(sign * (y - x) < 0 for x, y in zip(a, b))}
+        if "bound" in spec:
+            out[k]["bound"] = spec["bound"]
+            out[k]["verdict"] = verdict(a, b, spec["bound"], sign)
     return out
 
 
@@ -139,7 +161,7 @@ def main() -> int:
     if not args.workload and not args.preset:
         p.error("give a --workload or a --preset")
     sides = ("parent", "change")
-    higher = better_higher(args.change)
+    metrics = end_to_end(args.change)
     for side in sides:
         compile_sources(getattr(args, side))
     results = {}
@@ -165,7 +187,7 @@ def main() -> int:
                     != pair["change"]["report_sha256"]):
                 print(f"{workload} pair {i} seed {seed}: reports differ",
                       flush=True)
-        summary = summarize(pairs, higher)
+        summary = summarize(pairs, metrics)
         results[workload] = {"pairs": pairs, "summary": summary}
         for k, m in summary.items():
             a, b = m["median"]["parent"], m["median"]["change"]
@@ -177,6 +199,9 @@ def main() -> int:
                   f"{qa[1]:.6g} (IQR {qa[1] - qa[0]:.3g}), change "
                   f"{qb[0]:.6g}-{qb[1]:.6g}; median gap {abs(b - a):.3g}",
                   flush=True)
+            if "verdict" in m:
+                print(f"{workload} {k}: {m['verdict']} (bound "
+                      f"{m['bound']:g} of the parent's median)", flush=True)
     if args.json is not None:
         args.json.write_text(json.dumps(
             {"seconds": args.seconds, "workloads": results}, indent=1) + "\n")

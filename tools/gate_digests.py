@@ -19,8 +19,10 @@ leave byte-identical:
   ``n_r_mean`` must also equal those of in-process toy1d cs on the same
   mc quantiles (toy1d without its closed form, run as a stand-in builtin
   model); the tool names each difference and exits 1.  On this config
-  toy1d's closed form gives the same estimates too, so the comparison
-  checks the simulator path, not how the quantiles are taken;
+  toy1d's closed form gives the same estimates too, so the tool also
+  checks that the stand-in's strata edges are not toy1d's closed-form
+  ones: at seed 0 the mc pass puts them at 0.45406 / 2.69690 / 3.83882
+  against 0.45494 / 2.70554 / 3.84146;
 - ``qvr diag variance|allocation|cost`` stdout, stderr and exit code on
   toy1d and toy2d, with a cs config (n=200, alpha 0.95, seed 0, default
   params) and the default ``--samples``;
@@ -34,8 +36,9 @@ interpreter with ``PYTHONPATH`` set to that ``src/``.  Run from anywhere:
     python tools/gate_digests.py --check tools/gate_digests.txt
 
 ``--check`` exits 1 when any digest differs from the file, a gate is
-missing from either side, or the external cs report differs from the
-in-process one.  The digests in ``tools/gate_digests.txt`` were
+missing from either side, the external cs report differs from the
+in-process one, or the in-process stand-in has toy1d's closed-form
+strata.  The digests in ``tools/gate_digests.txt`` were
 taken on one host (x86-64 with AVX-512, Python 3.11.7, numpy 2.4.6,
 OpenBLAS); another CPU or BLAS build can move last bits, so compare two
 commits on the same host.  No gate runs scipy.  The cis gates depend on
@@ -68,7 +71,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from click.testing import CliRunner  # noqa: E402
 
-from qvr import bench  # noqa: E402
+from qvr import bench, designs  # noqa: E402
 from qvr.cli import main as qvr  # noqa: E402
 from qvr.model import BUILTIN_MODELS, toy1d  # noqa: E402
 
@@ -157,21 +160,29 @@ def in_process_differences(external_cs: str) -> list[str]:
     """One line for each field of the external cs report (``estimates``,
     ``n_r_mean``) that differs from a run of the same config in process,
     on toy1d with its metamodel quantiles taken by the mc pass, as the
-    external model's are."""
+    external model's are; and one if that stand-in's strata are toy1d's
+    closed-form ones after all."""
     want = json.loads(external_cs)["cs"]
     BUILTIN_MODELS["toy1d-mc"] = lambda: dataclasses.replace(
         toy1d(), closed_form_z_quantile=None)
+    config = bench.ExperimentConfig(model="toy1d-mc", estimator="cs",
+                                    alpha=0.95, n=200, replications=20,
+                                    seed=0)
     try:
-        got = json.loads(bench.emit_report(bench.run_replications(
-            bench.ExperimentConfig(model="toy1d-mc", estimator="cs",
-                                   alpha=0.95, n=200, replications=20,
-                                   seed=0)), "json"))["cs"]
+        got = json.loads(bench.emit_report(bench.run_replications(config),
+                                           "json"))["cs"]
+        # The run has memoized the stand-in's pass: no new pass here.
+        edges = designs.spec_for(config.build_pair(), config).z_values
     finally:
         del BUILTIN_MODELS["toy1d-mc"]
-    return [f"DIFF external/toy1d/cs {key} against in-process toy1d cs: "
-            f"{want.get(key)} != {got.get(key)}"
-            for key in ("estimates", "n_r_mean")
-            if want.get(key) != got.get(key)]
+    faults = [f"DIFF external/toy1d/cs {key} against in-process toy1d cs: "
+              f"{want.get(key)} != {got.get(key)}"
+              for key in ("estimates", "n_r_mean")
+              if want.get(key) != got.get(key)]
+    if edges == designs.spec_for(toy1d(), config).z_values:
+        faults.append("DIFF in-process toy1d cs: its strata edges are "
+                      "toy1d's closed-form ones, not the mc pass's")
+    return faults
 
 
 def main() -> int:
@@ -197,8 +208,8 @@ def main() -> int:
     print(f"{bad} of {len(want.keys() | got.keys())} gates differ")
     for fault in faults:
         print(fault)
-    print(f"external cs {'differs from' if faults else 'equals'} in-process "
-          "toy1d cs")
+    print("in-process twin check failed" if faults
+          else "external cs equals in-process toy1d cs")
     return 1 if bad or faults else 0
 
 
